@@ -253,7 +253,7 @@ class SketchEstimator:
         counts = _check_prefix_counts(seeds, seed_counts)
         indices = self.graph.indices_for(list(seeds))
         nonzero = [k for k in counts if k > 0]
-        # One batched traversal of the member array for the whole sweep.
+        # One batched oracle call for the whole sweep.
         raw = self.collection.estimated_spreads([indices[:k] for k in nonzero])
         by_count = dict(zip(nonzero, raw))
         return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}

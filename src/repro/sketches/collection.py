@@ -4,7 +4,8 @@ A collection holds ``num_sets`` RR sets over ``n`` nodes as two flat int64
 arrays — ``members`` (all set members back to back) and ``indptr`` (set
 boundaries) — instead of ``list[list[int]]``.  That keeps the per-set
 overhead at zero Python objects, makes the coverage and spread queries pure
-numpy reductions, and lets IMM grow ``theta`` block-wise while reusing every
+numpy reductions (over the members, or over the cached inverted index when
+one exists), and lets IMM grow ``theta`` block-wise while reusing every
 previously drawn set: blocks are appended in O(1) and consolidated lazily on
 first read.
 """
@@ -16,6 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import SketchError, SketchIndexError
+from repro.sketches.sampler import expand_csr_positions, stable_argsort_bounded
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -181,18 +183,21 @@ class RRSetCollection:
 
         Returns ``(node_indptr, node_sets)``: node ``v`` appears in sets
         ``node_sets[node_indptr[v]:node_indptr[v + 1]]``.  This is the
-        access structure greedy max coverage walks; building it costs one
-        stable argsort of ``members``, so it is cached here and persisted
-        inside index artifacts (where a warm ``select(k)`` would otherwise
-        pay the argsort on every reopen).  Deterministic given the CSR:
-        within a node, set ids appear in ascending order.
+        access structure greedy max coverage walks, and once cached it is
+        also how :meth:`estimated_spreads` answers.  Building it costs one
+        stable sort of ``members`` by node — linear-time radix passes
+        (:func:`~repro.sketches.sampler.stable_argsort_bounded`) for any
+        ``n`` below ``2**32`` — so it is cached here and persisted inside
+        index artifacts (where a warm ``select(k)`` would otherwise pay the
+        sort on every reopen).  Deterministic given the CSR: within a node,
+        set ids appear in ascending order.
         """
         self._consolidate()
         if self._node_indptr is None or self._node_sets is None:
             counts = np.bincount(self._members, minlength=self.n)
             node_indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(counts, out=node_indptr[1:])
-            order = np.argsort(self._members, kind="stable")
+            order = stable_argsort_bounded(self._members, self.n)
             self._node_sets = self.set_ids[order]
             self._node_indptr = node_indptr
         return self._node_indptr, self._node_sets
@@ -212,23 +217,10 @@ class RRSetCollection:
         """Number of sets each node appears in (the initial greedy gains)."""
         return np.bincount(self.members, minlength=self.n)
 
-    def covered_mask(self, seeds: Sequence[int]) -> np.ndarray:
-        """Boolean mask over sets: which sets contain at least one seed."""
-        mask = np.zeros(self.num_sets, dtype=bool)
-        seeds = np.asarray(list(seeds), dtype=np.int64)
-        if seeds.size == 0 or self.num_sets == 0:
-            return mask
-        seed_mask = np.zeros(self.n, dtype=bool)
-        seed_mask[seeds] = True
-        hits = seed_mask[self.members]
-        mask[self.set_ids[hits]] = True
-        return mask
-
     def covered_fraction(self, seeds: Sequence[int]) -> float:
         """Fraction of sets containing at least one seed."""
-        if self.num_sets == 0:
-            return 0.0
-        return float(self.covered_mask(seeds).sum()) / self.num_sets
+        covered = self._covered_counts([seeds])[0]
+        return float(covered) / self.num_sets if self.num_sets else 0.0
 
     def estimated_spread(self, seeds: Sequence[int]) -> float:
         """Sketch estimate of the expected spread of ``seeds``.
@@ -240,29 +232,75 @@ class RRSetCollection:
         subtract ``len(seeds)`` when comparing against
         :class:`~repro.diffusion.simulation.MonteCarloEngine` estimates.
         """
-        return self.covered_fraction(seeds) * self.n
+        return float(self.estimated_spreads([seeds])[0])
 
     def estimated_spreads(self, seed_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """Sketch spread estimates for several seed sets in one pass.
+        """Sketch spread estimates for several seed sets in one call.
 
-        Semantically ``[estimated_spread(s) for s in seed_sets]``, but the
-        member array is walked once for the whole batch: every request's
-        seed mask is gathered against ``members`` simultaneously and reduced
-        per set.  This is the kernel behind the serving layer's request
-        coalescing — R concurrent evaluate calls cost one traversal, not R.
+        Semantically ``[estimated_spread(s) for s in seed_sets]``; this is
+        the kernel behind the serving layer's request coalescing.  The
+        covered sets are counted along one of two paths, chosen from the
+        cached state alone and giving identical counts:
+
+        * **Index lookup** — when the inverted index is cached (built by
+          :meth:`inverted_index` for a cover, or persisted in an artifact)
+          and no appended blocks are pending, each request marks the sets
+          listed under its seeds in one per-call ``num_sets`` mask and
+          counts them.  The cost is the seeds' total coverage.
+        * **Member walk** — otherwise, the member array is walked once for
+          the whole batch: every request's seed mask is gathered against
+          ``members`` and reduced per set, so R requests cost one
+          ``O(|members|)`` traversal, not R.  The index is not built for
+          this: on a one-shot collection building it costs more than the
+          walk it would save.
+
+        Raises :class:`~repro.exceptions.SketchIndexError` for a seed
+        outside ``[0, n)``.
         """
+        covered = self._covered_counts(seed_sets)
+        if self.num_sets == 0:
+            return np.zeros(covered.size, dtype=np.float64)
+        return covered / self.num_sets * self.n
+
+    def _covered_counts(self, seed_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """Number of sets each seed set covers; picks the oracle path."""
         requests = [np.asarray(list(s), dtype=np.int64) for s in seed_sets]
-        count = len(requests)
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        if self.num_sets == 0 or self.n == 0:
-            return np.zeros(count, dtype=np.float64)
+        if not requests:
+            return np.zeros(0, dtype=np.int64)
+        flat = np.concatenate(requests)
+        outside = flat[(flat < 0) | (flat >= self.n)]
+        if outside.size:
+            raise SketchIndexError(
+                f"seed {int(outside[0])} is outside the node range 0..{self.n - 1}"
+            )
+        if self.num_sets == 0:
+            return np.zeros(len(requests), dtype=np.int64)
+        if not self._dirty and self._node_indptr is not None and self._node_sets is not None:
+            return self._index_counts(requests)
+        return self._walk_counts(requests)
+
+    def _index_counts(self, requests: List[np.ndarray]) -> np.ndarray:
+        """Index-lookup path of :meth:`_covered_counts`."""
+        node_indptr, node_sets = self._node_indptr, self._node_sets
+        covered = np.zeros(len(requests), dtype=np.int64)
+        mask = np.zeros(self._num_sets, dtype=bool)
+        for row, seeds in enumerate(requests):
+            positions, _ = expand_csr_positions(node_indptr, seeds)
+            hit = node_sets[positions]
+            mask[hit] = True
+            covered[row] = np.count_nonzero(mask)
+            mask[hit] = False
+        return covered
+
+    def _walk_counts(self, requests: List[np.ndarray]) -> np.ndarray:
+        """Member-walk path of :meth:`_covered_counts`."""
         members, indptr = self.members, self.indptr
-        seed_mask = np.zeros((count, self.n), dtype=bool)
+        covered = np.zeros(len(requests), dtype=np.int64)
+        if members.size == 0:
+            return covered
+        seed_mask = np.zeros((len(requests), self.n), dtype=bool)
         for row, seeds in enumerate(requests):
             seed_mask[row, seeds] = True
-        if members.size == 0:
-            return np.zeros(count, dtype=np.float64)
         # The member array is walked in set-aligned chunks so the transient
         # ``requests x chunk`` gather matrix stays bounded regardless of how
         # many requests a coalesced batch carries.  Within a chunk, reduceat
@@ -272,7 +310,6 @@ class RRSetCollection:
         # returns the element *at* the boundary, and errors when the
         # boundary equals the slice size; empty sets are never covered, so
         # they simply don't enter the count).
-        covered_counts = np.zeros(count, dtype=np.int64)
         set_start = 0
         while set_start < self.num_sets:
             limit = indptr[set_start] + _SPREADS_CHUNK
@@ -284,10 +321,9 @@ class RRSetCollection:
             if hi > lo and nonempty.size:
                 hits = seed_mask[:, members[lo:hi]]
                 starts = indptr[set_start:set_end][nonempty] - lo
-                covered = np.logical_or.reduceat(hits, starts, axis=1)
-                covered_counts += covered.sum(axis=1)
+                covered += np.logical_or.reduceat(hits, starts, axis=1).sum(axis=1)
             set_start = set_end
-        return covered_counts / self.num_sets * self.n
+        return covered
 
     @property
     def memory_bytes(self) -> int:

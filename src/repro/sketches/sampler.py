@@ -111,6 +111,26 @@ def expand_csr_positions(indptr: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndar
     return positions, degrees
 
 
+def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    numpy's stable sort is a linear-time radix sort only for integer types
+    of at most 16 bits; wider keys get a merge sort.  Keys below ``2**16``
+    are therefore sorted as ``uint16`` in one radix pass, keys below
+    ``2**32`` in two stable 16-bit passes (least significant digit first),
+    and anything wider falls back to the merge sort.  The permutation is
+    identical to the plain stable argsort in every case.
+    """
+    keys = np.asarray(keys)
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound <= 1 << 32:
+        order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (keys[order] >> 16).astype(np.uint16)
+        return order[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")
+
+
 def _dedup_first(keys: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct key.
 
@@ -475,7 +495,8 @@ class BatchRRSampler:
         """Assemble the per-set CSR and wipe the visited keys for reuse.
 
         The stable sort preserves each set's discovery order, which is what
-        makes the assembled arrays independent of how sets were blocked.
+        makes the assembled arrays independent of how sets were blocked;
+        owners are below ``count``, so it is radix passes, not a merge sort.
         Widths fall out of the membership: every member enters its set's
         frontier (or walk) exactly once and is expanded exactly once, so the
         edges a set examined are the summed in-degrees of its members.
@@ -484,7 +505,7 @@ class BatchRRSampler:
         nodes = np.concatenate(node_chunks)
         stride = self._visited.size // self.n
         self._visited[nodes * stride + owners] = False
-        order = np.argsort(owners, kind="stable")
+        order = stable_argsort_bounded(owners, count)
         members = nodes[order]
         sizes = np.bincount(owners, minlength=count)
         indptr = np.zeros(count + 1, dtype=np.int64)

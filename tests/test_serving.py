@@ -36,6 +36,12 @@ def wc_graph():
 
 
 @pytest.fixture(scope="module")
+def wc_compiled(wc_graph):
+    """The compiled snapshot the service hot paths expect."""
+    return wc_graph.compile()
+
+
+@pytest.fixture(scope="module")
 def built_index(wc_graph):
     return InfluenceIndex.build(wc_graph, "ic", 4000, engine_seed=11)
 
@@ -478,18 +484,18 @@ class TestInfluenceIndex:
 
 
 class TestInfluenceService:
-    def test_builds_once_and_hits_cache(self, wc_graph):
+    def test_builds_once_and_hits_cache(self, wc_compiled):
         service = InfluenceService(capacity=2, default_theta=500)
-        first = service.get_index(wc_graph, "ic")
-        second = service.get_index(wc_graph, "ic")
+        first = service.get_index(wc_compiled, "ic")
+        second = service.get_index(wc_compiled, "ic")
         assert first is second
         stats = service.stats()
         assert stats["index_builds"] == 1
         assert stats["index_hits"] == 1
 
-    def test_lru_eviction(self, wc_graph):
+    def test_lru_eviction(self):
         service = InfluenceService(capacity=2, default_theta=200)
-        graphs = [erdos_renyi_graph(40, 0.1, seed=s) for s in (1, 2, 3)]
+        graphs = [erdos_renyi_graph(40, 0.1, seed=s).compile() for s in (1, 2, 3)]
         for graph in graphs:
             service.get_index(graph, "ic")
         assert len(service) == 2
@@ -499,17 +505,17 @@ class TestInfluenceService:
         service.get_index(graphs[0], "ic")
         assert service.stats()["index_builds"] == builds_before + 1
 
-    def test_evaluate_matches_index_oracle(self, wc_graph):
+    def test_evaluate_matches_index_oracle(self, wc_compiled):
         service = InfluenceService(default_theta=1000, engine_seed=3)
-        index = service.get_index(wc_graph, "ic")
+        index = service.get_index(wc_compiled, "ic")
         seeds = index.select(5).seeds
-        assert service.evaluate(wc_graph, "ic", seeds) == pytest.approx(
+        assert service.evaluate(wc_compiled, "ic", seeds) == pytest.approx(
             index.estimate_spread(seeds)
         )
 
-    def test_concurrent_evaluate_coalesces_and_agrees(self, wc_graph):
+    def test_concurrent_evaluate_coalesces_and_agrees(self, wc_compiled):
         service = InfluenceService(default_theta=1500, engine_seed=3)
-        index = service.get_index(wc_graph, "ic")
+        index = service.get_index(wc_compiled, "ic")
         # 24 requests over 8 workers: 3 full barrier generations, so every
         # wait() is eventually released (a non-multiple would deadlock).
         seed_sets = [[i, i + 1, i + 2] for i in range(0, 72, 3)]
@@ -519,7 +525,7 @@ class TestInfluenceService:
 
         def query(seeds):
             barrier.wait()
-            return service.evaluate(wc_graph, "ic", seeds)
+            return service.evaluate(wc_compiled, "ic", seeds)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(query, seed_sets))
@@ -530,30 +536,30 @@ class TestInfluenceService:
         # simultaneous arrival at least one batch must have merged requests.
         assert stats["evaluate_batches"] <= stats["evaluate_requests"]
 
-    def test_concurrent_get_index_builds_once(self, wc_graph):
+    def test_concurrent_get_index_builds_once(self, wc_compiled):
         service = InfluenceService(default_theta=800)
         barrier = threading.Barrier(6)
 
         def fetch():
             barrier.wait()
-            return service.get_index(wc_graph, "ic")
+            return service.get_index(wc_compiled, "ic")
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             indexes = list(pool.map(lambda _: fetch(), range(6)))
         assert all(index is indexes[0] for index in indexes)
         assert service.stats()["index_builds"] == 1
 
-    def test_evaluate_concurrent_with_growth(self, wc_graph):
+    def test_evaluate_concurrent_with_growth(self, wc_compiled):
         # Growth mutates the collection under the index lock; coalesced
         # evaluates must serialise against it instead of reading torn CSR
         # state.  Results computed before/after a grow differ only by
         # estimator noise, so just assert sanity and absence of crashes.
         service = InfluenceService(default_theta=800, engine_seed=5)
-        index = service.get_index(wc_graph, "ic")
-        n = wc_graph.number_of_nodes
+        index = service.get_index(wc_compiled, "ic")
+        n = wc_compiled.number_of_nodes
 
         def evaluate(i):
-            return service.evaluate(wc_graph, "ic", [i % n, (i + 1) % n])
+            return service.evaluate(wc_compiled, "ic", [i % n, (i + 1) % n])
 
         def grow(target):
             index.grow(target)
@@ -567,23 +573,23 @@ class TestInfluenceService:
         assert index.theta == 2000
         assert all(0.0 <= r <= n for r in results if r >= 0)
 
-    def test_concurrent_select_is_deterministic(self, wc_graph):
+    def test_concurrent_select_is_deterministic(self, wc_compiled):
         service = InfluenceService(default_theta=1200, engine_seed=7)
-        reference = service.select(wc_graph, "ic", 6).seeds
+        reference = service.select(wc_compiled, "ic", 6).seeds
 
         def query(_):
-            return service.select(wc_graph, "ic", 6).seeds
+            return service.select(wc_compiled, "ic", 6).seeds
 
         with ThreadPoolExecutor(max_workers=6) as pool:
             results = list(pool.map(query, range(12)))
         assert all(seeds == reference for seeds in results)
 
-    def test_attach_and_artifact_loading(self, wc_graph, built_index, tmp_path):
+    def test_attach_and_artifact_loading(self, wc_compiled, built_index, tmp_path):
         path = built_index.save(tmp_path / "index.npz")
         service = InfluenceService()
-        loaded = service.load_artifact(path, wc_graph)
+        loaded = service.load_artifact(path, wc_compiled)
         assert loaded.memory_mapped
-        assert service.get_index(wc_graph, "ic") is loaded
+        assert service.get_index(wc_compiled, "ic") is loaded
         assert service.stats()["index_builds"] == 0
 
     def test_bad_capacity(self):
