@@ -4,7 +4,7 @@
 Times the scalar per-set sampler retained on ``TIMPlusSelector``
 (``_sample_rr_set`` — Python frontier loops, one RR set at a time) against
 the vectorized :class:`repro.sketches.sampler.BatchRRSampler` drawing the
-same number of sets block-wise, and also times the lazy-greedy max-coverage
+same number of sets block-wise, and also times the greedy max-coverage
 over the batched collection.  Writes a JSON perf record so future PRs have
 a trajectory to track.
 

@@ -18,10 +18,11 @@ The implementation follows the published two-phase structure:
 All RR-set machinery runs on the vectorized sketch subsystem
 (:mod:`repro.sketches`): blocks of reverse BFS frontiers are advanced per
 numpy pass over the in-CSR arrays, sets are stored in a CSR-backed
-:class:`~repro.sketches.collection.RRSetCollection`, and the cover is a
-heap/counter lazy-greedy.  Sampling is chunked into ``block_size`` sets per
-pass; the per-set counter-based randomness guarantees that the selected
-seeds are identical for a fixed engine seed regardless of the block size.
+:class:`~repro.sketches.collection.RRSetCollection`, and the cover picks
+by ``argmax`` over per-node gain counters.  Sampling is chunked into
+``block_size`` sets per pass; the per-set counter-based randomness
+guarantees that the selected seeds are identical for a fixed engine seed
+regardless of the block size.
 The scalar per-set samplers are retained (``_sample_rr_set``,
 ``_sample_rr_set_lt``) as the reference implementation for equivalence tests
 and the RIS benchmark baseline.
@@ -318,7 +319,7 @@ class TIMPlusSelector(SeedSelector):
     ) -> tuple[list[int], float]:
         """Greedy maximum coverage of the RR sets by ``budget`` nodes.
 
-        Compatibility wrapper over the sketch subsystem's lazy-greedy cover;
+        Compatibility wrapper over the sketch subsystem's greedy cover;
         pads with arbitrary unselected nodes when fewer than ``budget``
         distinct nodes appear in the RR sets.
         """

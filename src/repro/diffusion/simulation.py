@@ -147,6 +147,9 @@ class MonteCarloEngine:
         workers: int = 1,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
+        # Set before validation so ``__del__`` can close an instance whose
+        # ``__init__`` raised.
+        self._pool = None
         if simulations < 1:
             raise ConfigurationError(f"simulations must be >= 1, got {simulations}")
         if penalty < 0:
@@ -170,7 +173,6 @@ class MonteCarloEngine:
         self._rng = ensure_rng(seed)
         self._cache: OrderedDict[frozenset, SpreadEstimate] = OrderedDict()
         self._cache_size = cache_size
-        self._pool = None
         #: Number of individual cascades simulated so far (for benchmarking).
         self.total_simulations_run = 0
 

@@ -4,8 +4,9 @@ An :class:`InfluenceIndex` pairs a compiled graph with a persisted (or
 freshly sampled) :class:`~repro.sketches.collection.RRSetCollection` and
 answers the queries the CLI used to recompute from scratch on every call:
 
-* ``select(k)`` — lazy-greedy max coverage over the stored sets (the same
-  cover TIM+/IMM run after sampling), with per-budget result caching;
+* ``select(k)`` — greedy max coverage over the stored sets (the same
+  argmax-over-gain-counters cover TIM+/IMM run after sampling, O(k · n +
+  members of the covered sets)), with per-budget result caching;
 * ``spread_curve(seed_counts)`` — a whole k-sweep from one cover pass;
 * ``estimate_spread(seeds)`` — the RIS spread oracle for arbitrary seed
   sets, no resampling.
@@ -467,9 +468,11 @@ class InfluenceIndex:
     ) -> IndexSelection:
         """Warm seed selection: greedy max coverage over the stored sets.
 
-        The cover pass itself is one vectorized sweep; the ``deadline`` is
-        checked on entry (after the cheap cache probe), so an
-        already-expired budget never starts the pass.
+        The cover pass costs O(k · n + members of the covered sets): one
+        ``argmax`` over the per-node gain counters and one ``np.bincount``
+        decrement per pick, a few milliseconds on a 50k-set index.  The
+        ``deadline`` is checked on entry (after the cheap cache probe), so
+        an already-expired budget never starts the pass.
         """
         if budget < 0:
             raise ConfigurationError(f"budget must be non-negative, got {budget}")

@@ -12,9 +12,10 @@ blocks they run on:
   store of RR sets (flat ``members``/``indptr`` int64 arrays) that grows
   incrementally, plus the sketch-based spread oracle
   :meth:`~repro.sketches.collection.RRSetCollection.estimated_spread`.
-* :func:`~repro.sketches.coverage.greedy_max_coverage` — heap/counter-based
-  lazy-greedy maximum coverage with ``np.bincount`` node-degree counters and
-  incremental decrement on cover.
+* :func:`~repro.sketches.coverage.greedy_max_coverage` — greedy maximum
+  coverage by one ``argmax`` per pick over per-node gain counters, decremented
+  with one ``np.bincount`` over the members of the newly covered sets:
+  O(k · n + members of the covered sets).
 """
 
 from repro.sketches.collection import RRSetCollection

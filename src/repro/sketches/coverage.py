@@ -1,22 +1,27 @@
-"""Lazy-greedy maximum coverage over an RR-set collection.
+"""Greedy maximum coverage over an RR-set collection.
 
-The old TIM+/IMM cover rescanned every candidate node against a Python
-``dict[int, set[int]]`` each round — O(k · n · |sets|).  This implementation
-keeps a per-node *gain* counter (number of still-uncovered sets containing
-the node, initialised with one ``np.bincount``), pops candidates from a
-max-heap with the classic lazy re-check, and on every selection decrements
-the counters of exactly the nodes that co-occur in the newly covered sets
-(one CSR gather plus one ``np.bincount`` per round).  Total work is
-O(|members| + k log n) instead of a full rescan per seed.
+Each node keeps a *gain* counter — the number of still-uncovered sets that
+contain it — initialised from the collection's cached inverted index.  Every
+round picks ``argmax(gain)`` and then decrements the counters of exactly the
+nodes that co-occur in the newly covered sets (one CSR gather plus one
+``np.bincount``).  The picked node's own counter falls to zero in that
+decrement, so it is never picked twice, and the loop stops once the largest
+gain is zero.  Total work is O(k · n + |members of the covered sets|): each
+round's ``bincount(minlength=n)`` and ``gain -=`` are already O(n), so the
+``argmax`` adds no asymptotic term.
 
-Ties are broken towards the smaller node index, which keeps the cover — and
-therefore the TIM+/IMM seed sets — deterministic and independent of the
-sampling block size.
+A lazy max-heap used to sit on top of the counters.  It was the cost, not
+the member walks: a k=30 cover over a 50k-set IC collection did ~4,800
+Python pop/re-push rounds, because every pick makes hundreds of heap entries
+stale.  Replacing it with the argmax cut that cover from ~20 ms to ~4 ms.
+
+Ties are broken towards the smaller node index (``argmax`` returns the first
+maximum), which keeps the cover — and therefore the TIM+/IMM seed sets —
+deterministic and independent of the sampling block size.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -48,32 +53,19 @@ def greedy_max_coverage(
     # Inverted index: the sets containing each node, as a CSR keyed by node.
     # Cached on the collection (and persisted inside index artifacts), so a
     # warm select over a reopened artifact skips the argsort entirely.
+    # ``np.diff`` makes ``gain`` a fresh array; the index is never written.
     node_indptr, node_sets = collection.inverted_index()
     gain = np.diff(node_indptr).astype(np.int64, copy=False)
 
     covered = np.zeros(num_sets, dtype=bool)
     covered_count = 0
     selected: List[int] = []
-    selected_mask = np.zeros(n, dtype=bool)
 
-    candidates = np.flatnonzero(gain)
-    heap = list(zip((-gain[candidates]).tolist(), candidates.tolist()))
-    heapq.heapify(heap)
-
-    while len(selected) < budget and heap:
-        negative_gain, node = heapq.heappop(heap)
-        if selected_mask[node]:
-            continue
-        current = int(gain[node])
-        if current <= 0:
-            continue
-        if -negative_gain != current:
-            # Stale entry: re-insert with the up-to-date gain (lazy greedy).
-            heapq.heappush(heap, (-current, node))
-            continue
-
+    while len(selected) < budget:
+        node = int(gain.argmax())
+        if gain[node] <= 0:
+            break
         selected.append(node)
-        selected_mask[node] = True
         containing = node_sets[node_indptr[node]:node_indptr[node + 1]]
         newly = containing[~covered[containing]]
         covered[newly] = True
@@ -81,8 +73,7 @@ def greedy_max_coverage(
 
         # Decrement the gain of every member of the newly covered sets.
         positions, _ = expand_csr_positions(indptr, newly)
-        if positions.size:
-            gain -= np.bincount(members[positions], minlength=n)
+        gain -= np.bincount(members[positions], minlength=n)
 
     return selected, covered_count / num_sets
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.easyim import EaSyIMSelector
 from repro.algorithms.imm import IMMSelector
@@ -185,6 +187,49 @@ class TestRRSetCollection:
         assert collection.coverage_counts().tolist() == [1, 3, 0, 1]
 
 
+@st.composite
+def tie_heavy_covers(draw):
+    """``(n, sets, budget, layout)`` for the greedy cover property test.
+
+    The sets repeat a few distinct member lists (all of them identical when
+    the pool has one entry), so many nodes tie on gain.  Budgets run past
+    the number of distinct members, where the cover returns fewer seeds.
+    ``layout`` picks how the collection is built: from lists, grown by
+    ``append`` after its inverted index was cached, or reopened with
+    ``from_csr`` over a persisted, read-only inverted index.
+    """
+    n = draw(st.integers(min_value=1, max_value=30))
+    member_lists = st.lists(
+        st.integers(min_value=0, max_value=n - 1), max_size=6, unique=True
+    )
+    pool = draw(st.lists(member_lists, min_size=1, max_size=4))
+    sets = draw(st.lists(st.sampled_from(pool), max_size=20))
+    distinct = len({node for s in sets for node in s})
+    budget = draw(st.integers(min_value=0, max_value=distinct + 3))
+    layout = draw(st.sampled_from(["lists", "appended", "from_csr"]))
+    return n, sets, budget, layout
+
+
+def _build_collection(n, sets, layout):
+    if layout == "lists":
+        return RRSetCollection.from_lists(n, sets)
+    if layout == "appended":
+        split = len(sets) // 2
+        collection = RRSetCollection.from_lists(n, sets[:split])
+        collection.inverted_index()
+        rest = RRSetCollection.from_lists(n, sets[split:])
+        collection.append(rest.members, rest.indptr)
+        return collection
+    source = RRSetCollection.from_lists(n, sets)
+    arrays = [source.members, source.indptr, *source.inverted_index()]
+    for array in arrays:
+        array.setflags(write=False)
+    members, indptr, node_indptr, node_sets = arrays
+    return RRSetCollection.from_csr(
+        n, members, indptr, node_indptr=node_indptr, node_sets=node_sets
+    )
+
+
 class TestGreedyMaxCoverage:
     def _brute_force(self, n, sets, budget):
         covered: set[int] = set()
@@ -221,6 +266,21 @@ class TestGreedyMaxCoverage:
             expected_seeds, expected_fraction = self._brute_force(n, sets, budget)
             assert seeds == expected_seeds
             assert fraction == pytest.approx(expected_fraction)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_covers())
+    def test_agrees_with_brute_force_on_tie_heavy_collections(self, case):
+        n, sets, budget, layout = case
+        collection = _build_collection(n, sets, layout)
+        index_before = [array.copy() for array in collection.inverted_index()]
+        seeds, fraction = greedy_max_coverage(collection, budget)
+        expected_seeds, expected_fraction = self._brute_force(n, sets, budget)
+        assert seeds == expected_seeds
+        assert fraction == pytest.approx(expected_fraction)
+        assert len(seeds) <= min(budget, len({node for s in sets for node in s}))
+        # The cover's gain counters must be a fresh array, never the index.
+        for before, after in zip(index_before, collection.inverted_index()):
+            assert np.array_equal(before, after)
 
     def test_empty_collection(self):
         seeds, fraction = greedy_max_coverage(RRSetCollection(5), 3)
