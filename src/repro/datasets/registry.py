@@ -25,7 +25,7 @@ from repro.datasets.synthetic import (
     make_directed_social_graph,
 )
 from repro.exceptions import DatasetError
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DEFAULT_INFLUENCE_PROBABILITY, DiGraph
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -123,25 +123,26 @@ def load_dataset(
         Seed controlling the generator (the same seed reproduces the same
         graph exactly).
     probability:
-        Optional uniform IC probability to assign to every edge; defaults to
-        the paper's ``p = 0.1``.
+        Optional uniform IC probability every edge is created with; defaults
+        to the paper's ``p = 0.1``.
     """
     spec = dataset_spec(name)
     if scale <= 0:
         raise DatasetError(f"scale must be > 0, got {scale}")
+    if probability is None:
+        probability = DEFAULT_INFLUENCE_PROBABILITY
+    elif not 0.0 <= probability <= 1.0:
+        raise DatasetError(f"probability must lie in [0, 1], got {probability}")
     rng = ensure_rng(seed)
     nodes = spec.nodes_at_scale(scale)
     if spec.family == "citation":
-        graph = make_citation_like_graph(nodes, spec.target_avg_degree, rng)
+        builder = make_citation_like_graph
     elif spec.family == "community":
-        graph = make_community_social_graph(nodes, spec.target_avg_degree, rng)
+        builder = make_community_social_graph
     elif spec.family == "directed-social":
-        graph = make_directed_social_graph(nodes, spec.target_avg_degree, rng)
+        builder = make_directed_social_graph
     else:  # pragma: no cover - specs are defined in this module
         raise DatasetError(f"unknown dataset family {spec.family!r}")
+    graph = builder(nodes, spec.target_avg_degree, rng, probability=probability)
     graph.name = spec.name
-    if probability is not None:
-        graph.set_uniform_probabilities(probability)
-    else:
-        graph.set_uniform_probabilities(0.1)
     return graph

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import DEFAULT_INFLUENCE_PROBABILITY, DiGraph
 from repro.graphs.generators import (
     forest_fire_graph,
     powerlaw_cluster_graph,
@@ -36,7 +36,9 @@ def _attachment_for_degree(target_avg_degree: float) -> int:
     return max(1, int(round(target_avg_degree / 2.0)))
 
 
-def _densify(graph: DiGraph, target_avg_degree: float, rng: np.random.Generator) -> None:
+def _densify(
+    graph: DiGraph, target_avg_degree: float, rng: np.random.Generator, probability: float
+) -> None:
     """Add random bidirected edges until the average degree reaches the target."""
     n = graph.number_of_nodes
     target_edges = int(target_avg_degree * n)
@@ -49,31 +51,39 @@ def _densify(graph: DiGraph, target_avg_degree: float, rng: np.random.Generator)
         v = nodes[int(rng.integers(0, n))]
         if u == v or graph.has_edge(u, v):
             continue
-        graph.add_edge(u, v)
-        graph.add_edge(v, u)
+        graph.add_edge(u, v, probability=probability)
+        graph.add_edge(v, u, probability=probability)
 
 
 def make_citation_like_graph(
-    nodes: int, target_avg_degree: float, seed: RandomState
+    nodes: int,
+    target_avg_degree: float,
+    seed: RandomState,
+    probability: float = DEFAULT_INFLUENCE_PROBABILITY,
 ) -> DiGraph:
     """Collaboration-network stand-in (NetHEPT / HepPh / DBLP)."""
     rng = ensure_rng(seed)
     attachment = _attachment_for_degree(target_avg_degree)
     graph = powerlaw_cluster_graph(
-        nodes, attachment=attachment, triangle_probability=0.6, seed=rng
+        nodes, attachment=attachment, triangle_probability=0.6, seed=rng,
+        probability=probability,
     )
-    _densify(graph, target_avg_degree, rng)
+    _densify(graph, target_avg_degree, rng, probability)
     return graph
 
 
 def make_community_social_graph(
-    nodes: int, target_avg_degree: float, seed: RandomState
+    nodes: int,
+    target_avg_degree: float,
+    seed: RandomState,
+    probability: float = DEFAULT_INFLUENCE_PROBABILITY,
 ) -> DiGraph:
     """Community-structured social-network stand-in (YouTube / Orkut / Friendster)."""
     rng = ensure_rng(seed)
     attachment = _attachment_for_degree(target_avg_degree * 0.8)
     graph = powerlaw_cluster_graph(
-        nodes, attachment=attachment, triangle_probability=0.3, seed=rng
+        nodes, attachment=attachment, triangle_probability=0.3, seed=rng,
+        probability=probability,
     )
     # Community overlay: partition nodes into sqrt(n)-sized groups and add a few
     # intra-community edges, which raises clustering and keeps diameter small.
@@ -88,19 +98,23 @@ def make_community_social_graph(
             u = community[int(rng.integers(0, len(community)))]
             v = community[int(rng.integers(0, len(community)))]
             if u != v and not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-                graph.add_edge(v, u)
-    _densify(graph, target_avg_degree, rng)
+                graph.add_edge(u, v, probability=probability)
+                graph.add_edge(v, u, probability=probability)
+    _densify(graph, target_avg_degree, rng, probability)
     return graph
 
 
 def make_directed_social_graph(
-    nodes: int, target_avg_degree: float, seed: RandomState
+    nodes: int,
+    target_avg_degree: float,
+    seed: RandomState,
+    probability: float = DEFAULT_INFLUENCE_PROBABILITY,
 ) -> DiGraph:
     """Directed follower-network stand-in (socLiveJournal / Twitter)."""
     rng = ensure_rng(seed)
     graph = forest_fire_graph(
-        nodes, forward_probability=0.3, backward_probability=0.2, seed=rng
+        nodes, forward_probability=0.3, backward_probability=0.2, seed=rng,
+        probability=probability,
     )
     # Forest fire alone is sparse; add preferential random directed edges up to
     # the target density.  Targets are sampled in batches proportionally to
@@ -120,13 +134,18 @@ def make_directed_social_graph(
         probabilities = in_degree_weight / in_degree_weight.sum()
         source_positions = rng.integers(0, n, size=batch_size)
         target_positions = rng.choice(n, size=batch_size, p=probabilities)
-        for source_position, target_position in zip(source_positions, target_positions):
-            if graph.number_of_edges >= target_edges:
-                break
-            u = nodes_list[int(source_position)]
-            v = nodes_list[int(target_position)]
-            if u == v or graph.has_edge(u, v):
-                continue
-            graph.add_edge(u, v)
-            in_degree_weight[int(target_position)] += 1.0
+        # A drawn pair is accepted when it is not a self-loop, not already an
+        # edge, and the first draw of its pair in this batch; the first
+        # accepted pairs up to the edge target are added, in draw order.
+        _, first = np.unique(source_positions * n + target_positions, return_index=True)
+        first.sort()
+        drawn = zip(source_positions[first].tolist(), target_positions[first].tolist())
+        accepted = [
+            (s, t) for s, t in drawn
+            if s != t and not graph.has_edge(nodes_list[s], nodes_list[t])
+        ][:target_edges - graph.number_of_edges]
+        graph.add_edges_from(
+            ((nodes_list[s], nodes_list[t]) for s, t in accepted), probability=probability
+        )
+        np.add.at(in_degree_weight, np.array([t for _, t in accepted], dtype=np.int64), 1.0)
     return graph

@@ -127,13 +127,14 @@ def generate_tweet_corpus(
             "tweets_per_topic must be at least originators_per_topic"
         )
     rng = ensure_rng(seed)
-    background = make_directed_social_graph(users, average_degree, rng)
-    background.name = "twitter-background"
     # The influence probability matches the per-edge participation probability
     # used by the cascade process below — i.e. what one would estimate from the
     # observed retweet rate, which is how the paper derives p from data.
     participation_probability = 0.35
-    background.set_uniform_probabilities(participation_probability)
+    background = make_directed_social_graph(
+        users, average_degree, rng, probability=participation_probability
+    )
+    background.name = "twitter-background"
     user_list = list(background.nodes())
 
     topics = list(topics)

@@ -22,6 +22,8 @@ interaction probability, ``opinion`` for :math:`o_v` and ``threshold`` for
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +39,7 @@ DEFAULT_INFLUENCE_PROBABILITY = 0.1
 DEFAULT_INTERACTION_PROBABILITY = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeData:
     """Attributes attached to a directed edge ``u -> v``.
 
@@ -61,7 +63,7 @@ class EdgeData:
         return EdgeData(self.probability, self.weight, self.interaction)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeData:
     """Attributes attached to a node.
 
@@ -103,16 +105,23 @@ class DiGraph:
 
     def add_node(self, node: Node, opinion: Optional[float] = None,
                  threshold: Optional[float] = None) -> Node:
-        """Add ``node`` (idempotent) and optionally set its attributes."""
+        """Add ``node`` (idempotent) and optionally set its attributes.
+
+        Atomic: invalid attributes raise before the graph is touched.
+        """
+        if opinion is not None:
+            opinion = _validate_opinion(opinion)
+        if threshold is not None:
+            threshold = _validate_unit(threshold, "threshold")
         if node not in self._succ:
             self._succ[node] = {}
             self._pred[node] = {}
             self._node_data[node] = NodeData()
         data = self._node_data[node]
         if opinion is not None:
-            data.opinion = _validate_opinion(opinion)
+            data.opinion = opinion
         if threshold is not None:
-            data.threshold = _validate_unit(threshold, "threshold")
+            data.threshold = threshold
         return node
 
     def add_nodes_from(self, nodes: Iterable[Node]) -> None:
@@ -147,26 +156,40 @@ class DiGraph:
                  probability: float = DEFAULT_INFLUENCE_PROBABILITY,
                  weight: float = 0.0,
                  interaction: float = DEFAULT_INTERACTION_PROBABILITY) -> None:
-        """Add the directed edge ``source -> target`` (endpoints auto-added)."""
-        if source == target:
-            raise GraphError(f"self-loops are not supported (node {source!r})")
-        self.add_node(source)
-        self.add_node(target)
+        """Add the directed edge ``source -> target`` (endpoints auto-added).
+
+        Atomic: every argument is validated before the graph is touched, so
+        a rejected edge adds neither endpoint.
+        """
         data = EdgeData(
             probability=_validate_unit(probability, "probability"),
             weight=_validate_unit(weight, "weight"),
             interaction=_validate_unit(interaction, "interaction"),
         )
-        if target not in self._succ[source]:
-            self._edge_count += 1
-        self._succ[source][target] = data
-        self._pred[target][source] = data
+        if source == target:
+            raise GraphError(f"self-loops are not supported (node {source!r})")
+        self._insert_edge(source, target, data)
 
     def add_edges_from(
-        self, edges: Iterable[Tuple[Node, Node]], **attributes: float
+        self,
+        edges: Iterable[Tuple[Node, Node]],
+        probability: float = DEFAULT_INFLUENCE_PROBABILITY,
+        weight: float = 0.0,
+        interaction: float = DEFAULT_INTERACTION_PROBABILITY,
     ) -> None:
+        """Add every ``(source, target)`` pair with the same attributes.
+
+        The attributes are validated once per call.  Each edge is added
+        atomically, in order; a self-loop raises after the edges before it
+        have been added.
+        """
+        probability = _validate_unit(probability, "probability")
+        weight = _validate_unit(weight, "weight")
+        interaction = _validate_unit(interaction, "interaction")
         for source, target in edges:
-            self.add_edge(source, target, **attributes)
+            if source == target:
+                raise GraphError(f"self-loops are not supported (node {source!r})")
+            self._insert_edge(source, target, EdgeData(probability, weight, interaction))
 
     def remove_edge(self, source: Node, target: Node) -> None:
         self._require_edge(source, target)
@@ -306,13 +329,7 @@ class DiGraph:
             clone.add_node(node)
             clone._node_data[node] = data.copy()
         for source, target, data in self.edges():
-            clone.add_edge(
-                source,
-                target,
-                probability=data.probability,
-                weight=data.weight,
-                interaction=data.interaction,
-            )
+            clone._insert_edge(source, target, data.copy())
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "DiGraph":
@@ -331,13 +348,7 @@ class DiGraph:
                 sub._node_data[node] = self._node_data[node].copy()
         for source, target, data in self.edges():
             if source in keep and target in keep:
-                sub.add_edge(
-                    source,
-                    target,
-                    probability=data.probability,
-                    weight=data.weight,
-                    interaction=data.interaction,
-                )
+                sub._insert_edge(source, target, data.copy())
         return sub
 
     def reverse(self) -> "DiGraph":
@@ -347,13 +358,7 @@ class DiGraph:
             rev.add_node(node)
             rev._node_data[node] = self._node_data[node].copy()
         for source, target, data in self.edges():
-            rev.add_edge(
-                target,
-                source,
-                probability=data.probability,
-                weight=data.weight,
-                interaction=data.interaction,
-            )
+            rev._insert_edge(target, source, data.copy())
         return rev
 
     # ------------------------------------------------------------- compile
@@ -363,6 +368,18 @@ class DiGraph:
         return CompiledGraph.from_digraph(self)
 
     # ------------------------------------------------------------- private
+
+    def _insert_edge(self, source: Node, target: Node, data: EdgeData) -> None:
+        """Store a validated edge record, adding missing endpoints."""
+        if source not in self._succ:
+            self.add_node(source)
+        if target not in self._succ:
+            self.add_node(target)
+        targets = self._succ[source]
+        if target not in targets:
+            self._edge_count += 1
+        targets[target] = data
+        self._pred[target][source] = data
 
     def _require_node(self, node: Node) -> None:
         if node not in self._succ:
@@ -449,53 +466,55 @@ class CompiledGraph:
 
     @classmethod
     def from_digraph(cls, graph: DiGraph) -> "CompiledGraph":
-        labels = list(graph.nodes())
+        """Compile ``graph`` in bulk.
+
+        One gather pass over the successor maps yields the out-CSR directly:
+        nodes in insertion order, each node's edges in insertion order.  The
+        in-CSR is the same edge list permuted by a stable argsort of the
+        targets, so each target's in-edges keep ascending out-position
+        order (the invariant :attr:`out_to_in_position` relies on).  Edge
+        fields are gathered one at a time to bound peak memory.
+        """
+        succ = graph._succ
+        labels = list(succ)
         index_of = {label: i for i, label in enumerate(labels)}
         n = len(labels)
 
-        out_degrees = np.zeros(n + 1, dtype=np.int64)
-        in_degrees = np.zeros(n + 1, dtype=np.int64)
-        for source, target, _ in graph.edges():
-            out_degrees[index_of[source] + 1] += 1
-            in_degrees[index_of[target] + 1] += 1
-        out_indptr = np.cumsum(out_degrees)
-        in_indptr = np.cumsum(in_degrees)
+        out_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, succ.values()), dtype=np.int64, count=n),
+                  out=out_indptr[1:])
         m = int(out_indptr[-1])
+        out_indices = np.fromiter(
+            map(index_of.__getitem__, chain.from_iterable(succ.values())),
+            dtype=np.int64, count=m,
+        )
+        records = list(chain.from_iterable(map(dict.values, succ.values())))
 
-        out_indices = np.zeros(m, dtype=np.int64)
-        out_probability = np.zeros(m, dtype=np.float64)
-        out_interaction = np.zeros(m, dtype=np.float64)
-        out_weight = np.zeros(m, dtype=np.float64)
-        in_indices = np.zeros(m, dtype=np.int64)
-        in_probability = np.zeros(m, dtype=np.float64)
-        in_interaction = np.zeros(m, dtype=np.float64)
-        in_weight = np.zeros(m, dtype=np.float64)
+        in_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(out_indices, minlength=n), out=in_indptr[1:])
+        permutation = np.argsort(out_indices, kind="stable")
+        in_indices = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(out_indptr)
+        )[permutation]
 
-        out_cursor = out_indptr[:-1].copy()
-        in_cursor = in_indptr[:-1].copy()
-        for source, target, data in graph.edges():
-            u = index_of[source]
-            v = index_of[target]
-            pos = out_cursor[u]
-            out_indices[pos] = v
-            out_probability[pos] = data.probability
-            out_interaction[pos] = data.interaction
-            out_weight[pos] = data.weight
-            out_cursor[u] += 1
-            pos = in_cursor[v]
-            in_indices[pos] = u
-            in_probability[pos] = data.probability
-            in_interaction[pos] = data.interaction
-            in_weight[pos] = data.weight
-            in_cursor[v] += 1
+        def gather(field: str) -> Tuple[np.ndarray, np.ndarray]:
+            values = np.fromiter(map(attrgetter(field), records), dtype=np.float64, count=m)
+            return values, values[permutation]
 
-        opinions = np.zeros(n, dtype=np.float64)
-        thresholds = np.full(n, np.nan, dtype=np.float64)
-        for label, i in index_of.items():
-            data = graph.node_data(label)
-            opinions[i] = 0.0 if data.opinion is None else data.opinion
-            if data.threshold is not None:
-                thresholds[i] = data.threshold
+        out_probability, in_probability = gather("probability")
+        out_interaction, in_interaction = gather("interaction")
+        out_weight, in_weight = gather("weight")
+        del records, permutation
+
+        node_records = [graph._node_data[label] for label in labels]
+        opinions = np.fromiter(
+            (0.0 if data.opinion is None else data.opinion for data in node_records),
+            dtype=np.float64, count=n,
+        )
+        thresholds = np.fromiter(
+            (np.nan if data.threshold is None else data.threshold for data in node_records),
+            dtype=np.float64, count=n,
+        )
 
         return cls(
             labels=labels,
@@ -614,12 +633,13 @@ class CompiledGraph:
     def out_to_in_position(self) -> np.ndarray:
         """Map each out-CSR edge position to the same edge's in-CSR position.
 
-        Fast path: :meth:`from_digraph` fills both CSRs in one edge pass, so
-        within a target's in-slice the edges appear in ascending out-position
-        order and a single stable argsort of the out targets reproduces the
-        in-CSR layout.  The result is verified with one gather (sources must
-        line up); CSR layouts built elsewhere that violate the invariant fall
-        back to two lexsorts on the unique (target, source) edge keys.
+        Fast path: :meth:`from_digraph` lays out the in-CSR by a stable
+        argsort of the out targets, so within a target's in-slice the edges
+        appear in ascending out-position order and the same argsort here
+        reproduces the in-CSR layout.  The result is verified with one gather
+        (sources must line up); CSR layouts built elsewhere that violate the
+        invariant fall back to two lexsorts on the unique (target, source)
+        edge keys.
         """
         if self._out_to_in_position is None:
             order = np.argsort(self.out_indices, kind="stable")

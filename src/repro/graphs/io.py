@@ -12,7 +12,7 @@ import gzip
 from pathlib import Path
 from typing import Iterable, TextIO, Union
 
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, GraphError
 from repro.graphs.digraph import (
     DEFAULT_INFLUENCE_PROBABILITY,
     DEFAULT_INTERACTION_PROBABILITY,
@@ -50,7 +50,7 @@ def read_edge_list(
     strings.
     """
     graph = DiGraph(name=name or Path(path).stem)
-    opinions: list[tuple[object, float]] = []
+    opinions: list[tuple[int, object, str]] = []
     with _open_text(path, "r") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -62,7 +62,7 @@ def read_edge_list(
                     raise DatasetError(
                         f"{path}:{lineno}: node-opinion lines must be 'N node opinion'"
                     )
-                opinions.append((_parse_node(parts[1]), float(parts[2])))
+                opinions.append((lineno, _parse_node(parts[1]), parts[2]))
                 continue
             if len(parts) < 2 or len(parts) > 4:
                 raise DatasetError(
@@ -71,14 +71,19 @@ def read_edge_list(
                 )
             source = _parse_node(parts[0])
             target = _parse_node(parts[1])
-            p = float(parts[2]) if len(parts) >= 3 else probability
-            phi = float(parts[3]) if len(parts) == 4 else interaction
-            graph.add_edge(source, target, probability=p, interaction=phi)
-            if not directed:
-                graph.add_edge(target, source, probability=p, interaction=phi)
-    for node, opinion in opinions:
-        graph.add_node(node)
-        graph.set_opinion(node, opinion)
+            try:
+                p = float(parts[2]) if len(parts) >= 3 else probability
+                phi = float(parts[3]) if len(parts) == 4 else interaction
+                graph.add_edge(source, target, probability=p, interaction=phi)
+                if not directed:
+                    graph.add_edge(target, source, probability=p, interaction=phi)
+            except (GraphError, ValueError) as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, node, opinion in opinions:
+        try:
+            graph.add_node(node, opinion=float(opinion))
+        except (GraphError, ValueError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
     return graph
 
 

@@ -13,7 +13,22 @@ from repro.datasets import (
     load_dataset,
 )
 from repro.exceptions import ConfigurationError, DatasetError
+from repro.graphs.fingerprint import graph_fingerprint
 from repro.graphs.stats import compute_stats, weakly_connected_components
+
+#: ``graph_fingerprint`` of ``load_dataset(name, scale=0.3, seed=1)``.  The
+#: generators must reproduce these bytes exactly: seeds, quality figures and
+#: persisted index artifacts all key on the generated graph.
+GOLDEN_FINGERPRINTS = {
+    "dblp": "c5f0a62aabb2d70883628b20c9dbda36b73159e9c0e065a8cd6b63b5bfc3ae08",
+    "friendster": "24ccd3e4a7e745f1cf30c65c8f84473fe765aab40a0be4873c110ab39cad8c03",
+    "hepph": "3ab6ebd2457073a2604e4f76981d53d6a2ba468d58bd075f0a690f52d04ed960",
+    "nethept": "1347c083be328d7880cbb3da533a878317f1c0276d133e4627ca0f0b086efbf2",
+    "orkut": "ba4d4854ad6d5e51bd367979ce217d9ff8204fac32a35884eb5f56ccfab366b5",
+    "soclive": "5356675ad912710556f6abe0bf0829720c0c8aebb2681b348835fd4fb2ed4777",
+    "twitter": "c310e571617ebe6f3a67aeb719348270fcb2f3623b2abab87fcc89a116860c4f",
+    "youtube": "a0fbbafdf8488f59ff64bfb5bf5bc9504b7b890474352be62b65582683be826e",
+}
 
 
 class TestRegistry:
@@ -63,6 +78,18 @@ class TestRegistry:
         assert all(d.probability == pytest.approx(0.1) for _, _, d in graph.edges())
         custom = load_dataset("nethept", scale=0.1, seed=1, probability=0.05)
         assert all(d.probability == pytest.approx(0.05) for _, _, d in custom.edges())
+
+    def test_invalid_probability(self):
+        with pytest.raises(DatasetError):
+            load_dataset("nethept", scale=0.1, probability=1.5)
+
+    def test_golden_fingerprints_cover_every_dataset(self):
+        assert sorted(GOLDEN_FINGERPRINTS) == available_datasets()
+
+    @pytest.mark.parametrize("name, digest", sorted(GOLDEN_FINGERPRINTS.items()))
+    def test_generated_graph_is_byte_identical(self, name, digest):
+        graph = load_dataset(name, scale=0.3, seed=1)
+        assert graph_fingerprint(graph.compile()) == digest
 
     @pytest.mark.parametrize("name", ["nethept", "hepph", "dblp", "youtube",
                                       "soclive", "orkut", "twitter", "friendster"])
@@ -119,6 +146,12 @@ class TestTweetCorpus:
         for topic in corpus.topics:
             stamps = [t.timestamp for t in corpus.tweets_for_topic(topic)]
             assert stamps == sorted(stamps)
+
+    def test_background_graph_is_byte_identical(self):
+        corpus = generate_tweet_corpus(seed=0)
+        assert graph_fingerprint(corpus.background_graph.compile()) == (
+            "fc077eeee4e74694c24a92593e68d894fffb3394dd91ce46a4e5857385b9c7af"
+        )
 
     def test_reproducible(self):
         first = generate_tweet_corpus(users=40, topics=("#a",), tweets_per_topic=20, seed=7)

@@ -139,6 +139,51 @@ class TestAttributes:
         with pytest.raises(GraphError):
             graph.add_edge(0, 1, probability=1.5)
 
+    @pytest.mark.parametrize("attributes", [
+        {"probability": 1.5}, {"weight": -0.1}, {"interaction": 2.0},
+    ])
+    def test_rejected_edge_leaves_graph_unchanged(self, attributes):
+        graph = DiGraph()
+        graph.add_edge("x", "y")
+        with pytest.raises(GraphError):
+            graph.add_edge("a", "b", **attributes)
+        with pytest.raises(GraphError):
+            graph.add_edge("x", "y", **attributes)
+        assert list(graph.nodes()) == ["x", "y"]
+        assert graph.number_of_edges == 1
+        assert graph.edge_data("x", "y").probability == pytest.approx(0.1)
+
+    def test_rejected_node_attributes_leave_graph_unchanged(self):
+        graph = DiGraph()
+        with pytest.raises(GraphError):
+            graph.add_node("a", opinion=1.5)
+        with pytest.raises(GraphError):
+            graph.add_node("a", threshold=-1.0)
+        assert graph.number_of_nodes == 0
+
+    def test_add_edges_from_validates_once_per_call(self):
+        graph = DiGraph()
+        with pytest.raises(GraphError):
+            graph.add_edges_from([(0, 1), (1, 2)], probability=1.5)
+        assert graph.number_of_nodes == 0
+        graph.add_edges_from([(0, 1), (1, 2), (0, 1)], probability=0.4, weight=0.2)
+        assert graph.number_of_edges == 2
+        assert graph.edge_data(0, 1) == graph.edge_data(1, 2)
+        assert graph.edge_data(0, 1) is not graph.edge_data(1, 2)
+        assert graph.edge_data(1, 2).weight == pytest.approx(0.2)
+
+    def test_add_edges_from_stops_at_self_loop(self):
+        graph = DiGraph()
+        with pytest.raises(GraphError):
+            graph.add_edges_from([(0, 1), (2, 2), (3, 4)])
+        assert list(graph.nodes()) == [0, 1]
+
+    def test_records_are_slotted(self):
+        graph = DiGraph()
+        graph.add_edge(0, 1)
+        assert not hasattr(graph.edge_data(0, 1), "__dict__")
+        assert not hasattr(graph.node_data(0), "__dict__")
+
     def test_has_opinions(self):
         graph = DiGraph()
         graph.add_edge(0, 1)

@@ -94,6 +94,19 @@ class TestEdgeListIO:
         with pytest.raises(DatasetError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("line", ["3 3", "1 2 1.7", "1 2 0.5 -0.2", "1 2 abc"])
+    def test_invalid_edge_line_reports_position(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n1 2\n{line}\n")
+        with pytest.raises(DatasetError, match=rf"bad\.txt:3: "):
+            read_edge_list(path)
+
+    def test_invalid_opinion_line_reports_position(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1 2\nN 1 1.5\n")
+        with pytest.raises(DatasetError, match=r"bad\.txt:2: opinion"):
+            read_edge_list(path)
+
     def test_string_node_identifiers(self, tmp_path):
         path = tmp_path / "strings.txt"
         path.write_text("alice bob\n")
