@@ -8,16 +8,19 @@ outcome, so a single simulation serves every objective.
 
 Models may additionally implement :meth:`DiffusionModel.simulate_batch`,
 which advances a whole batch of independent cascades simultaneously and
-returns a :class:`BatchOutcome` — dense ``(count, n)`` state matrices whose
+returns a :class:`BatchOutcome` — a dense ``(count, n)`` activation matrix
+plus a log of the non-seed activations and their final opinions, whose
 objective reductions replace ``count`` per-outcome method calls with three
-matrix reductions.  The base class provides a loop-over-:meth:`simulate`
-fallback so third-party models keep working unchanged.
+``bincount``s over the log.  The base class provides a
+loop-over-:meth:`simulate` fallback so third-party models keep working
+unchanged.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Sequence
 
 import numpy as np
@@ -86,6 +89,11 @@ class DiffusionOutcome:
 class BatchOutcome:
     """Result of ``count`` simulated cascades advanced as one batch.
 
+    A cascade typically reaches a small fraction of the graph, so final
+    opinions are kept as an activation log rather than a dense matrix: the
+    seeds' opinions plus one ``(cascade, node, opinion)`` entry per non-seed
+    activation.  The objectives reduce the log with three ``bincount``s.
+
     Attributes
     ----------
     seeds:
@@ -94,17 +102,24 @@ class BatchOutcome:
     active:
         ``(count, n)`` boolean matrix; ``active[i, v]`` is True when cascade
         ``i`` activated node ``v`` (seeds included).
-    opinions:
-        ``(count, n)`` float matrix of final opinions ``o'``; only entries
-        where ``active`` is True are meaningful (inactive entries are zero).
     rounds:
         ``(count,)`` number of synchronous diffusion rounds per cascade.
+    seed_opinions:
+        ``(count, len(seeds))`` final opinions ``o'`` of the seeds.
+    log_cascades, log_nodes, log_opinions:
+        The non-seed activation log: entry ``j`` says cascade
+        ``log_cascades[j]`` activated node ``log_nodes[j]`` with final
+        opinion ``log_opinions[j]``.  Each activated non-seed
+        ``(cascade, node)`` pair appears exactly once.
     """
 
     seeds: tuple[int, ...]
     active: np.ndarray
-    opinions: np.ndarray
     rounds: np.ndarray
+    seed_opinions: np.ndarray
+    log_cascades: np.ndarray
+    log_nodes: np.ndarray
+    log_opinions: np.ndarray
 
     @property
     def count(self) -> int:
@@ -114,45 +129,48 @@ class BatchOutcome:
     def number_of_nodes(self) -> int:
         return int(self.active.shape[1])
 
-    def _non_seed_active(self) -> np.ndarray:
-        mask = self.active.copy()
+    @cached_property
+    def opinions(self) -> np.ndarray:
+        """Dense ``(count, n)`` final opinions, zero where inactive.
+
+        Built from the log on first access; the Monte-Carlo path never
+        touches it.
+        """
+        dense = np.zeros(self.active.shape, dtype=np.float64)
         if self.seeds:
-            mask[:, list(self.seeds)] = False
-        return mask
+            dense[:, list(self.seeds)] = self.seed_opinions
+        dense[self.log_cascades, self.log_nodes] = self.log_opinions
+        return dense
 
     def spreads(self) -> np.ndarray:
         """Per-cascade spread — activated nodes excluding seeds (Def. 3)."""
-        return self._non_seed_active().sum(axis=1).astype(np.float64)
+        return self.objectives()[0]
 
     def opinion_spreads(self) -> np.ndarray:
         """Per-cascade sum of final opinions of non-seed activations (Def. 6)."""
-        return np.where(self._non_seed_active(), self.opinions, 0.0).sum(axis=1)
+        return self.objectives()[1]
 
     def effective_opinion_spreads(self, penalty: float = 1.0) -> np.ndarray:
         """Per-cascade positive mass minus ``penalty`` times negative (Def. 7)."""
-        masked = np.where(self._non_seed_active(), self.opinions, 0.0)
-        positive = np.clip(masked, 0.0, None).sum(axis=1)
-        negative = np.clip(-masked, 0.0, None).sum(axis=1)
-        return positive - penalty * negative
+        return self.objectives(penalty)[2]
 
     def objectives(self, penalty: float = 1.0) -> np.ndarray:
         """All three objectives as one ``(3, count)`` array.
 
         Row order matches the Monte-Carlo engine: spread, opinion spread,
-        effective opinion spread.  Exploits the invariant that inactive
-        entries of ``opinions`` are zero: whole-matrix sums followed by a
-        small seed-column correction replace per-cascade masking, keeping the
-        reduction at three passes over the state matrices.
+        effective opinion spread.  Seeds are not in the log, so each row is
+        one ``bincount`` of the log by cascade.
         """
-        spreads = self.active.sum(axis=1).astype(np.float64)
-        totals = self.opinions.sum(axis=1)
-        positive = np.maximum(self.opinions, 0.0).sum(axis=1)
-        if self.seeds:
-            seed_list = list(self.seeds)
-            spreads -= self.active[:, seed_list].sum(axis=1)
-            seed_opinions = self.opinions[:, seed_list]
-            totals -= seed_opinions.sum(axis=1)
-            positive -= np.maximum(seed_opinions, 0.0).sum(axis=1)
+        count = self.count
+        spreads = np.bincount(self.log_cascades, minlength=count).astype(np.float64)
+        totals = np.bincount(
+            self.log_cascades, weights=self.log_opinions, minlength=count
+        )
+        positive = np.bincount(
+            self.log_cascades,
+            weights=np.maximum(self.log_opinions, 0.0),
+            minlength=count,
+        )
         negative = positive - totals
         return np.stack([spreads, totals, positive - penalty * negative])
 
@@ -225,18 +243,32 @@ class DiffusionModel(abc.ABC):
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
         validated = validate_seed_indices(graph, seeds)
-        n = graph.number_of_nodes
-        active = np.zeros((count, n), dtype=bool)
-        opinions = np.zeros((count, n), dtype=np.float64)
+        seed_set = set(validated)
+        active = np.zeros((count, graph.number_of_nodes), dtype=bool)
         rounds = np.zeros(count, dtype=np.int64)
+        seed_opinions = np.zeros((count, len(validated)), dtype=np.float64)
+        log_cascades: list[int] = []
+        log_nodes: list[int] = []
+        log_opinions: list[float] = []
         for i in range(count):
             outcome = self.simulate(graph, list(validated), rng)
             active[i, outcome.activated] = True
-            for node, opinion in outcome.final_opinions.items():
-                opinions[i, node] = opinion
             rounds[i] = outcome.rounds
+            opinions = outcome.final_opinions
+            seed_opinions[i] = [opinions.get(seed, 0.0) for seed in validated]
+            for node in dict.fromkeys(outcome.activated):
+                if node not in seed_set:
+                    log_cascades.append(i)
+                    log_nodes.append(node)
+                    log_opinions.append(opinions.get(node, 0.0))
         return BatchOutcome(
-            seeds=validated, active=active, opinions=opinions, rounds=rounds
+            seeds=validated,
+            active=active,
+            rounds=rounds,
+            seed_opinions=seed_opinions,
+            log_cascades=np.array(log_cascades, dtype=np.int64),
+            log_nodes=np.array(log_nodes, dtype=np.int64),
+            log_opinions=np.array(log_opinions, dtype=np.float64),
         )
 
     def __repr__(self) -> str:

@@ -6,13 +6,19 @@ flat ``(cascade, node)`` index arrays, and each synchronous diffusion round
 expands *every* cascade's frontier in one CSR pass — ``np.repeat`` over the
 ``indptr`` degree slices plus a single ``rng.random`` draw covering all
 frontier edges of the round.  No per-node or per-cascade Python loop survives
-on the hot path, which is where the ≥10x Monte-Carlo speedup over the scalar
-``simulate`` implementations comes from.
+on the hot path.  Every kernel returns a
+:class:`~repro.diffusion.base.BatchOutcome`: the activation matrix plus a log
+of the non-seed activations and their final opinions.
 
 Two frontier cores cover the whole model zoo:
 
 * :func:`run_ic_batch` — the IC family (IC, WC, OI-IC/OI-WC, IC-N): each
-  frontier node gets one independent activation attempt per out-edge.
+  frontier node gets one independent activation attempt per out-edge.  A
+  cascade typically reaches a few percent of the graph, so the kernel works
+  in proportion to edge draws and activations: it compares the round's
+  draws against the edge probabilities first and resolves cascade, target
+  and activation state for the hits only; each frontier entry carries its
+  final opinion, so no ``(count, n)`` opinion matrix is kept.
 * :func:`run_lt_batch` — the LT family (LT, OC, OI-LT): frontier nodes push
   their edge weight onto inactive out-neighbours, which activate once the
   accumulated weight reaches their (per-cascade) random threshold.
@@ -38,7 +44,7 @@ same rule.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,6 +147,33 @@ def _dedup_first(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.flatnonzero(scratch[keys] == order)
 
 
+def _batch_outcome(
+    seeds: tuple[int, ...],
+    active: np.ndarray,
+    rounds: np.ndarray,
+    seed_opinions: np.ndarray,
+    log: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> BatchOutcome:
+    """Assemble a :class:`BatchOutcome` from per-round winner arrays.
+
+    ``log`` holds one ``(cascades, nodes, opinions)`` triple per round.
+    """
+    if log:
+        cascades, nodes, opinions = (np.concatenate(column) for column in zip(*log))
+    else:
+        cascades, nodes = _EMPTY, _EMPTY
+        opinions = np.empty(0, dtype=np.float64)
+    return BatchOutcome(
+        seeds=seeds,
+        active=active,
+        rounds=rounds,
+        seed_opinions=seed_opinions,
+        log_cascades=cascades,
+        log_nodes=nodes,
+        log_opinions=opinions,
+    )
+
+
 def _count_rounds(rounds: np.ndarray, frontier_cascades: np.ndarray) -> None:
     """Increment the round counter of every cascade with a non-empty frontier."""
     alive = np.zeros(rounds.size, dtype=bool)
@@ -182,92 +215,74 @@ def run_ic_batch(
     # indexing on precomputed keys is measurably cheaper than repeated 2D
     # index arithmetic on the hot path.
     active = np.zeros(count * n, dtype=bool)
-    # Opinion-oblivious cascades don't need per-node opinion state in the
-    # loop — final opinions are just the initial opinions of active nodes,
-    # reconstructed in one broadcast multiply at the end.
-    track_opinions = opinion != "initial"
-    opinions = np.zeros(count * n, dtype=np.float64) if track_opinions else None
     rounds = np.zeros(count, dtype=np.int64)
     scratch = np.empty(count * n, dtype=np.int32)
     indptr = graph.out_indptr
 
+    # Each frontier entry carries its own final opinion, which is the source
+    # opinion of every attempt it wins — no per-node opinion state needed.
     frontier_cas, frontier_node = _seed_frontier(seed_array, count)
-    seed_keys = frontier_cas * n + frontier_node
-    if seed_array.size:
-        active[seed_keys] = True
-        if opinion == "polarity":
-            positive = rng.random(seed_keys.size) < quality_factor
-            opinions[seed_keys] = np.where(positive, 1.0, -1.0)
-        elif track_opinions:
-            opinions[seed_keys] = graph.opinions[frontier_node]
+    active[frontier_cas * n + frontier_node] = True
+    if opinion == "polarity":
+        positive = rng.random(frontier_cas.size) < quality_factor
+        frontier_opinion = np.where(positive, 1.0, -1.0)
+    else:
+        frontier_opinion = graph.opinions[frontier_node]
+    seed_opinions = frontier_opinion.reshape(count, seed_array.size)
+    log = []
 
     while frontier_cas.size:
         _count_rounds(rounds, frontier_cas)
 
-        # CSR expansion inlined (rather than via _expand_csr) to skip the
-        # ``owner`` indirection: the cascade of every edge comes straight
-        # from np.repeat over the frontier, which is cheaper on this path.
-        degrees = indptr[frontier_node + 1] - indptr[frontier_node]
-        total = int(degrees.sum())
+        # CSR expansion inlined (rather than via _expand_csr): only the
+        # edge positions are built for every attempt.  The cascade, target
+        # and key of an attempt are looked up for its hits alone, whose
+        # frontier owner is found from the degree prefix sums.
+        starts = indptr[frontier_node]
+        degrees = indptr[frontier_node + 1] - starts
+        ends = np.cumsum(degrees)
+        total = int(ends[-1])
         if total == 0:
             break
-        positions = np.arange(total) + np.repeat(
-            indptr[frontier_node] - np.cumsum(degrees) + degrees, degrees
-        )
-        cascades = np.repeat(frontier_cas, degrees)
-        targets = graph.out_indices[positions]
-        keys = cascades * n + targets
-
+        positions = np.arange(total) + np.repeat(starts - ends + degrees, degrees)
         draws = rng.random(total)
-        success = draws < edge_probability[positions]
+        hits = np.flatnonzero(draws < edge_probability[positions])
+        owner = np.searchsorted(ends, hits, side="right")
+        positions = positions[hits]
+        targets = graph.out_indices[positions]
+        keys = frontier_cas[owner] * n + targets
         # Keep only successful attempts on still-inactive targets.
-        success &= ~active[keys]
-        if not success.any():
+        fresh = np.flatnonzero(~active[keys])
+        if fresh.size == 0:
             break
 
-        hit = np.flatnonzero(success)
-        winners = hit[_dedup_first(keys[hit], scratch)]
-        win_keys = keys[winners]
+        winners = fresh[_dedup_first(keys[fresh], scratch)]
+        owner = owner[winners]
         win_tgt = targets[winners]
-        win_cas = cascades[winners]
-
-        if opinion == "initial":
-            # Winner identity is irrelevant for opinion-oblivious cascades.
-            active[win_keys] = True
-            frontier_cas = win_cas
-            frontier_node = win_tgt
-            continue
-
-        source_keys = win_cas * n + np.repeat(frontier_node, degrees)[winners]
-
-        active[win_keys] = True
+        active[keys[winners]] = True
         if opinion == "interaction":
             agrees = (
                 rng.random(winners.size)
                 < graph.out_interaction[positions[winners]]
             )
-            source_opinion = opinions[source_keys]
+            source_opinion = frontier_opinion[owner]
             contribution = np.where(agrees, source_opinion, -source_opinion)
-            opinions[win_keys] = (graph.opinions[win_tgt] + contribution) / 2.0
-        else:  # polarity (IC-N): negativity dominates, else quality draw
-            source_sign = opinions[source_keys]
+            win_opinion = (graph.opinions[win_tgt] + contribution) / 2.0
+        elif opinion == "polarity":  # IC-N: negativity dominates, else quality
             positive = rng.random(winners.size) < quality_factor
-            sign = np.where(source_sign < 0, -1.0, np.where(positive, 1.0, -1.0))
-            opinions[win_keys] = sign
+            win_opinion = np.where(
+                frontier_opinion[owner] < 0, -1.0, np.where(positive, 1.0, -1.0)
+            )
+        else:
+            win_opinion = graph.opinions[win_tgt]
 
-        frontier_cas = win_cas
+        frontier_cas = frontier_cas[owner]
         frontier_node = win_tgt
+        frontier_opinion = win_opinion
+        log.append((frontier_cas, frontier_node, frontier_opinion))
 
-    active_matrix = active.reshape(count, n)
-    if track_opinions:
-        opinion_matrix = opinions.reshape(count, n)
-    else:
-        opinion_matrix = active_matrix * graph.opinions[None, :]
-    return BatchOutcome(
-        seeds=validated,
-        active=active_matrix,
-        opinions=opinion_matrix,
-        rounds=rounds,
+    return _batch_outcome(
+        validated, active.reshape(count, n), rounds, seed_opinions, log
     )
 
 
@@ -304,6 +319,7 @@ def run_lt_batch(
     if seed_array.size:
         active[:, seed_array] = True
         opinions[:, seed_array] = graph.opinions[seed_array]
+    log = []
 
     frontier_cas, frontier_node = _seed_frontier(seed_array, count)
     while frontier_cas.size:
@@ -342,20 +358,20 @@ def run_lt_batch(
             continue
 
         if opinion == "initial":
-            opinions[win_cas, win_tgt] = graph.opinions[win_tgt]
+            win_opinion = graph.opinions[win_tgt]
         else:
             neighbour_term = _active_in_neighbour_mean(
                 graph, active, opinions, win_cas, win_tgt, rng,
                 signed=(opinion == "interaction"),
             )
-            opinions[win_cas, win_tgt] = (
-                graph.opinions[win_tgt] + neighbour_term
-            ) / 2.0
+            win_opinion = (graph.opinions[win_tgt] + neighbour_term) / 2.0
+        opinions[win_cas, win_tgt] = win_opinion
         active[win_cas, win_tgt] = True
+        log.append((win_cas, win_tgt, win_opinion))
         frontier_cas, frontier_node = win_cas, win_tgt
 
-    return BatchOutcome(
-        seeds=validated, active=active, opinions=opinions, rounds=rounds
+    return _batch_outcome(
+        validated, active, rounds, opinions[:, seed_array], log
     )
 
 
@@ -430,9 +446,13 @@ def run_live_edge_batch(
         active |= newly
         frontier_alive &= newly.any(axis=1)
 
-    opinions = np.where(active, graph.opinions[None, :], 0.0)
-    return BatchOutcome(
-        seeds=validated, active=active, opinions=opinions, rounds=rounds
+    non_seed = active.copy()
+    non_seed[:, seed_array] = False
+    cascades, nodes = np.nonzero(non_seed)
+    seed_opinions = np.tile(graph.opinions[seed_array], (count, 1))
+    return _batch_outcome(
+        validated, active, rounds, seed_opinions,
+        [(cascades, nodes, graph.opinions[nodes])],
     )
 
 

@@ -8,8 +8,8 @@ not pay for it twice.
 
 Simulations are executed through :meth:`DiffusionModel.simulate_batch` in
 fixed-size blocks of cascades: each block advances hundreds of cascades per
-vectorized numpy pass and all three objectives are computed with matrix
-reductions over the block's :class:`~repro.diffusion.base.BatchOutcome`.
+vectorized numpy pass and all three objectives are ``bincount`` reductions
+of the block's :class:`~repro.diffusion.base.BatchOutcome` activation log.
 Block seeds are derived from the engine seed *before* any work is dispatched,
 so the estimate for a given engine seed is identical regardless of how many
 worker processes the blocks are spread across.
@@ -35,12 +35,12 @@ from repro.utils.rng import RandomState, ensure_rng
 _LOGGER = logging.getLogger(__name__)
 
 #: Upper bound on cascades advanced per vectorized batch.  Bounds the
-#: ``(count, n)`` state matrices — a kernel holds a handful of them (boolean
-#: activation plus, for LT/opinion-aware kernels, float64 opinion, threshold
-#: and accumulator matrices and an int32 dedup scratch), so a 512-cascade
-#: block costs roughly ``25 * n`` bytes times 512 in the worst case.  Lower
-#: it for very large graphs; raising it rarely helps (narrower blocks are
-#: cache-friendlier).
+#: ``(count, n)`` state matrices: the IC-family kernel keeps a boolean
+#: activation matrix and an int32 dedup scratch (``5 * n`` bytes per
+#: cascade; its other arrays scale with edge draws and activations), while
+#: the LT kernels add float64 opinion, threshold and accumulator matrices
+#: (``29 * n`` bytes per cascade).  Lower it for very large graphs; raising
+#: it rarely helps (narrower blocks are cache-friendlier).
 DEFAULT_BATCH_SIZE = 512
 
 #: Minimum number of blocks an estimate is split into (when ``simulations``

@@ -111,7 +111,7 @@ class TestBatchScalarEquivalence:
         a = model.simulate_batch(annotated_graph, [1, 2], np.random.default_rng(9), 64)
         b = model.simulate_batch(annotated_graph, [1, 2], np.random.default_rng(9), 64)
         assert np.array_equal(a.active, b.active)
-        assert np.allclose(a.opinions, b.opinions)
+        assert np.array_equal(a.opinions, b.opinions)
         assert np.array_equal(a.rounds, b.rounds)
 
     @pytest.mark.parametrize("model_name", ALL_MODELS)
