@@ -11,8 +11,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.algorithms import CELFSelector, GreedySelector
 from repro.algorithms.easyim import easyim_scores
 from repro.algorithms.path_union import path_union_scores
@@ -73,13 +71,12 @@ def _run_live_edge_equivalence() -> list[dict]:
     simulations = 400
     lt_model = LinearThresholdModel()
     live_model = LiveEdgeModel()
-    rng_a, rng_b = ensure_rng(1), ensure_rng(2)
-    lt_mean = float(np.mean([
-        lt_model.simulate(compiled, seeds, rng_a).spread() for _ in range(simulations)
-    ]))
-    live_mean = float(np.mean([
-        live_model.simulate(compiled, seeds, rng_b).spread() for _ in range(simulations)
-    ]))
+    lt_mean = float(
+        lt_model.simulate_batch(compiled, seeds, ensure_rng(1), simulations).spreads().mean()
+    )
+    live_mean = float(
+        live_model.simulate_batch(compiled, seeds, ensure_rng(2), simulations).spreads().mean()
+    )
     return [
         {"formulation": "LT (random thresholds)", "expected spread": round(lt_mean, 2)},
         {"formulation": "LT (live-edge)", "expected spread": round(live_mean, 2)},

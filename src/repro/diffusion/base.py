@@ -1,19 +1,18 @@
 """Diffusion-model interface and the outcomes of simulated cascades.
 
-A :class:`DiffusionModel` runs one stochastic cascade on a
+A :class:`DiffusionModel` implements one method, :meth:`~DiffusionModel.simulate_batch`,
+which runs ``count`` independent stochastic cascades on a
 :class:`~repro.graphs.digraph.CompiledGraph` from a set of seed node indices
-and returns a :class:`DiffusionOutcome`.  Spread, opinion spread and effective
-opinion spread (Defs. 3, 6 and 7 in the paper) are all derived from the
-outcome, so a single simulation serves every objective.
+and returns a :class:`BatchOutcome`: a dense ``(count, n)`` activation matrix
+plus a log of the non-seed activations and their final opinions, in
+activation order.  Spread, opinion spread and effective opinion spread
+(Defs. 3, 6 and 7 in the paper) are three ``bincount``s over the log, so a
+single batch serves every objective.
 
-Models may additionally implement :meth:`DiffusionModel.simulate_batch`,
-which advances a whole batch of independent cascades simultaneously and
-returns a :class:`BatchOutcome` — a dense ``(count, n)`` activation matrix
-plus a log of the non-seed activations and their final opinions, whose
-objective reductions replace ``count`` per-outcome method calls with three
-``bincount``s over the log.  The base class provides a
-loop-over-:meth:`simulate` fallback so third-party models keep working
-unchanged.
+:meth:`DiffusionModel.simulate` is the one-cascade view of the same kernel:
+``simulate_batch(graph, seeds, rng, 1).outcome(0)``, a
+:class:`DiffusionOutcome`.  Every model therefore has exactly one cascade
+implementation.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
-from repro.utils.rng import RandomState, ensure_rng
 
 
 @dataclass
@@ -177,18 +175,18 @@ class BatchOutcome:
     def outcome(self, index: int) -> DiffusionOutcome:
         """Materialise cascade ``index`` as a scalar :class:`DiffusionOutcome`.
 
-        Activation *order* is not tracked in batch mode, so ``activated``
-        lists seeds first and the remaining nodes in index order.
+        ``activated`` lists the seeds first and then the cascade's log
+        entries in log order, which every kernel writes in activation order.
         """
-        activated_nodes = np.flatnonzero(self.active[index])
-        seed_set = set(self.seeds)
-        activated = list(self.seeds) + [
-            int(v) for v in activated_nodes if int(v) not in seed_set
-        ]
+        index = range(self.count)[index]  # negative indices; IndexError past the end
+        entries = np.flatnonzero(self.log_cascades == index)
+        nodes = self.log_nodes[entries].tolist()
+        final_opinions = dict(zip(self.seeds, self.seed_opinions[index].tolist()))
+        final_opinions.update(zip(nodes, self.log_opinions[entries].tolist()))
         return DiffusionOutcome(
             seeds=self.seeds,
-            activated=activated,
-            final_opinions={v: float(self.opinions[index, v]) for v in activated},
+            activated=list(self.seeds) + nodes,
+            final_opinions=final_opinions,
             rounds=int(self.rounds[index]),
         )
 
@@ -196,9 +194,9 @@ class BatchOutcome:
 class DiffusionModel(abc.ABC):
     """Base class for every diffusion model.
 
-    Subclasses implement :meth:`simulate`, which must be a pure function of
-    ``(graph, seeds, rng)`` — all randomness flows through the supplied
-    generator so Monte-Carlo estimation stays reproducible.
+    Subclasses implement :meth:`simulate_batch`, which must be a pure
+    function of ``(graph, seeds, rng, count)`` — all randomness flows through
+    the supplied generator so Monte-Carlo estimation stays reproducible.
     """
 
     #: Short identifier used by the model registry and the CLI.
@@ -208,23 +206,6 @@ class DiffusionModel(abc.ABC):
     opinion_aware: bool = False
 
     @abc.abstractmethod
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        """Run one cascade from ``seeds`` and return its outcome."""
-
-    def simulate_once(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        seed: RandomState = None,
-    ) -> DiffusionOutcome:
-        """Convenience wrapper accepting any :data:`RandomState` spelling."""
-        return self.simulate(graph, seeds, ensure_rng(seed))
-
     def simulate_batch(
         self,
         graph: CompiledGraph,
@@ -234,42 +215,18 @@ class DiffusionModel(abc.ABC):
     ) -> BatchOutcome:
         """Run ``count`` independent cascades and return their joint outcome.
 
-        The base implementation loops over :meth:`simulate`, so any model
-        that only defines the scalar entry point automatically supports the
-        batch API.  Native models override this with an array-parallel kernel
-        that advances every cascade per diffusion round in bulk numpy
-        operations (see :mod:`repro.diffusion.batch`).
+        The registered models advance every cascade per diffusion round in
+        bulk numpy operations (see :mod:`repro.diffusion.batch`).
         """
-        if count < 0:
-            raise ConfigurationError(f"count must be non-negative, got {count}")
-        validated = validate_seed_indices(graph, seeds)
-        seed_set = set(validated)
-        active = np.zeros((count, graph.number_of_nodes), dtype=bool)
-        rounds = np.zeros(count, dtype=np.int64)
-        seed_opinions = np.zeros((count, len(validated)), dtype=np.float64)
-        log_cascades: list[int] = []
-        log_nodes: list[int] = []
-        log_opinions: list[float] = []
-        for i in range(count):
-            outcome = self.simulate(graph, list(validated), rng)
-            active[i, outcome.activated] = True
-            rounds[i] = outcome.rounds
-            opinions = outcome.final_opinions
-            seed_opinions[i] = [opinions.get(seed, 0.0) for seed in validated]
-            for node in dict.fromkeys(outcome.activated):
-                if node not in seed_set:
-                    log_cascades.append(i)
-                    log_nodes.append(node)
-                    log_opinions.append(opinions.get(node, 0.0))
-        return BatchOutcome(
-            seeds=validated,
-            active=active,
-            rounds=rounds,
-            seed_opinions=seed_opinions,
-            log_cascades=np.array(log_cascades, dtype=np.int64),
-            log_nodes=np.array(log_nodes, dtype=np.int64),
-            log_opinions=np.array(log_opinions, dtype=np.float64),
-        )
+
+    def simulate(
+        self,
+        graph: CompiledGraph,
+        seeds: Sequence[int],
+        rng: np.random.Generator,
+    ) -> DiffusionOutcome:
+        """Run one cascade from ``seeds``: a batch of one."""
+        return self.simulate_batch(graph, seeds, rng, 1).outcome(0)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -1,4 +1,4 @@
-"""Vectorized batch cascade kernels shared by the native diffusion models.
+"""Vectorized batch cascade kernels: the one cascade implementation of every model.
 
 Every kernel advances ``count`` independent cascades simultaneously: the
 activation state is a ``(count, n)`` boolean matrix, the frontier is a pair of
@@ -28,18 +28,22 @@ mode switch, mirroring how the paper layers the OI opinion dynamics on an IC
 or LT activation layer (Sec. 2.2).  :func:`run_live_edge_batch` additionally
 vectorises the live-edge formulation of LT (one in-edge sampled per node).
 
-A note on tie-breaking: when several frontier nodes successfully reach the
-same inactive target in the same round, both the scalar models and the batch
-kernels apply the same rule — the *first* successful attempt in frontier
-order wins (batch: a sort-free scatter dedup, :func:`_dedup_first`).  The
-frontier orderings are not bit-identical (the scalar queue preserves
-activation order, the batch frontier is key-sorted within a round), so
-individual cascades can differ, but the tie-break rule itself agrees —
-in particular, seeds contest targets in exactly the same order — and the
-objective distributions are statistically indistinguishable.  The LT-family
-opinion layers average in-neighbour opinions against the *pre-round* active
-set (strict synchronous semantics); the scalar OC/OI-LT models implement the
-same rule.
+Every kernel writes its activation log in activation order: round by
+round, and within a round in the order the kernel resolves its winners.
+:meth:`~repro.diffusion.base.BatchOutcome.outcome` reads that order back,
+which is how :meth:`~repro.diffusion.base.DiffusionModel.simulate` (a batch
+of one) reports ``activated``.
+
+Tie-breaking: when several frontier nodes successfully reach the same
+inactive target in the same round, the *first* successful attempt in
+frontier order wins (a sort-free scatter dedup, :func:`_dedup_first`).  The
+IC frontier is kept in hit order — seeds in seed order, then each round's
+winners in the order they won — so a cascade contests targets exactly as a
+FIFO queue of activations would.  The LT-family opinion layers average
+in-neighbour opinions against the *pre-round* active set (strict
+synchronous semantics).  Edge weights come from
+:meth:`~repro.graphs.digraph.CompiledGraph.resolved_edge_probabilities`, the
+one place that decides IC, WC and LT weighting.
 """
 
 from __future__ import annotations
@@ -53,34 +57,6 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _in_degree_reciprocal(graph: CompiledGraph) -> np.ndarray:
-    """Per-node ``1 / in_degree`` (1.0 for sources, which never matter)."""
-    in_degrees = np.diff(graph.in_indptr).astype(np.float64)
-    safe = np.where(in_degrees > 0, in_degrees, 1.0)
-    return 1.0 / safe
-
-
-def wc_out_probabilities(graph: CompiledGraph) -> np.ndarray:
-    """Edge-aligned weighted-cascade probabilities ``1 / in_degree(target)``.
-
-    Served from the per-graph cache, so repeated simulate calls (k per
-    greedy-family selection) stop re-deriving the same m-sized array.
-    """
-    return graph.resolved_edge_probabilities("wc")
-
-
-def resolve_out_lt_weights(graph: CompiledGraph) -> np.ndarray:
-    """Edge-aligned LT weights for the *out*-adjacency arrays.
-
-    Mirrors :func:`repro.diffusion.linear_threshold.resolve_lt_weights` but
-    aligned with the forward CSR the batch kernels traverse: annotated
-    weights where present, ``1 / in_degree(target)`` otherwise.
-    """
-    if np.any(graph.in_weight > 0):
-        return graph.out_weight
-    return _in_degree_reciprocal(graph)[graph.out_indices]
 
 
 def draw_threshold_matrix(
@@ -137,8 +113,8 @@ def _dedup_first(keys: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     per-round winner selection: scatter each element's position into
     ``scratch`` in reverse (numpy keeps the last write for duplicate
     indices, so the reversed scatter leaves the first occurrence) and keep
-    the elements that read their own position back.  First-wins matches the
-    scalar models' tie-break rule.  ``scratch`` is a reusable
+    the elements that read their own position back.  First-wins is the
+    cascades' tie-break rule (see the module docstring).  ``scratch`` is a reusable
     ``(count * n,)`` int array; it never needs resetting because every entry
     read was just written by this call.
     """
@@ -313,7 +289,7 @@ def run_lt_batch(
     rounds = np.zeros(count, dtype=np.int64)
     accumulated = np.zeros((count, n), dtype=np.float64)
     thresholds = draw_threshold_matrix(graph, rng, count)
-    weights = resolve_out_lt_weights(graph)
+    weights = graph.resolved_edge_probabilities("lt")
     scratch = np.empty(count * n, dtype=np.int32)
 
     if seed_array.size:
@@ -440,28 +416,23 @@ def run_live_edge_batch(
     frontier_alive = np.ones(count, dtype=bool) if seed_array.size else np.zeros(
         count, dtype=bool
     )
+    log = []
     while frontier_alive.any():
         rounds[frontier_alive] += 1
         newly = has_parent & active[row, safe_parent] & ~active
         active |= newly
         frontier_alive &= newly.any(axis=1)
+        cascades, nodes = np.nonzero(newly)
+        log.append((cascades, nodes, graph.opinions[nodes]))
 
-    non_seed = active.copy()
-    non_seed[:, seed_array] = False
-    cascades, nodes = np.nonzero(non_seed)
     seed_opinions = np.tile(graph.opinions[seed_array], (count, 1))
-    return _batch_outcome(
-        validated, active, rounds, seed_opinions,
-        [(cascades, nodes, graph.opinions[nodes])],
-    )
+    return _batch_outcome(validated, active, rounds, seed_opinions, log)
 
 
 def _sample_live_parent_matrix(
     graph: CompiledGraph, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """``(count, n)`` live parent of every node per cascade (``-1`` = none)."""
-    from repro.diffusion.linear_threshold import resolve_lt_weights
-
     n = graph.number_of_nodes
     parents = np.full((count, n), -1, dtype=np.int64)
     in_degrees = np.diff(graph.in_indptr)
@@ -469,10 +440,15 @@ def _sample_live_parent_matrix(
     if candidates.size == 0:
         return parents
 
-    weights = resolve_lt_weights(graph)
+    # The LT weights, moved from out-CSR order into in-CSR order.
+    weights = np.empty(graph.number_of_edges, dtype=np.float64)
+    weights[graph.out_to_in_position] = graph.resolved_edge_probabilities("lt")
     cumulative = np.cumsum(weights)
-    starts = graph.in_indptr[:-1]
-    prefix = cumulative[starts] - weights[starts]
+    # Only nodes with in-edges have a first in-edge; a trailing source's
+    # slice start is one past the last edge.
+    prefix = np.zeros(n, dtype=np.float64)
+    starts = graph.in_indptr[candidates]
+    prefix[candidates] = cumulative[starts] - weights[starts]
     within = cumulative - np.repeat(prefix, in_degrees)
     totals = np.zeros(n, dtype=np.float64)
     totals[candidates] = within[graph.in_indptr[1:][candidates] - 1]

@@ -16,17 +16,11 @@ one of the two prior opinion-aware baselines.  Final opinions are reported as
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
+from repro.diffusion.base import BatchOutcome, DiffusionModel
 from repro.diffusion.batch import run_ic_batch
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
@@ -64,53 +58,3 @@ class ICNModel(DiffusionModel):
             opinion="polarity",
             quality_factor=self.quality_factor,
         )
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        n = graph.number_of_nodes
-        active = np.zeros(n, dtype=bool)
-        # +1 positive, -1 negative once active.
-        polarity = np.zeros(n, dtype=np.float64)
-
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            sign = 1.0 if rng.random() < self.quality_factor else -1.0
-            polarity[seed] = sign
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = sign
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            next_frontier: deque[int] = deque()
-            while frontier:
-                node = frontier.popleft()
-                neighbors = graph.out_neighbors(node)
-                if neighbors.size == 0:
-                    continue
-                probabilities = graph.out_probabilities(node)
-                draws = rng.random(neighbors.size)
-                for position in np.flatnonzero(draws < probabilities):
-                    target = int(neighbors[position])
-                    if active[target]:
-                        continue
-                    if polarity[node] < 0:
-                        sign = -1.0  # negativity always propagates
-                    else:
-                        sign = 1.0 if rng.random() < self.quality_factor else -1.0
-                    active[target] = True
-                    polarity[target] = sign
-                    outcome.activated.append(target)
-                    outcome.final_opinions[target] = sign
-                    next_frontier.append(target)
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

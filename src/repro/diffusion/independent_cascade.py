@@ -7,17 +7,11 @@ probability ``p_(u,v)``.  The cascade stops when a step activates nobody.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
+from repro.diffusion.base import BatchOutcome, DiffusionModel
 from repro.diffusion.batch import run_ic_batch
 from repro.graphs.digraph import CompiledGraph
 
@@ -33,21 +27,9 @@ class IndependentCascadeModel(DiffusionModel):
     name = "ic"
     opinion_aware = False
 
-    def edge_probabilities(self, graph: CompiledGraph, node: int) -> np.ndarray:
-        """Activation probabilities for the out-edges of ``node``.
-
-        Subclasses (the weighted-cascade model) override this hook; everything
-        else about the cascade dynamics is shared.
-        """
-        return graph.out_probabilities(node)
-
-    def batch_edge_probabilities(self, graph: CompiledGraph) -> np.ndarray:
-        """Activation probabilities for *all* edges, aligned with the out-CSR.
-
-        The batch counterpart of :meth:`edge_probabilities`; the
-        weighted-cascade model overrides this hook too.
-        """
-        return graph.out_probability
+    #: The :meth:`~repro.graphs.digraph.CompiledGraph.resolved_edge_probabilities`
+    #: weighting the cascade reads; the weighted-cascade model overrides it.
+    weighting = "ic"
 
     def simulate_batch(
         self,
@@ -57,43 +39,5 @@ class IndependentCascadeModel(DiffusionModel):
         count: int,
     ) -> BatchOutcome:
         return run_ic_batch(
-            graph, seeds, rng, count, self.batch_edge_probabilities(graph)
+            graph, seeds, rng, count, graph.resolved_edge_probabilities(self.weighting)
         )
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        active = np.zeros(graph.number_of_nodes, dtype=bool)
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            next_frontier: deque[int] = deque()
-            while frontier:
-                node = frontier.popleft()
-                neighbors = graph.out_neighbors(node)
-                if neighbors.size == 0:
-                    continue
-                probabilities = self.edge_probabilities(graph, node)
-                draws = rng.random(neighbors.size)
-                for position in np.flatnonzero(draws < probabilities):
-                    target = int(neighbors[position])
-                    if not active[target]:
-                        active[target] = True
-                        outcome.activated.append(target)
-                        outcome.final_opinions[target] = float(graph.opinions[target])
-                        next_frontier.append(target)
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

@@ -10,40 +10,13 @@ to ``1 / in_degree(v)`` when the graph has not been given LT weights.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
+from repro.diffusion.base import BatchOutcome, DiffusionModel
+from repro.diffusion.batch import run_lt_batch
 from repro.graphs.digraph import CompiledGraph
-
-
-def resolve_lt_weights(graph: CompiledGraph) -> np.ndarray:
-    """Edge-aligned LT weights for the *in*-adjacency arrays.
-
-    Uses the annotated weights when any are present; otherwise falls back to
-    the conventional ``1 / in_degree(v)`` assignment.
-    """
-    if np.any(graph.in_weight > 0):
-        return graph.in_weight
-    in_degrees = np.diff(graph.in_indptr).astype(np.float64)
-    safe = np.where(in_degrees > 0, in_degrees, 1.0)
-    weights = np.repeat(1.0 / safe, np.diff(graph.in_indptr))
-    return weights
-
-
-def draw_thresholds(graph: CompiledGraph, rng: np.random.Generator) -> np.ndarray:
-    """Per-node thresholds: annotated values where present, uniform otherwise."""
-    thresholds = rng.random(graph.number_of_nodes)
-    annotated = ~np.isnan(graph.thresholds)
-    thresholds[annotated] = graph.thresholds[annotated]
-    return thresholds
 
 
 class LinearThresholdModel(DiffusionModel):
@@ -59,56 +32,4 @@ class LinearThresholdModel(DiffusionModel):
         rng: np.random.Generator,
         count: int,
     ) -> BatchOutcome:
-        from repro.diffusion.batch import run_lt_batch
-
         return run_lt_batch(graph, seeds, rng, count, opinion="initial")
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        n = graph.number_of_nodes
-        active = np.zeros(n, dtype=bool)
-        accumulated = np.zeros(n, dtype=np.float64)
-        thresholds = draw_thresholds(graph, rng)
-        weights = resolve_lt_weights(graph)
-
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            next_frontier: deque[int] = deque()
-            # Push the weight of every newly active node onto its out-neighbours.
-            touched: set[int] = set()
-            while frontier:
-                node = frontier.popleft()
-                # The weight of edge (node -> target) lives in the in-CSR of
-                # target; the cached out->in position map replaces the
-                # per-edge in-neighbour scan (O(deg^2) on hubs).
-                start, end = graph.out_indptr[node], graph.out_indptr[node + 1]
-                in_positions = graph.out_to_in_position[start:end]
-                for offset in range(end - start):
-                    target = int(graph.out_indices[start + offset])
-                    if active[target]:
-                        continue
-                    accumulated[target] += weights[in_positions[offset]]
-                    touched.add(target)
-            for target in touched:
-                if not active[target] and accumulated[target] >= thresholds[target]:
-                    active[target] = True
-                    outcome.activated.append(target)
-                    outcome.final_opinions[target] = float(graph.opinions[target])
-                    next_frontier.append(target)
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

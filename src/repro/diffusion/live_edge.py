@@ -12,18 +12,12 @@ the test suite uses it to cross-validate :class:`LinearThresholdModel`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
-from repro.diffusion.linear_threshold import resolve_lt_weights
+from repro.diffusion.base import BatchOutcome, DiffusionModel
+from repro.diffusion.batch import run_live_edge_batch
 from repro.graphs.digraph import CompiledGraph
 
 
@@ -40,66 +34,4 @@ class LiveEdgeModel(DiffusionModel):
         rng: np.random.Generator,
         count: int,
     ) -> BatchOutcome:
-        from repro.diffusion.batch import run_live_edge_batch
-
         return run_live_edge_batch(graph, seeds, rng, count)
-
-    def sample_live_parents(
-        self, graph: CompiledGraph, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Sample the live in-edge of every node; ``-1`` means no live edge."""
-        n = graph.number_of_nodes
-        weights = resolve_lt_weights(graph)
-        parents = np.full(n, -1, dtype=np.int64)
-        for node in range(n):
-            start, end = graph.in_indptr[node], graph.in_indptr[node + 1]
-            if start == end:
-                continue
-            local_weights = weights[start:end]
-            total = float(local_weights.sum())
-            draw = rng.random()
-            if draw >= total:
-                continue
-            cumulative = np.cumsum(local_weights)
-            position = int(np.searchsorted(cumulative, draw, side="right"))
-            parents[node] = graph.in_indices[start + position]
-        return parents
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        parents = self.sample_live_parents(graph, rng)
-
-        # Build the forward (live) adjacency: child lists keyed by parent.
-        children: dict[int, list[int]] = {}
-        for node, parent in enumerate(parents):
-            if parent >= 0:
-                children.setdefault(int(parent), []).append(node)
-
-        active = np.zeros(graph.number_of_nodes, dtype=bool)
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-        rounds = 0
-        while frontier:
-            rounds += 1
-            next_frontier: deque[int] = deque()
-            while frontier:
-                node = frontier.popleft()
-                for child in children.get(node, ()):
-                    if not active[child]:
-                        active[child] = True
-                        outcome.activated.append(child)
-                        outcome.final_opinions[child] = float(graph.opinions[child])
-                        next_frontier.append(child)
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

@@ -15,19 +15,12 @@ in-neighbours — the same mixing rule as OI with ``phi = 1`` everywhere.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
+from repro.diffusion.base import BatchOutcome, DiffusionModel
 from repro.diffusion.batch import run_lt_batch
-from repro.diffusion.linear_threshold import draw_thresholds, resolve_lt_weights
 from repro.graphs.digraph import CompiledGraph
 
 
@@ -45,70 +38,3 @@ class OCModel(DiffusionModel):
         count: int,
     ) -> BatchOutcome:
         return run_lt_batch(graph, seeds, rng, count, opinion="mean")
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        n = graph.number_of_nodes
-        active = np.zeros(n, dtype=bool)
-        final_opinion = np.zeros(n, dtype=np.float64)
-        accumulated = np.zeros(n, dtype=np.float64)
-        thresholds = draw_thresholds(graph, rng)
-        weights = resolve_lt_weights(graph)
-
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            final_opinion[seed] = graph.opinions[seed]
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            touched: set[int] = set()
-            while frontier:
-                node = frontier.popleft()
-                # In-CSR-aligned LT weights looked up through the cached
-                # out->in edge position map (no per-edge in-neighbour scan).
-                start, end = graph.out_indptr[node], graph.out_indptr[node + 1]
-                in_positions = graph.out_to_in_position[start:end]
-                for offset in range(end - start):
-                    target = int(graph.out_indices[start + offset])
-                    if active[target]:
-                        continue
-                    accumulated[target] += weights[in_positions[offset]]
-                    touched.add(target)
-            # Strict synchronous rounds: decide every activation of the round
-            # first, then compute opinions against the *pre-round* active set,
-            # so the result does not depend on the iteration order of
-            # ``touched`` (and matches the batch kernel's semantics).
-            newly = [
-                target for target in touched
-                if not active[target] and accumulated[target] >= thresholds[target]
-            ]
-            next_frontier: deque[int] = deque()
-            for target in newly:
-                start, end = graph.in_indptr[target], graph.in_indptr[target + 1]
-                neighbour_opinions = [
-                    final_opinion[int(graph.in_indices[offset])]
-                    for offset in range(start, end)
-                    if active[int(graph.in_indices[offset])]
-                ]
-                neighbour_term = float(np.mean(neighbour_opinions)) if neighbour_opinions else 0.0
-                opinion = (graph.opinions[target] + neighbour_term) / 2.0
-                final_opinion[target] = opinion
-                outcome.activated.append(target)
-                outcome.final_opinions[target] = float(opinion)
-                next_frontier.append(target)
-            for target in newly:
-                active[target] = True
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

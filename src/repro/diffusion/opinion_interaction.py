@@ -18,19 +18,12 @@ Once active, a node keeps its effective opinion for the rest of the cascade.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.diffusion.base import (
-    BatchOutcome,
-    DiffusionModel,
-    DiffusionOutcome,
-    validate_seed_indices,
-)
-from repro.diffusion.batch import run_ic_batch, run_lt_batch, wc_out_probabilities
-from repro.diffusion.linear_threshold import draw_thresholds, resolve_lt_weights
+from repro.diffusion.base import BatchOutcome, DiffusionModel
+from repro.diffusion.batch import run_ic_batch, run_lt_batch
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 
@@ -54,18 +47,6 @@ class OpinionInteractionModel(DiffusionModel):
     def __repr__(self) -> str:
         return f"OpinionInteractionModel(first_layer={self.first_layer!r})"
 
-    # ------------------------------------------------------------------ API
-
-    def simulate(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        if self.first_layer == "lt":
-            return self._simulate_lt(graph, seeds, rng)
-        return self._simulate_ic(graph, seeds, rng)
-
     def simulate_batch(
         self,
         graph: CompiledGraph,
@@ -75,157 +56,11 @@ class OpinionInteractionModel(DiffusionModel):
     ) -> BatchOutcome:
         if self.first_layer == "lt":
             return run_lt_batch(graph, seeds, rng, count, opinion="interaction")
-        if self.first_layer == "wc":
-            probabilities = wc_out_probabilities(graph)
-        else:
-            probabilities = graph.out_probability
         return run_ic_batch(
-            graph, seeds, rng, count, probabilities, opinion="interaction"
+            graph,
+            seeds,
+            rng,
+            count,
+            graph.resolved_edge_probabilities(self.first_layer),
+            opinion="interaction",
         )
-
-    # --------------------------------------------------------- IC first layer
-
-    def _edge_activation_probabilities(self, graph: CompiledGraph) -> np.ndarray:
-        """Per-out-edge activation probabilities for the scalar IC layer.
-
-        The WC reciprocal in-degree array used to be recomputed for every
-        frontier node of every cascade; it is an edge-aligned constant of
-        the graph, served from the :class:`CompiledGraph` cache (the values
-        are identical to the batch kernel's :func:`wc_out_probabilities`).
-        """
-        if self.first_layer == "wc":
-            return graph.resolved_edge_probabilities("wc")
-        return graph.out_probability
-
-    def _simulate_ic(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        n = graph.number_of_nodes
-        edge_probability = self._edge_activation_probabilities(graph)
-        active = np.zeros(n, dtype=bool)
-        final_opinion = np.zeros(n, dtype=np.float64)
-
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            final_opinion[seed] = graph.opinions[seed]
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            next_frontier: deque[int] = deque()
-            while frontier:
-                node = frontier.popleft()
-                neighbors = graph.out_neighbors(node)
-                if neighbors.size == 0:
-                    continue
-                start = graph.out_indptr[node]
-                probabilities = edge_probability[start:start + neighbors.size]
-                interactions = graph.out_interactions(node)
-                draws = rng.random(neighbors.size)
-                successes = np.flatnonzero(draws < probabilities)
-                if successes.size == 0:
-                    continue
-                agreement_draws = rng.random(successes.size)
-                for slot, position in enumerate(successes):
-                    target = int(neighbors[position])
-                    if active[target]:
-                        continue
-                    agrees = agreement_draws[slot] < interactions[position]
-                    contribution = final_opinion[node] if agrees else -final_opinion[node]
-                    opinion = (graph.opinions[target] + contribution) / 2.0
-                    active[target] = True
-                    final_opinion[target] = opinion
-                    outcome.activated.append(target)
-                    outcome.final_opinions[target] = float(opinion)
-                    next_frontier.append(target)
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome
-
-    # --------------------------------------------------------- LT first layer
-
-    def _simulate_lt(
-        self,
-        graph: CompiledGraph,
-        seeds: Sequence[int],
-        rng: np.random.Generator,
-    ) -> DiffusionOutcome:
-        seeds = validate_seed_indices(graph, seeds)
-        outcome = DiffusionOutcome(seeds=seeds)
-        n = graph.number_of_nodes
-        active = np.zeros(n, dtype=bool)
-        final_opinion = np.zeros(n, dtype=np.float64)
-        accumulated = np.zeros(n, dtype=np.float64)
-        thresholds = draw_thresholds(graph, rng)
-        weights = resolve_lt_weights(graph)
-
-        frontier: deque[int] = deque()
-        for seed in seeds:
-            active[seed] = True
-            final_opinion[seed] = graph.opinions[seed]
-            outcome.activated.append(seed)
-            outcome.final_opinions[seed] = float(graph.opinions[seed])
-            frontier.append(seed)
-
-        rounds = 0
-        while frontier:
-            rounds += 1
-            touched: set[int] = set()
-            while frontier:
-                node = frontier.popleft()
-                # The LT weights are aligned with the in-CSR; translate each
-                # traversed out-edge via the graph's cached position map
-                # instead of linearly scanning the target's in-neighbour list
-                # (which made hub rounds O(deg^2)).
-                start, end = graph.out_indptr[node], graph.out_indptr[node + 1]
-                in_positions = graph.out_to_in_position[start:end]
-                for offset in range(end - start):
-                    target = int(graph.out_indices[start + offset])
-                    if active[target]:
-                        continue
-                    accumulated[target] += weights[in_positions[offset]]
-                    touched.add(target)
-            # Strict synchronous rounds: decide the round's activations first,
-            # then average contributions against the *pre-round* active set,
-            # so the result does not depend on the iteration order of
-            # ``touched`` (and matches the batch kernel's semantics).
-            newly = [
-                target for target in touched
-                if not active[target] and accumulated[target] >= thresholds[target]
-            ]
-            next_frontier: deque[int] = deque()
-            for target in newly:
-                # Average the (possibly sign-flipped) opinions of the already
-                # active in-neighbours, weighted equally (Sec. 2.2, OI under LT).
-                start, end = graph.in_indptr[target], graph.in_indptr[target + 1]
-                contributions: list[float] = []
-                for offset in range(start, end):
-                    source = int(graph.in_indices[offset])
-                    if not active[source]:
-                        continue
-                    agrees = rng.random() < graph.in_interaction[offset]
-                    value = final_opinion[source] if agrees else -final_opinion[source]
-                    contributions.append(value)
-                if contributions:
-                    neighbour_term = float(np.mean(contributions))
-                else:  # pragma: no cover - activation requires an active in-neighbour
-                    neighbour_term = 0.0
-                opinion = (graph.opinions[target] + neighbour_term) / 2.0
-                final_opinion[target] = opinion
-                outcome.activated.append(target)
-                outcome.final_opinions[target] = float(opinion)
-                next_frontier.append(target)
-            for target in newly:
-                active[target] = True
-            frontier = next_frontier
-        outcome.rounds = rounds
-        return outcome

@@ -7,6 +7,7 @@ model instances.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Dict
 
 from repro.diffusion.base import DiffusionModel
@@ -19,7 +20,7 @@ from repro.diffusion.opinion_interaction import OpinionInteractionModel
 from repro.diffusion.weighted_cascade import WeightedCascadeModel
 from repro.exceptions import ConfigurationError
 
-_FACTORIES: Dict[str, Callable[[], DiffusionModel]] = {
+_FACTORIES: Dict[str, Callable[..., DiffusionModel]] = {
     "ic": IndependentCascadeModel,
     "wc": WeightedCascadeModel,
     "lt": LinearThresholdModel,
@@ -44,7 +45,8 @@ def get_model(name: str, **kwargs: object) -> DiffusionModel:
     """Instantiate the diffusion model registered under ``name``.
 
     Keyword arguments are forwarded to the model constructor (e.g.
-    ``get_model("icn", quality_factor=0.8)``).
+    ``get_model("icn", quality_factor=0.8)``); one the constructor does not
+    accept raises :class:`~repro.exceptions.ConfigurationError`.
     """
     if isinstance(name, DiffusionModel):
         return name
@@ -54,10 +56,10 @@ def get_model(name: str, **kwargs: object) -> DiffusionModel:
             f"unknown diffusion model {name!r}; available: {', '.join(available_models())}"
         )
     factory = _FACTORIES[key]
-    if kwargs:
-        if key == "icn":
-            return ICNModel(**kwargs)  # type: ignore[arg-type]
-        if key.startswith("oi-"):
-            return OpinionInteractionModel(key.split("-", 1)[1])
-        raise ConfigurationError(f"model {name!r} does not accept parameters: {kwargs}")
-    return factory()
+    try:
+        inspect.signature(factory).bind(**kwargs)
+    except TypeError as error:
+        raise ConfigurationError(
+            f"model {name!r} does not accept parameters {kwargs}: {error}"
+        ) from None
+    return factory(**kwargs)

@@ -2,17 +2,13 @@
 
 WC is the IC model with the activation probability of every edge ``(u, v)``
 fixed to ``1 / in_degree(v)`` (Sec. 3.3 of the paper).  The probabilities are
-derived from the compiled graph's in-degrees at simulation time, so the same
+derived from the compiled graph's in-degrees (and cached on it), so the same
 graph object can be used under IC and WC without re-annotation.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.diffusion.batch import wc_out_probabilities
 from repro.diffusion.independent_cascade import IndependentCascadeModel
-from repro.graphs.digraph import CompiledGraph
 
 # WC probabilities feed the RR-set sampler; opt this module into the
 # REP011 determinism-taint zone (see repro.devtools.flow).
@@ -23,26 +19,4 @@ class WeightedCascadeModel(IndependentCascadeModel):
     """IC with ``p_(u,v) = 1 / in_degree(v)``."""
 
     name = "wc"
-
-    def __init__(self) -> None:
-        # Hold the graph itself, not id(graph): ids are recycled after GC,
-        # so an id-keyed cache can serve stale probabilities to a new graph
-        # allocated at the same address.
-        self._cache_graph: CompiledGraph | None = None
-        self._cache_probabilities: np.ndarray | None = None
-
-    def edge_probabilities(self, graph: CompiledGraph, node: int) -> np.ndarray:
-        probabilities = self._probabilities_for(graph)
-        return probabilities[graph.out_indptr[node]:graph.out_indptr[node + 1]]
-
-    def batch_edge_probabilities(self, graph: CompiledGraph) -> np.ndarray:
-        return self._probabilities_for(graph)
-
-    def _probabilities_for(self, graph: CompiledGraph) -> np.ndarray:
-        """Edge-aligned WC probabilities, cached per compiled graph."""
-        if self._cache_graph is graph and self._cache_probabilities is not None:
-            return self._cache_probabilities
-        probabilities = wc_out_probabilities(graph)
-        self._cache_graph = graph
-        self._cache_probabilities = probabilities
-        return probabilities
+    weighting = "wc"

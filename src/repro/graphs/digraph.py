@@ -456,7 +456,7 @@ class CompiledGraph:
         # digest is computed at most once (see repro.graphs.fingerprint).
         self._fingerprint: Optional[str] = None
         # Graph-static derived arrays, each materialised at most once (the
-        # score engines and scalar diffusion models share them).
+        # score engines and diffusion kernels share them).
         self._edge_sources: Optional[np.ndarray] = None
         self._resolved_probabilities: Dict[str, np.ndarray] = {}
         self._out_psi: Optional[np.ndarray] = None
@@ -576,8 +576,8 @@ class CompiledGraph:
     # ------------------------------------------------- cached derived arrays
     #
     # CompiledGraph is immutable, so each of these is computed at most once
-    # per graph and shared by every consumer (score engines, IRIE, the scalar
-    # diffusion models).  They are deliberately *lazy*: compiling a graph pays
+    # per graph and shared by every consumer (score engines, IRIE, the
+    # diffusion kernels).  They are deliberately *lazy*: compiling a graph pays
     # nothing until an algorithm actually needs the array.
 
     @property

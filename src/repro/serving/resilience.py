@@ -38,6 +38,7 @@ from repro.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
 )
+from repro.utils.rng import splitmix64
 
 __all__ = [
     "CircuitBreaker",
@@ -47,14 +48,6 @@ __all__ = [
 ]
 
 
-def _splitmix64(value: int) -> int:
-    """One SplitMix64 mixing step (the sampler's counter-based generator)."""
-    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return value ^ (value >> 31)
-
-
 def deterministic_jitter(seed: int, counter: int) -> float:
     """A uniform draw in ``[0, 1)`` that is a pure function of its inputs.
 
@@ -62,7 +55,7 @@ def deterministic_jitter(seed: int, counter: int) -> float:
     draw depends only on ``(seed, counter)``, never on thread interleaving
     or wall clock, which is what makes chaos runs replayable.
     """
-    return _splitmix64((seed << 20) ^ counter) / 2.0 ** 64
+    return splitmix64((seed << 20) ^ counter) / 2.0 ** 64
 
 
 class Deadline:

@@ -39,16 +39,17 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 from repro.telemetry.registry import default_registry
 from repro.telemetry.tracing import span
+from repro.utils.rng import SPLITMIX64_GAMMA, SPLITMIX64_MUL_A, SPLITMIX64_MUL_B
 
 SUPPORTED_MODELS = ("ic", "wc", "lt")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# SplitMix64 constants (Steele, Lea and Flood 2014) — the standard 64-bit
-# finalizer used as a counter-based generator over (stream, counter) pairs.
-_MIX_STEP = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
+# The SplitMix64 finalizer of repro.utils.rng.splitmix64, used as a
+# counter-based generator over (stream, counter) pairs.
+_MIX_STEP = np.uint64(SPLITMIX64_GAMMA)
+_MIX_A = np.uint64(SPLITMIX64_MUL_A)
+_MIX_B = np.uint64(SPLITMIX64_MUL_B)
 _INV_2_53 = float(2.0 ** -53)
 
 

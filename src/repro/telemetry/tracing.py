@@ -12,11 +12,11 @@ a single module attribute read — the same idle-cost contract as
 instrument unconditionally.
 
 **Determinism.**  Span IDs are minted from a SplitMix64 counter stream
-seeded by the recorder (the same mixing constants the RR sampler and the
-fault planner use), so two runs of the same workload produce identical
-IDs and parent links.  Timings come from an injectable monotonic clock
-(REP002: never the wall clock), which chaos tests replace with virtual
-time.
+seeded by the recorder (:func:`repro.utils.rng.splitmix64`, the generator
+the RR sampler and the fault planner use), so two runs of the same
+workload produce identical IDs and parent links.  Timings come from an
+injectable monotonic clock (REP002: never the wall clock), which chaos
+tests replace with virtual time.
 
 Parent links are tracked per thread: a span opened while another span is
 active on the same thread records that span as its parent, giving each
@@ -31,6 +31,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Union
 
 from repro.exceptions import ConfigurationError, LifecycleError
+from repro.utils.rng import MASK64, SPLITMIX64_GAMMA, splitmix64
 
 __all__ = [
     "NULL_SPAN",
@@ -43,18 +44,7 @@ __all__ = [
     "uninstall_recorder",
 ]
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = 0x9E3779B97F4A7C15
-
 AttrValue = Union[str, int, float, bool, None]
-
-
-def _splitmix64(value: int) -> int:
-    """The engines' SplitMix64 finalizer (same constants as the RR sampler)."""
-    value = (value + _GOLDEN) & _MASK64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return value ^ (value >> 31)
 
 
 class Span:
@@ -172,7 +162,7 @@ class TraceRecorder:
             )
         self.capacity = capacity
         self.dropped = 0
-        self._seed = int(seed) & _MASK64
+        self._seed = int(seed) & MASK64
         self._clock = clock
         self._counter = 0
         self._lock = threading.Lock()
@@ -189,7 +179,7 @@ class TraceRecorder:
     def _mint_id(self) -> str:
         with self._lock:
             self._counter += 1
-            token = _splitmix64((self._seed * _GOLDEN + self._counter) & _MASK64)
+            token = splitmix64((self._seed * SPLITMIX64_GAMMA + self._counter) & MASK64)
         return f"{token:016x}"
 
     def _stack(self) -> List[Span]:

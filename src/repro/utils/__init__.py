@@ -1,6 +1,6 @@
 """Shared utilities: RNG management, timing, memory tracking and validation."""
 
-from repro.utils.rng import RandomState, ensure_rng, spawn_rng
+from repro.utils.rng import RandomState, ensure_rng, splitmix64
 from repro.utils.timer import Timer, timed
 from repro.utils.memory import MemoryTracker, peak_memory_mb, peak_rss_mb
 from repro.utils.validation import (
@@ -14,7 +14,7 @@ from repro.utils.validation import (
 __all__ = [
     "RandomState",
     "ensure_rng",
-    "spawn_rng",
+    "splitmix64",
     "Timer",
     "timed",
     "MemoryTracker",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.diffusion import (
     IndependentCascadeModel,
     LinearThresholdModel,
     LiveEdgeModel,
+    MonteCarloEngine,
     OCModel,
     OpinionInteractionModel,
     WeightedCascadeModel,
@@ -17,8 +20,10 @@ from repro.diffusion import (
     get_model,
 )
 from repro.diffusion.base import validate_seed_indices
+from repro.diffusion.batch import _sample_live_parent_matrix
 from repro.exceptions import ConfigurationError
 from repro.graphs import DiGraph, path_graph
+from repro.specs import ModelSpec
 from repro.utils.rng import ensure_rng
 
 
@@ -56,23 +61,32 @@ class TestIndependentCascade:
         assert outcome.spread() == 3.0
 
     def test_active_set_monotone_in_seeds(self, small_dag):
-        model = IndependentCascadeModel()
+        # With p = 1 everywhere the cascade is reachability, so adding a
+        # seed can only add activated nodes.
+        for _, _, data in small_dag.edges():
+            data.probability = 1.0
         compiled = small_dag.compile()
+        model = IndependentCascadeModel()
         single = model.simulate(compiled, [0], ensure_rng(3))
         double = model.simulate(compiled, [0, 1], ensure_rng(3))
-        assert len(double.activated) >= 1
+        assert len(single.activated) > 1
+        assert set(single.activated) <= set(double.activated)
+
+    def test_expected_spread_monotone_in_seeds(self, small_dag):
+        compiled = small_dag.compile()
+        single = MonteCarloEngine(compiled, "ic", simulations=4000, seed=3).estimate([0])
+        double = MonteCarloEngine(compiled, "ic", simulations=4000, seed=4).estimate([0, 1])
+        standard_error = np.hypot(single.spread_std, double.spread_std) / np.sqrt(4000)
+        assert double.spread >= single.spread - 4.0 * standard_error
 
     def test_expected_spread_matches_hand_computation(self, figure1):
         # sigma(A) = p_AD = 0.8 and sigma(C) = p_CD = 0.9 (Example 2).
         compiled = figure1.compile()
         model = IndependentCascadeModel()
         rng = ensure_rng(0)
-        a_index = compiled.index_of["A"]
-        c_index = compiled.index_of["C"]
-        spreads_a = [model.simulate(compiled, [a_index], rng).spread() for _ in range(3000)]
-        spreads_c = [model.simulate(compiled, [c_index], rng).spread() for _ in range(3000)]
-        assert np.mean(spreads_a) == pytest.approx(0.8, abs=0.05)
-        assert np.mean(spreads_c) == pytest.approx(0.9, abs=0.05)
+        for label, expected in (("A", 0.8), ("C", 0.9)):
+            batch = model.simulate_batch(compiled, [compiled.index_of[label]], rng, 3000)
+            assert batch.spreads().mean() == pytest.approx(expected, abs=0.05)
 
     def test_final_opinions_are_initial_opinions(self, figure1):
         compiled = figure1.compile()
@@ -85,26 +99,22 @@ class TestIndependentCascade:
 
 class TestWeightedCascade:
     def test_probability_is_inverse_in_degree(self):
+        # The stored p = 0.9 is ignored: node 2 has in-degree 2, so the
+        # seed 0 reaches it with probability 1/2.
         graph = DiGraph()
         graph.add_edge(0, 2, probability=0.9)
         graph.add_edge(1, 2, probability=0.9)
         compiled = graph.compile()
-        model = WeightedCascadeModel()
-        probabilities = model.edge_probabilities(compiled, compiled.index_of[0])
-        assert probabilities[0] == pytest.approx(0.5)
+        batch = WeightedCascadeModel().simulate_batch(
+            compiled, [compiled.index_of[0]], ensure_rng(0), 4000
+        )
+        spreads = batch.spreads()
+        assert abs(spreads.mean() - 0.5) <= 4.0 * spreads.std() / np.sqrt(4000)
 
     def test_single_parent_always_activates(self):
         graph = path_graph(4, probability=0.0)  # stored p ignored under WC
         outcome = _simulate(WeightedCascadeModel(), graph, [0])
         assert outcome.spread() == 3.0
-
-    def test_cache_reused_per_graph(self):
-        graph = path_graph(5)
-        compiled = graph.compile()
-        model = WeightedCascadeModel()
-        first = model._probabilities_for(compiled)
-        second = model._probabilities_for(compiled)
-        assert first is second
 
 
 class TestLinearThreshold:
@@ -134,23 +144,82 @@ class TestLinearThreshold:
         outcome = _simulate(LinearThresholdModel(), graph, [0, 1])
         assert outcome.spread() == 1.0
 
-    def test_expected_spread_close_to_live_edge(self, small_ic_graph):
-        graph = small_ic_graph
-        graph.set_linear_threshold_weights()
+    def test_threshold_reached_exactly_activates(self):
+        # A node activates once the weight sum *reaches* its threshold.
+        graph = DiGraph()
+        graph.add_edge(0, 1, weight=0.5)
+        graph.set_threshold(1, 0.5)
+        outcome = _simulate(LinearThresholdModel(), graph, [0])
+        assert outcome.spread() == 1.0
+
+
+#: A tiny LT graph with a cycle (h -> b): 8 nodes, in-degree <= 3, and every
+#: node's in-weight sum below 1, so "no live in-edge" has positive mass.
+LT_ORACLE_EDGES = [
+    # (source, target, weight)
+    ("a", "c", 0.3), ("b", "c", 0.4),
+    ("a", "d", 0.5), ("c", "d", 0.3),
+    ("c", "e", 0.6), ("d", "e", 0.2), ("b", "e", 0.1),
+    ("d", "f", 0.45), ("e", "f", 0.35),
+    ("e", "g", 0.5), ("f", "g", 0.25), ("c", "g", 0.15),
+    ("g", "h", 0.6), ("f", "h", 0.2),
+    ("h", "b", 0.4),
+]
+LT_ORACLE_SEEDS = ["a"]
+
+
+def exact_lt_spread(edges, seeds):
+    """Exact LT spread by enumerating every live-edge world (Kempe et al.).
+
+    Each node keeps one in-edge with probability its weight, or none with
+    the remaining mass; the spread is the number of non-seed nodes reachable
+    from the seeds through kept edges.
+    """
+    choices = {}
+    for source, target, weight in edges:
+        choices.setdefault(target, []).append((source, weight))
+    for target, options in choices.items():
+        options.append((None, 1.0 - sum(weight for _, weight in options)))
+    targets = list(choices)
+    expected = 0.0
+    for world in itertools.product(*(choices[t] for t in targets)):
+        probability = float(np.prod([weight for _, weight in world]))
+        parent = {t: source for t, (source, _) in zip(targets, world)}
+        reached = set(seeds)
+        grew = True
+        while grew:
+            grown = {t for t, source in parent.items() if source in reached}
+            grew = not grown <= reached
+            reached |= grown
+        expected += probability * (len(reached) - len(seeds))
+    return expected
+
+
+class TestExactLT:
+    def test_oracle_graph_shape(self):
+        in_degree = {}
+        in_weight = {}
+        for _, target, weight in LT_ORACLE_EDGES:
+            in_degree[target] = in_degree.get(target, 0) + 1
+            in_weight[target] = in_weight.get(target, 0.0) + weight
+        nodes = {node for edge in LT_ORACLE_EDGES for node in edge[:2]}
+        assert len(nodes) <= 8
+        assert max(in_degree.values()) <= 3
+        assert max(in_weight.values()) < 1.0
+
+    @pytest.mark.parametrize("model_name", ["lt", "lt-live-edge"])
+    def test_monte_carlo_within_four_standard_errors(self, model_name):
+        graph = DiGraph()
+        for source, target, weight in LT_ORACLE_EDGES:
+            graph.add_edge(source, target, weight=weight)
         compiled = graph.compile()
-        lt = LinearThresholdModel()
-        live = LiveEdgeModel()
-        rng_a = ensure_rng(5)
-        rng_b = ensure_rng(6)
-        simulations = 400
-        lt_mean = np.mean(
-            [lt.simulate(compiled, [0, 1], rng_a).spread() for _ in range(simulations)]
-        )
-        live_mean = np.mean(
-            [live.simulate(compiled, [0, 1], rng_b).spread() for _ in range(simulations)]
-        )
-        # Kempe's equivalence: the two formulations share the same expectation.
-        assert lt_mean == pytest.approx(live_mean, rel=0.25, abs=2.0)
+        simulations = 20_000
+        estimate = MonteCarloEngine(
+            compiled, model_name, simulations=simulations, seed=2016
+        ).estimate(compiled.indices_for(LT_ORACLE_SEEDS))
+        exact = exact_lt_spread(LT_ORACLE_EDGES, LT_ORACLE_SEEDS)
+        standard_error = estimate.spread_std / np.sqrt(simulations)
+        assert abs(estimate.spread - exact) <= 4.0 * standard_error
 
 
 class TestLiveEdge:
@@ -159,16 +228,43 @@ class TestLiveEdge:
         graph.add_edge(0, 1)
         graph.set_linear_threshold_weights()
         compiled = graph.compile()
-        model = LiveEdgeModel()
-        parents = model.sample_live_parents(compiled, ensure_rng(0))
-        assert parents[compiled.index_of[1]] == compiled.index_of[0]
+        parents = _sample_live_parent_matrix(compiled, ensure_rng(0), 50)
+        assert (parents[:, compiled.index_of[1]] == compiled.index_of[0]).all()
+        outcome = _simulate(LiveEdgeModel(), graph, [0])
+        assert outcome.activated == [compiled.index_of[0], compiled.index_of[1]]
+
+    def test_draw_on_a_boundary_selects_the_next_edge(self):
+        # In-edge i owns the half-open interval [c_(i-1), c_i) of the
+        # cumulative weights; a draw exactly on c_0 belongs to edge 1.
+        class BoundaryDraws:
+            def random(self, size):
+                return np.full(size, 0.5)
+
+        graph = DiGraph()
+        graph.add_edge(0, 2, weight=0.5)
+        graph.add_edge(1, 2, weight=0.5)
+        compiled = graph.compile()
+        parents = _sample_live_parent_matrix(compiled, BoundaryDraws(), 1)
+        assert parents[0, compiled.index_of[2]] == compiled.index_of[1]
+
+    def test_last_node_without_in_edges(self):
+        # Regression: the sampler read one past the end of the edge arrays
+        # when the last compiled node had no in-edges.
+        graph = DiGraph()
+        graph.add_edge(0, 1)
+        graph.add_node(2)
+        graph.set_linear_threshold_weights()
+        estimate = MonteCarloEngine(
+            graph.compile(), "lt-live-edge", simulations=10, seed=0
+        ).estimate([0])
+        assert estimate.spread == 1.0
 
     def test_no_in_edges_no_parent(self):
         graph = path_graph(3)
         graph.set_linear_threshold_weights()
         compiled = graph.compile()
-        parents = LiveEdgeModel().sample_live_parents(compiled, ensure_rng(0))
-        assert parents[compiled.index_of[0]] == -1
+        parents = _sample_live_parent_matrix(compiled, ensure_rng(0), 50)
+        assert (parents[:, compiled.index_of[0]] == -1).all()
 
 
 class TestOpinionInteraction:
@@ -208,13 +304,8 @@ class TestOpinionInteraction:
     def test_expected_opinion_spread_matches_example2(self, figure1):
         compiled = figure1.compile()
         model = OpinionInteractionModel("ic")
-        rng = ensure_rng(2)
-        a_index = compiled.index_of["A"]
-        values = [
-            model.simulate(compiled, [a_index], rng).opinion_spread()
-            for _ in range(4000)
-        ]
-        assert np.mean(values) == pytest.approx(0.136, abs=0.02)
+        batch = model.simulate_batch(compiled, [compiled.index_of["A"]], ensure_rng(2), 4000)
+        assert batch.opinion_spreads().mean() == pytest.approx(0.136, abs=0.02)
 
     def test_opinions_stay_in_range(self, annotated_small_graph):
         compiled = annotated_small_graph.compile()
@@ -294,6 +385,25 @@ class TestRegistry:
     def test_get_model_with_parameters(self):
         model = get_model("icn", quality_factor=0.7)
         assert model.quality_factor == pytest.approx(0.7)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("oi-ic", {"quality_factor": 0.1}),
+            ("oi-lt", {"first_layer": "ic"}),
+            ("ic", {"x": 1}),
+            ("wc", {"quality_factor": 0.5}),
+            ("icn", {"quality": 0.5}),
+        ],
+    )
+    def test_unaccepted_parameters_raise(self, name, params):
+        with pytest.raises(ConfigurationError):
+            get_model(name, **params)
+
+    def test_model_spec_params_are_not_dropped(self):
+        assert ModelSpec(name="icn", params={"quality_factor": 0.3}).build().quality_factor == 0.3
+        with pytest.raises(ConfigurationError):
+            ModelSpec(name="oi-wc", params={"quality_factor": 0.3}).build()
 
     def test_unknown_model(self):
         with pytest.raises(ConfigurationError):

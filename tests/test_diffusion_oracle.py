@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.diffusion import MonteCarloEngine
 from repro.diffusion.base import validate_seed_indices
-from repro.diffusion.batch import run_ic_batch, wc_out_probabilities
+from repro.diffusion.batch import run_ic_batch
 from repro.graphs.digraph import CompiledGraph, DiGraph
 from repro.graphs.generators import barabasi_albert_graph
 from repro.opinion.annotate import annotate_graph
@@ -157,7 +157,7 @@ def kernel_cases(draw):
     compiled = graph.compile()
     probabilities = draw(st.sampled_from(["annotated", "uniform", "wc"]))
     if probabilities == "wc":
-        edge_probability = wc_out_probabilities(compiled)
+        edge_probability = compiled.resolved_edge_probabilities("wc")
     elif probabilities == "uniform":
         uniform = draw(st.sampled_from([0.0, 0.3, 1.0]))
         edge_probability = np.full(compiled.number_of_edges, uniform)
