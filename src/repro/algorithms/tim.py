@@ -269,10 +269,10 @@ class TIMPlusSelector(SeedSelector):
         while drawn < theta_prime:
             block = min(self.block_size, theta_prime - drawn)
             members, indptr, _ = sampler.sample(self._rng, block)
+            # Every RR set holds its root, so the set starts are strictly
+            # increasing and one reduceat yields each set's "any member hit".
             hits = seed_mask[members]
-            if hits.any():
-                set_ids = np.repeat(np.arange(block), np.diff(indptr))
-                covered += int(np.unique(set_ids[hits]).size)
+            covered += int(np.count_nonzero(np.logical_or.reduceat(hits, indptr[:-1])))
             drawn += block
         fraction = covered / theta_prime
         kpt_prime = fraction * n / (1.0 + epsilon_prime)
@@ -312,17 +312,3 @@ class TIMPlusSelector(SeedSelector):
             "rr_sets": collection.num_sets,
             "estimated_spread": estimated_spread,
         }
-
-    @staticmethod
-    def _max_coverage(
-        n: int, rr_sets: list[list[int]], budget: int
-    ) -> tuple[list[int], float]:
-        """Greedy maximum coverage of the RR sets by ``budget`` nodes.
-
-        Compatibility wrapper over the sketch subsystem's greedy cover;
-        pads with arbitrary unselected nodes when fewer than ``budget``
-        distinct nodes appear in the RR sets.
-        """
-        collection = RRSetCollection.from_lists(n, rr_sets)
-        covering, fraction = greedy_max_coverage(collection, budget)
-        return pad_with_unselected(n, covering, budget), fraction

@@ -4,7 +4,7 @@ An artifact is a single uncompressed ``.npz`` file holding the CSR arrays of
 an :class:`~repro.sketches.collection.RRSetCollection` plus a JSON provenance
 record:
 
-* ``members`` / ``indptr`` — the RR-set CSR (int64), exactly as sampled.
+* ``members`` / ``indptr`` — the RR-set CSR, exactly as sampled.
 * ``node_indptr`` / ``node_sets`` — the precomputed inverted index (which
   sets contain each node), so a warm ``select(k)`` never pays the
   member-array argsort that building it costs; absent in hand-rolled
@@ -14,6 +14,12 @@ record:
   ``theta`` (number of sets), sampling ``block_size``, the graph content
   fingerprint (:func:`~repro.graphs.fingerprint.graph_fingerprint`), node
   and edge counts, and the library version that wrote the file.
+
+Every array is written in the collection's own dtype: int32 for the ids
+(``members``, ``node_sets``) and int64 for the offsets (``indptr``,
+``node_indptr``).  Artifacts written before the ids narrowed hold int64
+throughout; the loader accepts any integer dtype and maps such a file as it
+is, so both layouts load, verify and answer identically under version 1.
 
 **Memory-mapped reload.**  ``np.savez`` stores each array as a plain ``.npy``
 member inside a ZIP container; because the container is written *uncompressed*
@@ -219,10 +225,10 @@ def save_index_artifact(
         )
     node_indptr, node_sets = collection.inverted_index()
     payload = {
-        "members": np.ascontiguousarray(collection.members, dtype=np.int64),
-        "indptr": np.ascontiguousarray(collection.indptr, dtype=np.int64),
-        "node_indptr": np.ascontiguousarray(node_indptr, dtype=np.int64),
-        "node_sets": np.ascontiguousarray(node_sets, dtype=np.int64),
+        "members": np.ascontiguousarray(collection.members),
+        "indptr": np.ascontiguousarray(collection.indptr),
+        "node_indptr": np.ascontiguousarray(node_indptr),
+        "node_sets": np.ascontiguousarray(node_sets),
     }
     # The checksum goes into the provenance record itself (not a sidecar
     # file), so a bit-flipped payload is detected on load and the file can

@@ -9,7 +9,7 @@ blocks they run on:
   over the in-CSR arrays, mirroring the forward batch kernels of
   :mod:`repro.diffusion.batch`.
 * :class:`~repro.sketches.collection.RRSetCollection` — a compact CSR-backed
-  store of RR sets (flat ``members``/``indptr`` int64 arrays) that grows
+  store of RR sets (flat int32 ``members``, int64 ``indptr``) that grows
   incrementally, plus the sketch-based spread oracle
   :meth:`~repro.sketches.collection.RRSetCollection.estimated_spread`.
 * :func:`~repro.sketches.coverage.greedy_max_coverage` — greedy maximum

@@ -1,13 +1,23 @@
 """Compact CSR-backed storage for reverse-reachable set collections.
 
-A collection holds ``num_sets`` RR sets over ``n`` nodes as two flat int64
-arrays — ``members`` (all set members back to back) and ``indptr`` (set
-boundaries) — instead of ``list[list[int]]``.  That keeps the per-set
+A collection holds ``num_sets`` RR sets over ``n`` nodes as two flat arrays —
+``members`` (all set members back to back) and ``indptr`` (set boundaries) —
+instead of ``list[list[int]]``.  That keeps the per-set
 overhead at zero Python objects, makes the coverage and spread queries pure
 numpy reductions (over the members, or over the cached inverted index when
 one exists), and lets IMM grow ``theta`` block-wise while reusing every
 previously drawn set: blocks are appended in O(1) and consolidated lazily on
 first read.
+
+**Widths.**  Ids are stored as int32 and offsets as int64: ``members`` and
+the inverted index's ``node_sets`` hold node and set ids, which a collection
+keeps below ``2**31`` (``n >= 2**31`` or more than ``2**31 - 1`` sets raise
+:class:`~repro.exceptions.SketchError`), while ``indptr`` and
+``node_indptr`` count entries, which can pass ``2**31``.  Ids are the bulk
+of the bytes, so a built collection holds about 8 bytes per member instead
+of 24.  Arrays adopted by :meth:`RRSetCollection.from_csr` keep their own
+integer dtype (artifacts written before the switch hold int64), and every
+query reads either width.
 """
 
 from __future__ import annotations
@@ -19,7 +29,10 @@ import numpy as np
 from repro.exceptions import SketchError, SketchIndexError
 from repro.sketches.sampler import expand_csr_positions, stable_argsort_bounded
 
-_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY = np.empty(0, dtype=np.int32)
+
+#: Largest node or set id a collection stores (ids are int32).
+_MAX_ID = int(np.iinfo(np.int32).max)
 
 #: Member entries gathered per pass of the batched spread oracle; bounds the
 #: transient ``requests x chunk`` boolean matrix (a set larger than this
@@ -39,13 +52,17 @@ class RRSetCollection:
     def __init__(self, n: int) -> None:
         if n < 0:
             raise SketchError(f"n must be non-negative, got {n}")
+        if n > _MAX_ID:
+            raise SketchError(
+                f"n={n} exceeds the int32 node ids of a collection "
+                f"(at most {_MAX_ID} nodes)"
+            )
         self.n = int(n)
         self._member_blocks: List[np.ndarray] = []
         self._size_blocks: List[np.ndarray] = []
         self._num_sets = 0
         self._members = _EMPTY
         self._indptr = np.zeros(1, dtype=np.int64)
-        self._set_ids: Optional[np.ndarray] = _EMPTY
         self._node_indptr: Optional[np.ndarray] = None
         self._node_sets: Optional[np.ndarray] = None
         self._dirty = False
@@ -58,7 +75,7 @@ class RRSetCollection:
         collection = cls(n)
         if not rr_sets:
             return collection
-        arrays = [np.asarray(list(s), dtype=np.int64) for s in rr_sets]
+        arrays = [np.asarray(list(s), dtype=np.int32) for s in rr_sets]
         sizes = np.array([a.size for a in arrays], dtype=np.int64)
         indptr = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
@@ -90,9 +107,14 @@ class RRSetCollection:
         """
         collection = cls(n)
         if not isinstance(members, np.ndarray):
-            members = np.asarray(members, dtype=np.int64)
+            members = np.asarray(members, dtype=np.int32)
         if not isinstance(indptr, np.ndarray):
             indptr = np.asarray(indptr, dtype=np.int64)
+        if indptr.size - 1 > _MAX_ID:
+            raise SketchError(
+                f"{indptr.size - 1} sets exceed the int32 set ids of a "
+                f"collection (at most {_MAX_ID})"
+            )
         if validate:
             if indptr.ndim != 1 or indptr.size == 0:
                 raise SketchError("indptr must be a non-empty 1-d array")
@@ -103,7 +125,6 @@ class RRSetCollection:
         collection._members = members
         collection._indptr = indptr
         collection._num_sets = indptr.size - 1
-        collection._set_ids = None  # computed lazily on first coverage query
         collection._dirty = False
         if node_indptr is not None and node_sets is not None:
             if node_indptr.size != n + 1 or node_sets.size != members.size or (
@@ -118,13 +139,18 @@ class RRSetCollection:
 
     def append(self, members: np.ndarray, indptr: np.ndarray) -> None:
         """Append a CSR block of RR sets (as produced by the batch sampler)."""
-        members = np.asarray(members, dtype=np.int64)
+        members = np.asarray(members, dtype=np.int32)
         indptr = np.asarray(indptr, dtype=np.int64)
         if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != members.size:
             raise SketchError("indptr must start at 0 and end at members.size")
         sizes = np.diff(indptr)
         if sizes.size == 0:
             return
+        if self._num_sets + sizes.size > _MAX_ID:
+            raise SketchError(
+                f"appending {sizes.size} sets to {self._num_sets} would exceed "
+                f"the int32 set ids of a collection (at most {_MAX_ID} sets)"
+            )
         self._member_blocks.append(members)
         self._size_blocks.append(sizes)
         self._num_sets += sizes.size
@@ -151,15 +177,6 @@ class RRSetCollection:
         self._consolidate()
         return self._indptr
 
-    @property
-    def set_ids(self) -> np.ndarray:
-        """Set index of every entry of :attr:`members` (computed lazily)."""
-        self._consolidate()
-        if self._set_ids is None:
-            sizes = np.diff(self._indptr)
-            self._set_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        return self._set_ids
-
     def _consolidate(self) -> None:
         if not self._dirty:
             return
@@ -168,10 +185,11 @@ class RRSetCollection:
         )
         sizes_old = np.diff(self._indptr)
         sizes = np.concatenate([sizes_old] + self._size_blocks)
-        self._members = np.concatenate(members) if members else _EMPTY
+        self._members = (
+            np.concatenate(members, dtype=np.int32) if members else _EMPTY
+        )
         self._indptr = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=self._indptr[1:])
-        self._set_ids = None
         self._node_indptr = None
         self._node_sets = None
         self._member_blocks = []
@@ -190,7 +208,9 @@ class RRSetCollection:
         ``n`` below ``2**32`` — so it is cached here and persisted inside
         index artifacts (where a warm ``select(k)`` would otherwise pay the
         sort on every reopen).  Deterministic given the CSR: within a node,
-        set ids appear in ascending order.
+        set ids appear in ascending order.  ``node_sets`` is int32 and
+        ``node_indptr`` int64; the per-entry set ids the sort permutes are a
+        temporary, not kept.
         """
         self._consolidate()
         if self._node_indptr is None or self._node_sets is None:
@@ -198,7 +218,10 @@ class RRSetCollection:
             node_indptr = np.zeros(self.n + 1, dtype=np.int64)
             np.cumsum(counts, out=node_indptr[1:])
             order = stable_argsort_bounded(self._members, self.n)
-            self._node_sets = self.set_ids[order]
+            set_ids = np.repeat(
+                np.arange(self._num_sets, dtype=np.int32), np.diff(self._indptr)
+            )
+            self._node_sets = set_ids[order]
             self._node_indptr = node_indptr
         return self._node_indptr, self._node_sets
 
@@ -286,7 +309,9 @@ class RRSetCollection:
         mask = np.zeros(self._num_sets, dtype=bool)
         for row, seeds in enumerate(requests):
             positions, _ = expand_csr_positions(node_indptr, seeds)
-            hit = node_sets[positions]
+            # intp, not the stored int32: numpy scatters several times
+            # faster through intp index arrays.
+            hit = node_sets[positions].astype(np.intp, copy=False)
             mask[hit] = True
             covered[row] = np.count_nonzero(mask)
             mask[hit] = False
@@ -329,8 +354,6 @@ class RRSetCollection:
     def memory_bytes(self) -> int:
         """Bytes held by the CSR arrays (pending blocks included)."""
         total = self._members.nbytes + self._indptr.nbytes
-        if self._set_ids is not None:
-            total += self._set_ids.nbytes
         if self._node_indptr is not None:
             total += self._node_indptr.nbytes
         if self._node_sets is not None:

@@ -217,12 +217,14 @@ class BatchRRSampler:
             probabilities = in_edge_probabilities(graph, model)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
         self._in_degrees = np.diff(graph.in_indptr)
-        # Persistent visited buffer: allocated once for the largest block
-        # seen and wiped incrementally (only the keys a block touched),
-        # because re-allocating a ``block * n`` array per block costs more
-        # in page faults than the sampling itself on small-RR-set graphs.
-        # Keys are node-major (``node * block + set``) so the hub nodes that
-        # dominate reverse traversals share pages.
+        # Visited buffer: allocated once for the largest block seen and
+        # wiped incrementally (only the keys a block touched), because
+        # re-allocating a ``block * n`` array per block costs more in page
+        # faults than the sampling itself on small-RR-set graphs.  It lives
+        # across the blocks of one :meth:`sample_into` call (or of a loop of
+        # :meth:`sample` calls) and is released when ``sample_into``
+        # returns.  Keys are node-major (``node * block + set``) so the hub
+        # nodes that dominate reverse traversals share pages.
         self._visited = np.zeros(0, dtype=bool)
         if model == "lt":
             self._prepare_live_edge_arrays()
@@ -298,15 +300,19 @@ class BatchRRSampler:
         """Draw ``count`` RR sets; return ``(members, indptr, widths)``.
 
         ``members``/``indptr`` form a CSR over the sets (members in
-        discovery order, root first); ``widths[j]`` is the number of in-edges
-        examined while growing set ``j`` (the ``EPT`` width used by TIM's
-        KPT estimation).
+        discovery order, root first; int32 node ids, int64 offsets);
+        ``widths[j]`` is the number of in-edges examined while growing set
+        ``j`` (the ``EPT`` width used by TIM's KPT estimation).
         """
         count = int(count)
         if count < 0:
             raise ConfigurationError(f"count must be non-negative, got {count}")
         if count == 0 or self.n == 0:
-            return _EMPTY.copy(), np.zeros(count + 1, dtype=np.int64), _EMPTY.copy()
+            return (
+                np.empty(0, dtype=np.int32),
+                np.zeros(count + 1, dtype=np.int64),
+                _EMPTY.copy(),
+            )
         return self.sample_tokens(self.draw_tokens(rng, count))
 
     def sample_tokens(
@@ -322,7 +328,7 @@ class BatchRRSampler:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size == 0 or self.n == 0:
             return (
-                _EMPTY.copy(),
+                np.empty(0, dtype=np.int32),
                 np.zeros(tokens.size + 1, dtype=np.int64),
                 _EMPTY.copy(),
             )
@@ -343,7 +349,9 @@ class BatchRRSampler:
 
         The single grow loop shared by the selectors, the sketch spread
         oracle and the benchmark, so block chunking behaves identically
-        everywhere.
+        everywhere.  The ``block_size * n`` byte visited buffer is freed on
+        return: what follows (a cover, or spread queries) does not sample,
+        and the buffer can outweigh the RR sets it helped draw.
         """
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
@@ -362,13 +370,16 @@ class BatchRRSampler:
             start=int(collection.num_sets),
             target=int(target),
         ):
-            while collection.num_sets < target:
-                block = min(block_size, target - collection.num_sets)
-                members, indptr, _ = self.sample(rng, block)
-                collection.append(members, indptr)
-                if sets_total is not None:
-                    sets_total.inc(block)
-                    blocks_total.inc()
+            try:
+                while collection.num_sets < target:
+                    block = min(block_size, target - collection.num_sets)
+                    members, indptr, _ = self.sample(rng, block)
+                    collection.append(members, indptr)
+                    if sets_total is not None:
+                        sets_total.inc(block)
+                        blocks_total.inc()
+            finally:
+                self._visited = np.zeros(0, dtype=bool)
 
     def sample_roots(
         self, rng: np.random.Generator, roots: np.ndarray
@@ -501,17 +512,20 @@ class BatchRRSampler:
         Widths fall out of the membership: every member enters its set's
         frontier (or walk) exactly once and is expanded exactly once, so the
         edges a set examined are the summed in-degrees of its members.
+        ``members`` comes back as int32, the width the collection stores
+        node ids in; the kernels work in int64 because their visited keys
+        reach ``block * n``.
         """
         owners = np.concatenate(owner_chunks)
         nodes = np.concatenate(node_chunks)
         stride = self._visited.size // self.n
         self._visited[nodes * stride + owners] = False
         order = stable_argsort_bounded(owners, count)
-        members = nodes[order]
+        members = nodes[order].astype(np.int32)
         sizes = np.bincount(owners, minlength=count)
         indptr = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
         widths = np.bincount(
             owners, weights=self._in_degrees[nodes], minlength=count
         ).astype(np.int64)
-        return members.astype(np.int64, copy=False), indptr, widths
+        return members, indptr, widths

@@ -11,6 +11,7 @@ from repro.algorithms.tim import TIMPlusSelector, _log_binomial
 from repro.bench.reporting import _format_value
 from repro.diffusion import MonteCarloEngine
 from repro.graphs import DiGraph, path_graph, star_graph
+from repro.sketches import RRSetCollection, greedy_max_coverage, pad_with_unselected
 from repro.utils.rng import ensure_rng
 
 
@@ -101,9 +102,15 @@ class TestTIMInternals:
 
     def test_max_coverage_prefers_frequent_nodes(self):
         rr_sets = [[0, 1], [0, 2], [0, 3], [4]]
-        seeds, fraction = TIMPlusSelector._max_coverage(5, rr_sets, 1)
-        assert seeds == [0]
+        collection = RRSetCollection.from_lists(5, rr_sets)
+        covering, fraction = greedy_max_coverage(collection, 1)
+        assert pad_with_unselected(5, covering, 1) == [0]
         assert fraction == pytest.approx(0.75)
+        # Two picks cover every set; a third slot is padded with the
+        # smallest unselected node, as TIM+ does.
+        covering, fraction = greedy_max_coverage(collection, 3)
+        assert covering == [0, 4] and fraction == pytest.approx(1.0)
+        assert pad_with_unselected(5, covering, 3) == [0, 4, 1]
 
 
 class TestSimPathInternals:

@@ -220,6 +220,49 @@ class TestArtifactStore:
         assert not eager.memory_mapped
         assert np.array_equal(eager.members, artifact.members)
 
+    def test_int64_artifact_loads_and_answers_like_int32_build(
+        self, wc_graph, built_index, tmp_path
+    ):
+        # An artifact in the layout written before the ids narrowed: every
+        # array int64.  save_index_artifact writes a collection's own dtypes,
+        # so an int64-adopting collection reproduces that file.
+        source = built_index.collection
+        node_indptr, node_sets = source.inverted_index()
+        assert source.members.dtype == np.int32
+        wide = RRSetCollection.from_csr(
+            source.n,
+            source.members.astype(np.int64),
+            source.indptr.astype(np.int64),
+            node_indptr=node_indptr.astype(np.int64),
+            node_sets=node_sets.astype(np.int64),
+        )
+        path = save_index_artifact(
+            tmp_path / "wide.npz", wide, built_index.metadata
+        )
+        artifact = load_index_artifact(path)  # verifies payload_sha256
+        assert artifact.memory_mapped
+        assert "payload_sha256" in artifact.metadata
+        for array in (artifact.members, artifact.node_sets):
+            assert isinstance(array, np.memmap) and array.dtype == np.int64
+        legacy = InfluenceIndex.from_artifact(artifact, wc_graph)
+        assert legacy.collection == built_index.collection
+        nodes = list(wc_graph.nodes())
+        queries = [nodes[:1], nodes[3:9], nodes[::17], []]
+        assert legacy.estimate_spreads(queries) == built_index.estimate_spreads(
+            queries
+        )
+        for budget in (1, 6, 15):
+            old, new = legacy.select(budget), built_index.select(budget)
+            assert old.seeds == new.seeds
+            assert old.covered_fraction == new.covered_fraction
+            assert old.estimated_spread == new.estimated_spread
+        # Growth consolidates the mapped int64 ids into int32 storage.
+        legacy.grow(5000)
+        fresh = InfluenceIndex.build(wc_graph, "ic", 5000, engine_seed=11)
+        assert legacy.collection.members.dtype == np.int32
+        assert legacy.collection == fresh.collection
+        assert legacy.select(6).seeds == fresh.select(6).seeds
+
     def test_artifact_respects_umask(self, built_index, tmp_path):
         import os
         import stat

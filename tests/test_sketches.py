@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from repro.algorithms.imm import IMMSelector
 from repro.algorithms.tim import TIMPlusSelector
 from repro.core.evaluation import sketch_evaluate_seed_prefixes
 from repro.diffusion.simulation import MonteCarloEngine
-from repro.exceptions import BudgetError, ConfigurationError
+from repro.exceptions import BudgetError, ConfigurationError, SketchError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.sketches import (
@@ -185,6 +187,100 @@ class TestRRSetCollection:
     def test_coverage_counts(self):
         collection = RRSetCollection.from_lists(4, [[0, 1], [1], [1, 3]])
         assert collection.coverage_counts().tolist() == [1, 3, 0, 1]
+
+
+#: sha256 of ``members.astype(np.int64)`` and of ``indptr`` for 600 RR sets
+#: drawn from fixed tokens on the 120-node test graph, recorded while the
+#: sampler still returned int64 members: narrowing the stored ids must not
+#: change a single sampled value.
+_PINNED_SAMPLES = {
+    "ic": (
+        "6c7f08d829b55bfbd5e9fdacf70e0ba366648ffe576ac9d7f9cf28338892f78d",
+        "35ddfecfbd796ab05ff688629c39e9ebf9e43bf7ba27732c7b3edf17f401dfb9",
+    ),
+    "wc": (
+        "4edad1c3de4a68e48f09ac05dba9d2c70035bc841b24255825968eef91e41b74",
+        "4313d5834ddcbadfb74d543b749a3814f0dd264ad6fed28a47f5a68a5b7b1038",
+    ),
+    "lt": (
+        "28967a026b8392ea552f30bbc37c7e012fd140f90a55e2034688e9ae1a97faff",
+        "3ffca51af3a16e358d54986b75294f6c573c780cd090b9a259c09aad866258f9",
+    ),
+}
+
+
+class TestIdWidths:
+    """Ids are stored as int32, offsets as int64, with identical values."""
+
+    @pytest.fixture(scope="class")
+    def ic_compiled(self, wc_graph):
+        graph = wc_graph.copy()
+        graph.set_uniform_probabilities(0.3)
+        return graph.compile()
+
+    @pytest.mark.parametrize("model", ["ic", "wc", "lt"])
+    def test_sampled_values_pinned(
+        self, ic_compiled, wc_compiled, lt_compiled, model
+    ):
+        compiled = {"ic": ic_compiled, "wc": wc_compiled, "lt": lt_compiled}[model]
+        sampler = BatchRRSampler(compiled, model)
+        tokens = BatchRRSampler.draw_tokens(np.random.default_rng(2024), 600)
+        members, indptr, _ = sampler.sample_tokens(tokens)
+        assert members.dtype == np.int32
+        assert indptr.dtype == np.int64
+        digests = (
+            hashlib.sha256(members.astype(np.int64).tobytes()).hexdigest(),
+            hashlib.sha256(indptr.tobytes()).hexdigest(),
+        )
+        assert digests == _PINNED_SAMPLES[model]
+
+    def test_collection_and_index_dtypes(self, wc_compiled):
+        collection, _ = _sample_chunked(wc_compiled, "ic", [100, 140], seed=3)
+        assert collection.members.dtype == np.int32
+        assert collection.indptr.dtype == np.int64
+        node_indptr, node_sets = collection.inverted_index()
+        assert node_sets.dtype == np.int32
+        assert node_indptr.dtype == np.int64
+        listed = RRSetCollection.from_lists(6, [[0, 1], [2], [], [1, 3, 4]])
+        assert listed.members.dtype == np.int32
+        assert listed.indptr.dtype == np.int64
+
+    def test_memory_bytes_bound(self, wc_compiled):
+        # 8 bytes per member (an int32 node id in ``members`` and an int32
+        # set id in ``node_sets``) plus the two int64 offset arrays.  Wider
+        # id arrays, or a cached per-member set id array, break the bound.
+        collection, _ = _sample_chunked(wc_compiled, "wc", [500, 500], seed=5)
+        collection.inverted_index()
+        members = collection.members.size
+        assert members > collection.num_sets  # not just the roots
+        bound = 8 * members + 8 * (collection.num_sets + 1) + 8 * (collection.n + 1)
+        assert collection.memory_bytes <= bound
+
+    def test_rejects_node_ids_past_int32(self):
+        RRSetCollection(2**31 - 1)
+        with pytest.raises(SketchError, match="int32"):
+            RRSetCollection(2**31)
+
+    def test_rejects_set_ids_past_int32(self):
+        # Zero-stride offsets describe 2**31 - 1 empty sets without
+        # allocating them.
+        full = RRSetCollection.from_csr(
+            4,
+            np.empty(0, dtype=np.int32),
+            np.broadcast_to(np.int64(0), (2**31,)),
+            validate=False,
+        )
+        assert full.num_sets == 2**31 - 1
+        with pytest.raises(SketchError, match="int32"):
+            full.append(np.array([0], dtype=np.int32), np.array([0, 1]))
+        assert full.num_sets == 2**31 - 1
+        with pytest.raises(SketchError, match="int32"):
+            RRSetCollection.from_csr(
+                4,
+                np.empty(0, dtype=np.int32),
+                np.broadcast_to(np.int64(0), (2**31 + 1,)),
+                validate=False,
+            )
 
 
 @st.composite
