@@ -10,36 +10,31 @@ opinion-aware selection.
 from __future__ import annotations
 
 from repro.algorithms import EaSyIMSelector, OSIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import compare_seed_sets
 
 from helpers import BENCH_SIMULATIONS, SWEEP_SEED_COUNTS, load_bench_graph, one_shot
 
 
-def _run_dataset(name: str) -> list:
+def _run_dataset(name: str) -> dict:
     graph = load_bench_graph(name, annotated=True, opinion="uniform")
     budget = max(SWEEP_SEED_COUNTS)
     oi_seeds = OSIMSelector(max_path_length=3, model="oi-ic", seed=0).select(graph, budget).seeds
     ic_seeds = EaSyIMSelector(max_path_length=3, model="ic", seed=0).select(graph, budget).seeds
-    oc_seeds = OSIMSelector(max_path_length=3, model="oc", weighting="lt", seed=0).select(
-        graph, budget
-    ).seeds
-    return compare_seed_sets(
-        graph,
-        "oi-ic",
-        {"OI": oi_seeds, "IC": ic_seeds, "OC": oc_seeds},
-        seed_counts=list(SWEEP_SEED_COUNTS),
-        objective="opinion",
-        simulations=BENCH_SIMULATIONS,
-        seed=1,
-    )
+    oc_seeds = OSIMSelector(max_path_length=3, model="oc", seed=0).select(graph, budget).seeds
+    return {
+        label: MonteCarloEstimator(
+            graph, "oi-ic", objective="opinion", simulations=BENCH_SIMULATIONS, seed=1
+        ).sweep(seeds, SWEEP_SEED_COUNTS)
+        for label, seeds in {"OI": oi_seeds, "IC": ic_seeds, "OC": oc_seeds}.items()
+    }
 
 
 def test_fig2_opinion_spread_nethept(benchmark, reporter):
     series = one_shot(benchmark, _run_dataset, "nethept")
     reporter("Figure 2 — opinion spread vs #seeds (NetHEPT, evaluated under OI)",
              format_series_table(series, value_label="opinion spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     # OI-selected seeds must dominate IC-selected seeds at the largest budget
     # (up to Monte-Carlo noise at bench scale).
     assert final["OI"] >= final["IC"] - max(0.5, 0.2 * abs(final["IC"]))
@@ -49,5 +44,5 @@ def test_fig2_opinion_spread_hepph(benchmark, reporter):
     series = one_shot(benchmark, _run_dataset, "hepph")
     reporter("Figure 2 — opinion spread vs #seeds (HepPh, evaluated under OI)",
              format_series_table(series, value_label="opinion spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     assert final["OI"] >= final["IC"] - max(0.5, 0.2 * abs(final["IC"]))

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import format_table
-from repro.core.evaluation import normalized_rmse_curve
+from repro.bench.reporting import format_table, normalized_rmse_curve
 from repro.diffusion import MonteCarloEngine
 from repro.opinion.topics import ground_truth_opinion_spread
 

@@ -9,38 +9,34 @@ should achieve the highest effective opinion spread.
 from __future__ import annotations
 
 from repro.algorithms import EaSyIMSelector, OSIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import compare_seed_sets
 
 from helpers import BENCH_SIMULATIONS, load_churn_case_study, one_shot
 
 SEED_COUNTS = (0, 5, 10, 20)
 
 
-def _run() -> list:
+def _run() -> dict:
     _, graph = load_churn_case_study()
     budget = max(SEED_COUNTS)
     oi = OSIMSelector(max_path_length=3, model="oi-ic", seed=0).select(graph, budget).seeds
-    oc = OSIMSelector(max_path_length=3, model="oc", weighting="lt", seed=0).select(
-        graph, budget
-    ).seeds
+    oc = OSIMSelector(max_path_length=3, model="oc", seed=0).select(graph, budget).seeds
     ic = EaSyIMSelector(max_path_length=3, model="ic", seed=0).select(graph, budget).seeds
-    return compare_seed_sets(
-        graph,
-        "oi-ic",
-        {"OI": oi, "OC": oc, "IC": ic},
-        seed_counts=list(SEED_COUNTS),
-        objective="effective-opinion",
-        simulations=BENCH_SIMULATIONS,
-        seed=4,
-    )
+    return {
+        label: MonteCarloEstimator(
+            graph, "oi-ic", objective="effective-opinion",
+            simulations=BENCH_SIMULATIONS, seed=4,
+        ).sweep(seeds, SEED_COUNTS)
+        for label, seeds in {"OI": oi, "OC": oc, "IC": ic}.items()
+    }
 
 
 def test_fig5d_churn_case_study(benchmark, reporter):
     series = one_shot(benchmark, _run)
     reporter("Figure 5(d) — effective opinion spread vs #seeds (churn case study)",
              format_series_table(series, value_label="effective opinion spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     # The opinion-aware selection must stay at least on par with the
     # opinion-oblivious one, up to Monte-Carlo noise at bench scale.
     noise_margin = max(1.0, 0.2 * abs(final["IC"]))

@@ -12,26 +12,23 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import OSIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import evaluate_seed_prefixes
 
 from helpers import BENCH_SIMULATIONS, SWEEP_SEED_COUNTS, load_bench_graph, one_shot
 
 
-def _run(dataset: str) -> list:
+def _run(dataset: str) -> dict:
     graph = load_bench_graph(dataset, annotated=True, opinion="uniform")
     budget = max(SWEEP_SEED_COUNTS)
     seeds = OSIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
-    series = []
-    for penalty, label in ((1.0, "lambda=1"), (0.0, "lambda=0")):
-        series.append(
-            evaluate_seed_prefixes(
-                graph, "oi-ic", seeds, list(SWEEP_SEED_COUNTS),
-                objective="effective-opinion", simulations=BENCH_SIMULATIONS,
-                penalty=penalty, label=label, seed=6,
-            )
-        )
-    return series
+    return {
+        label: MonteCarloEstimator(
+            graph, "oi-ic", objective="effective-opinion",
+            simulations=BENCH_SIMULATIONS, penalty=penalty, seed=6,
+        ).sweep(seeds, SWEEP_SEED_COUNTS)
+        for penalty, label in ((1.0, "lambda=1"), (0.0, "lambda=0"))
+    }
 
 
 @pytest.mark.parametrize("dataset", ["nethept", "hepph", "dblp", "youtube"])
@@ -41,6 +38,5 @@ def test_fig5e_lambda_comparison(benchmark, reporter, dataset):
         f"Figure 5(e)/7(a) — effective opinion spread, lambda=1 vs lambda=0 ({dataset})",
         format_series_table(series, value_label="effective opinion spread"),
     )
-    by_label = {s.label: s.values for s in series}
-    for strict, lenient in zip(by_label["lambda=1"], by_label["lambda=0"]):
+    for strict, lenient in zip(series["lambda=1"].values(), series["lambda=0"].values()):
         assert lenient >= strict - 1e-9

@@ -9,8 +9,8 @@ spot) and OSIM closely mirrors Modified-GREEDY.
 from __future__ import annotations
 
 from repro.algorithms import ModifiedGreedySelector, OSIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import evaluate_seed_prefixes
 
 from helpers import load_bench_graph, one_shot
 
@@ -19,37 +19,31 @@ PATH_LENGTHS = (1, 2, 3, 5)
 SIMULATIONS = 150
 
 
-def _run() -> list:
+def _run() -> dict:
     graph = load_bench_graph("nethept", scale=0.25, annotated=True, opinion="normal")
     budget = max(SEED_COUNTS)
-    series = []
-    for length in PATH_LENGTHS:
-        seeds = OSIMSelector(max_path_length=length, seed=0).select(graph, budget).seeds
-        series.append(
-            evaluate_seed_prefixes(
-                graph, "oi-ic", seeds, list(SEED_COUNTS),
-                objective="effective-opinion", simulations=SIMULATIONS,
-                label=f"OSIM l={length}", seed=7,
-            )
-        )
-    greedy_seeds = ModifiedGreedySelector(model="oi-ic", simulations=20, seed=0).select(
-        graph, budget
-    ).seeds
-    series.append(
-        evaluate_seed_prefixes(
-            graph, "oi-ic", greedy_seeds, list(SEED_COUNTS),
-            objective="effective-opinion", simulations=SIMULATIONS,
-            label="Modified-GREEDY", seed=7,
-        )
-    )
-    return series
+    seed_sets = {
+        f"OSIM l={length}": OSIMSelector(max_path_length=length, seed=0).select(
+            graph, budget
+        ).seeds
+        for length in PATH_LENGTHS
+    }
+    seed_sets["Modified-GREEDY"] = ModifiedGreedySelector(
+        model="oi-ic", simulations=20, seed=0
+    ).select(graph, budget).seeds
+    return {
+        label: MonteCarloEstimator(
+            graph, "oi-ic", objective="effective-opinion", simulations=SIMULATIONS, seed=7
+        ).sweep(seeds, SEED_COUNTS)
+        for label, seeds in seed_sets.items()
+    }
 
 
 def test_fig5f_osim_quality_vs_modified_greedy(benchmark, reporter):
     series = one_shot(benchmark, _run)
     reporter("Figure 5(f) — OSIM (l sweep) vs Modified-GREEDY, NetHEPT under OI",
              format_series_table(series, value_label="effective opinion spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     best_osim = max(v for k, v in final.items() if k.startswith("OSIM"))
     # OSIM at its best l should be in the same ballpark as Modified-GREEDY.
     assert best_osim >= 0.4 * final["Modified-GREEDY"] - 0.5

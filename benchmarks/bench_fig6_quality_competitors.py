@@ -9,29 +9,34 @@ sampling/simulation-based competitors.
 from __future__ import annotations
 
 from repro.algorithms import CELFSelector, EaSyIMSelector, SimPathSelector, TIMPlusSelector
-from repro.bench.reporting import format_series_table
-from repro.core.evaluation import compare_seed_sets, spread_deviation_percent
+from repro.api import MonteCarloEstimator
+from repro.bench.reporting import format_series_table, spread_deviation_percent
 
 from helpers import BENCH_SIMULATIONS, load_bench_graph, one_shot
 
 SEED_COUNTS = (0, 5, 10, 20)
 
 
-def _run_hepph() -> list:
+def _sweep(graph, model: str, seed_sets: dict) -> dict:
+    """Spread k-sweep of every labelled seed list under ``model``."""
+    return {
+        label: MonteCarloEstimator(
+            graph, model, simulations=BENCH_SIMULATIONS, seed=9
+        ).sweep(seeds, SEED_COUNTS)
+        for label, seeds in seed_sets.items()
+    }
+
+
+def _run_hepph() -> dict:
     graph = load_bench_graph("hepph", scale=0.35)
     budget = max(SEED_COUNTS)
     easyim = EaSyIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
     tim = TIMPlusSelector(epsilon=0.2, max_rr_sets=60_000, seed=0).select(graph, budget).seeds
     celf = CELFSelector(model="ic", simulations=25, seed=0).select(graph, budget).seeds
-    return compare_seed_sets(
-        graph, "ic",
-        {"EaSyIM l=3": easyim, "TIM+": tim, "CELF++": celf},
-        seed_counts=list(SEED_COUNTS), objective="spread",
-        simulations=BENCH_SIMULATIONS, seed=9,
-    )
+    return _sweep(graph, "ic", {"EaSyIM l=3": easyim, "TIM+": tim, "CELF++": celf})
 
 
-def _run_dblp_epsilon_sweep() -> list:
+def _run_dblp_epsilon_sweep() -> dict:
     graph = load_bench_graph("dblp", scale=0.35)
     budget = max(SEED_COUNTS)
     easyim = EaSyIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
@@ -40,13 +45,10 @@ def _run_dblp_epsilon_sweep() -> list:
         seed_sets[f"TIM+ eps={epsilon}"] = TIMPlusSelector(
             epsilon=epsilon, max_rr_sets=80_000, seed=0
         ).select(graph, budget).seeds
-    return compare_seed_sets(
-        graph, "ic", seed_sets, seed_counts=list(SEED_COUNTS), objective="spread",
-        simulations=BENCH_SIMULATIONS, seed=9,
-    )
+    return _sweep(graph, "ic", seed_sets)
 
 
-def _run_nethept_lt() -> list:
+def _run_nethept_lt() -> dict:
     graph = load_bench_graph("nethept", scale=0.35).copy()
     graph.set_linear_threshold_weights()
     budget = max(SEED_COUNTS)
@@ -55,19 +57,14 @@ def _run_nethept_lt() -> list:
     tim = TIMPlusSelector(model="lt", epsilon=0.2, max_rr_sets=60_000, seed=0).select(
         graph, budget
     ).seeds
-    return compare_seed_sets(
-        graph, "lt",
-        {"EaSyIM l=3": easyim, "SIMPATH": simpath, "TIM+": tim},
-        seed_counts=list(SEED_COUNTS), objective="spread",
-        simulations=BENCH_SIMULATIONS, seed=9,
-    )
+    return _sweep(graph, "lt", {"EaSyIM l=3": easyim, "SIMPATH": simpath, "TIM+": tim})
 
 
 def test_fig6d_hepph_ic_quality(benchmark, reporter):
     series = one_shot(benchmark, _run_hepph)
     reporter("Figure 6(d) — spread vs #seeds under IC (HepPh stand-in)",
              format_series_table(series, value_label="spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     best = max(final.values())
     deviation = spread_deviation_percent(final["EaSyIM l=3"], best)
     # Paper claim: within 5% of the best method; allow extra slack at tiny scale.
@@ -78,7 +75,7 @@ def test_fig6e_dblp_tim_epsilon_sweep(benchmark, reporter):
     series = one_shot(benchmark, _run_dblp_epsilon_sweep)
     reporter("Figure 6(e) — spread vs #seeds under IC (DBLP stand-in, TIM+ eps sweep)",
              format_series_table(series, value_label="spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     best = max(final.values())
     assert spread_deviation_percent(final["EaSyIM l=3"], best) <= 25.0
 
@@ -87,6 +84,6 @@ def test_fig7d_nethept_lt_quality(benchmark, reporter):
     series = one_shot(benchmark, _run_nethept_lt)
     reporter("Figure 7(d) — spread vs #seeds under LT (NetHEPT stand-in)",
              format_series_table(series, value_label="spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     best = max(final.values())
     assert spread_deviation_percent(final["EaSyIM l=3"], best) <= 30.0

@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import EaSyIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import evaluate_seed_prefixes
 
 from helpers import load_bench_graph, one_shot
 
@@ -27,23 +27,20 @@ PANELS = (
 )
 
 
-def _run(dataset: str, model: str) -> list:
+def _run(dataset: str, model: str) -> dict:
     graph = load_bench_graph(dataset, scale=0.3)
     if model == "lt":
         graph = graph.copy()
         graph.set_linear_threshold_weights()
     budget = max(SEED_COUNTS)
-    series = []
+    series = {}
     for length in PATH_LENGTHS:
         seeds = EaSyIMSelector(max_path_length=length, model=model, seed=0).select(
             graph, budget
         ).seeds
-        series.append(
-            evaluate_seed_prefixes(
-                graph, model, seeds, list(SEED_COUNTS), objective="spread",
-                simulations=SIMULATIONS, label=f"l={length}", seed=8,
-            )
-        )
+        series[f"l={length}"] = MonteCarloEstimator(
+            graph, model, simulations=SIMULATIONS, seed=8
+        ).sweep(seeds, SEED_COUNTS)
     return series
 
 
@@ -54,6 +51,6 @@ def test_fig6abc_easyim_l_sweep(benchmark, reporter, dataset, model):
         f"Figure 6 — EaSyIM spread vs #seeds for varying l ({dataset}, {model.upper()})",
         format_series_table(series, value_label="spread"),
     )
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     # Deeper scores should not be dramatically worse than l=1.
     assert final["l=3"] >= 0.7 * final["l=1"]

@@ -13,8 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import GreedySelector, OSIMSelector
+from repro.api import MonteCarloEstimator
 from repro.bench.reporting import format_series_table
-from repro.core.evaluation import evaluate_seed_prefixes
 
 from helpers import load_bench_graph, one_shot
 
@@ -23,53 +23,48 @@ PATH_LENGTHS = (1, 2, 3, 5)
 SIMULATIONS = 120
 
 
-def _run_oc_hepph() -> list:
+def _opinion_sweep(graph, model: str, seed_sets: dict) -> dict:
+    """Opinion-spread k-sweep of every labelled seed list under ``model``."""
+    return {
+        label: MonteCarloEstimator(
+            graph, model, objective="opinion", simulations=SIMULATIONS, seed=10
+        ).sweep(seeds, SEED_COUNTS)
+        for label, seeds in seed_sets.items()
+    }
+
+
+def _run_oc_hepph() -> dict:
     graph = load_bench_graph("hepph", scale=0.25, annotated=True, opinion="normal").copy()
     graph.set_linear_threshold_weights()
     budget = max(SEED_COUNTS)
-    series = []
-    for length in PATH_LENGTHS:
-        seeds = OSIMSelector(max_path_length=length, model="oc", weighting="lt", seed=0).select(
+    seed_sets = {
+        f"OSIM l={length}": OSIMSelector(max_path_length=length, model="oc", seed=0).select(
             graph, budget
         ).seeds
-        series.append(
-            evaluate_seed_prefixes(
-                graph, "oc", seeds, list(SEED_COUNTS), objective="opinion",
-                simulations=SIMULATIONS, label=f"OSIM l={length}", seed=10,
-            )
-        )
-    greedy = GreedySelector(model="oc", objective="opinion", simulations=12, seed=0).select(
-        graph, budget
-    ).seeds
-    series.append(
-        evaluate_seed_prefixes(
-            graph, "oc", greedy, list(SEED_COUNTS), objective="opinion",
-            simulations=SIMULATIONS, label="GREEDY", seed=10,
-        )
-    )
-    return series
+        for length in PATH_LENGTHS
+    }
+    seed_sets["GREEDY"] = GreedySelector(
+        model="oc", objective="opinion", simulations=12, seed=0
+    ).select(graph, budget).seeds
+    return _opinion_sweep(graph, "oc", seed_sets)
 
 
-def _run_oi_lsweep(dataset: str) -> list:
+def _run_oi_lsweep(dataset: str) -> dict:
     graph = load_bench_graph(dataset, scale=0.3, annotated=True, opinion="uniform")
     budget = max(SEED_COUNTS)
-    series = []
-    for length in PATH_LENGTHS:
-        seeds = OSIMSelector(max_path_length=length, seed=0).select(graph, budget).seeds
-        series.append(
-            evaluate_seed_prefixes(
-                graph, "oi-ic", seeds, list(SEED_COUNTS), objective="opinion",
-                simulations=SIMULATIONS, label=f"OSIM l={length}", seed=10,
-            )
-        )
-    return series
+    return _opinion_sweep(graph, "oi-ic", {
+        f"OSIM l={length}": OSIMSelector(max_path_length=length, seed=0).select(
+            graph, budget
+        ).seeds
+        for length in PATH_LENGTHS
+    })
 
 
 def test_fig7b_osim_under_oc_model(benchmark, reporter):
     series = one_shot(benchmark, _run_oc_hepph)
     reporter("Figure 7(b) — OSIM l-sweep vs GREEDY under the OC model (HepPh)",
              format_series_table(series, value_label="opinion spread"))
-    final = {s.label: s.values[-1] for s in series}
+    final = {label: curve[max(curve)] for label, curve in series.items()}
     best_osim = max(v for k, v in final.items() if k.startswith("OSIM"))
     assert best_osim >= 0.3 * final["GREEDY"] - 0.5
 

@@ -42,16 +42,30 @@ def figure1_example() -> None:
         sigma_o = engine_oi.expected_opinion_spread([node])
         print(f"  seed {node}:  sigma={sigma:6.3f}   sigma_o={sigma_o:+.3f}")
 
-    ic_problem = repro.IMProblem(graph, budget=1, model="ic")
-    ic_result = repro.InfluenceMaximizer(ic_problem, algorithm="greedy",
-                                         simulations=2000, seed=1).run()
-    meo_problem = repro.MEOProblem(graph, budget=1, model="oi-ic", penalty=1.0)
-    meo_result = repro.InfluenceMaximizer(meo_problem, algorithm="osim",
-                                          simulations=2000, seed=1).run()
+    def run(model: str, algorithm: str, objective: str) -> repro.RunResult:
+        # The graph is built in memory and passed to run_experiment; the
+        # spec's graph entry only records where it would be read from.
+        spec = repro.ExperimentSpec(
+            name=f"figure1-{algorithm}",
+            graph=repro.GraphSpec(edge_list="figure1.edges"),
+            model=repro.ModelSpec(name=model),
+            algorithm=repro.AlgorithmSpec(name=algorithm),
+            budget=1,
+            seed=1,
+            evaluation=repro.EvalSpec(
+                objective=objective,
+                estimator=repro.EstimatorSpec(backend="monte-carlo",
+                                              simulations=2000, engine_seed=1),
+            ),
+        )
+        return repro.run_experiment(spec, graph=graph)
+
+    ic_result = run("ic", "greedy", "spread")
+    meo_result = run("oi-ic", "osim", "effective-opinion")
     print(f"\nIC / classical IM picks:   {ic_result.seeds}  "
-          f"(expected spread {ic_result.expected_spread:.3f})")
+          f"(expected spread {ic_result.value:.3f})")
     print(f"OI / MEO (OSIM) picks:     {meo_result.seeds}  "
-          f"(expected effective opinion spread {meo_result.expected_spread:+.3f})")
+          f"(expected effective opinion spread {meo_result.value:+.3f})")
     print("=> the opinion-aware model avoids seeding the node that spreads "
           "negative opinion.\n")
 

@@ -5,8 +5,9 @@ The package provides:
 
 * the **OI** (Opinion-cum-Interaction) diffusion model plus the classical
   IC/WC/LT models and the prior opinion-aware baselines IC-N and OC;
-* the **MEO** problem (maximise the effective opinion spread) and the
-  classical IM problem behind a single :class:`InfluenceMaximizer` facade;
+* the **MEO** objective (maximise the effective opinion spread) next to the
+  classical IM spread objective, both served by one declarative
+  experiment API (:func:`run_experiment`);
 * the paper's **EaSyIM** and **OSIM** algorithms alongside a full suite of
   competitors (GREEDY/CELF/CELF++, TIM+/IMM, IRIE, SIMPATH, degree and
   PageRank heuristics);
@@ -30,9 +31,8 @@ Quickstart — the declarative experiment API::
     print(result.seeds, result.value)
     print(result.to_json())          # full provenance, repro/run-result@1
 
-The imperative facade (:class:`InfluenceMaximizer`) remains available for
-programmatic use; every spec round-trips through JSON, so the same
-experiment can be checked in as a file and executed with ``repro-im run``.
+Every spec round-trips through JSON, so the same experiment can be checked
+in as a file and executed with ``repro-im run``.
 """
 
 from repro.exceptions import (
@@ -86,19 +86,6 @@ from repro.algorithms import (
 from repro.opinion import annotate_interactions, annotate_opinions
 from repro.opinion.annotate import annotate_graph
 from repro.datasets import available_datasets, load_dataset
-from repro.core import (
-    IMProblem,
-    InfluenceMaximizer,
-    MaximizationResult,
-    MEOProblem,
-    compare_seed_sets,
-    evaluate_seed_prefixes,
-)
-from repro.core.evaluation import (
-    SeedSetEvaluation,
-    index_evaluate_seed_prefixes,
-    sketch_evaluate_seed_prefixes,
-)
 from repro.serving import InfluenceIndex, InfluenceService
 from repro.scoring import ScoreEngine
 from repro.specs import (
@@ -189,16 +176,6 @@ __all__ = [
     # datasets
     "load_dataset",
     "available_datasets",
-    # core API
-    "IMProblem",
-    "MEOProblem",
-    "InfluenceMaximizer",
-    "MaximizationResult",
-    "evaluate_seed_prefixes",
-    "compare_seed_sets",
-    "SeedSetEvaluation",
-    "sketch_evaluate_seed_prefixes",
-    "index_evaluate_seed_prefixes",
     # serving
     "InfluenceIndex",
     "InfluenceService",

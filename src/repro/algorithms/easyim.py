@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.algorithms.score_greedy import ScoreGreedySelector
 from repro.diffusion.base import DiffusionModel
+from repro.diffusion.registry import base_model_layer
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 from repro.utils.rng import RandomState
@@ -132,7 +133,7 @@ class EaSyIMSelector(ScoreGreedySelector):
 
         model_name = model if isinstance(model, str) else model.name
         if weighting is None:
-            weighting = _infer_weighting(model_name)
+            weighting = base_model_layer(model_name)
         self.max_path_length = max_path_length
         self.weighting = weighting
         self.incremental = incremental
@@ -171,12 +172,3 @@ class EaSyIMSelector(ScoreGreedySelector):
             f"EaSyIMSelector(max_path_length={self.max_path_length}, "
             f"weighting={self.weighting!r}, incremental={self.incremental})"
         )
-
-
-def _infer_weighting(model_name: str) -> str:
-    """Map a diffusion-model identifier onto an EaSyIM edge weighting."""
-    if "wc" in model_name:
-        return "wc"
-    if "lt" in model_name:
-        return "lt"
-    return "ic"

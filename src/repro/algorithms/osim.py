@@ -30,8 +30,10 @@ from repro.algorithms.easyim import (
 )
 from repro.algorithms.score_greedy import ScoreGreedySelector
 from repro.diffusion.base import DiffusionModel
+from repro.diffusion.registry import base_model_layer
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
+from repro.scoring.engine import DEFAULT_FALLBACK_FRACTION, ScoreEngine, osim_psi
 from repro.utils.rng import RandomState
 
 
@@ -40,12 +42,15 @@ def osim_scores(
     active: Optional[np.ndarray] = None,
     max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
     weighting: str = "ic",
+    model: Optional[str] = None,
 ) -> np.ndarray:
     """Assign OSIM scores ``Delta_l`` to every node (Algorithm 5).
 
     The graph's ``opinions`` array provides :math:`o_v` (unannotated graphs
     score as all-zero opinions) and the per-edge ``interaction`` array
-    provides :math:`\\varphi_{(u,v)}`.
+    provides :math:`\\varphi_{(u,v)}` — except under ``model="oc"``, which
+    has no interaction term and scores every edge as ``phi = 1``
+    (:func:`~repro.scoring.engine.osim_psi`).
     """
     if max_path_length < 1:
         raise ConfigurationError(
@@ -62,7 +67,7 @@ def osim_scores(
 
     # psi = (2*phi - 1) / 2 — the expected signed retention of the upstream
     # opinion across one interaction (agreement contributes +o, disagreement -o).
-    psi = graph.out_psi
+    psi = osim_psi(graph, model)
 
     alpha_prev = np.ones(n, dtype=np.float64)
     or_prev = opinions.astype(np.float64).copy()
@@ -110,13 +115,9 @@ class OSIMSelector(ScoreGreedySelector):
         incremental: bool = True,
         fallback_fraction: Optional[float] = None,
     ) -> None:
-        from repro.scoring import DEFAULT_FALLBACK_FRACTION, ScoreEngine
-
         model_name = model if isinstance(model, str) else model.name
         if weighting is None:
-            weighting = "lt" if model_name.endswith("lt") else (
-                "wc" if model_name.endswith("wc") else "ic"
-            )
+            weighting = base_model_layer(model_name)
         self.max_path_length = max_path_length
         self.weighting = weighting
         self.incremental = incremental
@@ -130,6 +131,7 @@ class OSIMSelector(ScoreGreedySelector):
                 active=active,
                 max_path_length=self.max_path_length,
                 weighting=self.weighting,
+                model=model_name,
             )
 
         def engine_factory(graph: CompiledGraph) -> ScoreEngine:
@@ -139,6 +141,7 @@ class OSIMSelector(ScoreGreedySelector):
                 max_path_length=self.max_path_length,
                 weighting=self.weighting,
                 fallback_fraction=self.fallback_fraction,
+                model=model_name,
             )
 
         super().__init__(

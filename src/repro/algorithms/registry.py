@@ -6,13 +6,12 @@ and pass configuration as keyword arguments.
 
 Each registry entry is an :class:`AlgorithmInfo` declaring what the
 algorithm's constructor understands (model / objective / penalty / seed /
-...), so callers like :class:`~repro.core.maximizer.InfluenceMaximizer` and
-:func:`repro.api.run_experiment` inject context by *capability* instead of
-maintaining hard-coded name sets.  ``supported_models`` restricts which
-diffusion models an algorithm accepts (``None`` means any registered model);
-``base_model_fallback`` marks the RIS algorithms, which understand only the
-opinion-oblivious first layer of an opinion-aware model and may be handed
-its ic/wc/lt base layer instead.
+...), so :func:`repro.api.build_selector` injects context by *capability*
+instead of maintaining hard-coded name sets.  ``supported_models`` restricts
+which diffusion models an algorithm accepts (``None`` means any registered
+model); the RIS algorithms only sample the opinion-oblivious ic/wc/lt
+layers, so an opinion-aware experiment names the layer explicitly
+(``algorithm.options.model``).
 """
 
 from __future__ import annotations
@@ -70,9 +69,6 @@ class AlgorithmInfo:
     opinion_aware: bool = False
     #: Diffusion models the algorithm accepts; ``None`` means any registered.
     supported_models: Optional[frozenset] = None
-    #: When the model is unsupported, may it be coerced to its ic/wc/lt base
-    #: layer (the RIS algorithms only see the opinion-oblivious first layer)?
-    base_model_fallback: bool = False
     #: Accepts a ``max_rr_sets=`` keyword (RIS sampling cap).
     rr_set_aware: bool = False
 
@@ -124,12 +120,12 @@ _REGISTRY: Dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             "tim+", TIMPlusSelector,
             model_aware=True, seedable=True, supported_models=RIS_MODELS,
-            base_model_fallback=True, rr_set_aware=True,
+            rr_set_aware=True,
         ),
         AlgorithmInfo(
             "imm", IMMSelector,
             model_aware=True, seedable=True, supported_models=RIS_MODELS,
-            base_model_fallback=True, rr_set_aware=True,
+            rr_set_aware=True,
         ),
     )
 }
@@ -169,7 +165,7 @@ def algorithm_capabilities() -> Dict[str, Dict[str, object]]:
         for flag in (
             "model_aware", "objective_aware", "penalty_aware", "seedable",
             "simulation_aware", "path_length_aware", "incremental",
-            "opinion_aware", "base_model_fallback", "rr_set_aware",
+            "opinion_aware", "rr_set_aware",
         ):
             if getattr(info, flag):
                 row[flag] = True
@@ -177,27 +173,6 @@ def algorithm_capabilities() -> Dict[str, Dict[str, object]]:
             row["supported_models"] = sorted(info.supported_models)
         table[name] = row
     return table
-
-
-def base_model_layer(model_name: str) -> str:
-    """The ic/wc/lt base layer of a (possibly opinion-aware) model name.
-
-    The RIS algorithms sample reverse-reachable sets under the
-    opinion-oblivious first layer of the diffusion process; ``oi-lt`` maps
-    to ``lt``, ``oi-wc`` to ``wc``, everything else (``oi-ic``, ``icn``,
-    ``oc``, ``ic`` itself) to ``ic``.
-    """
-    name = str(model_name).lower()
-    if name in RIS_MODELS:
-        return name
-    # Match by name segment, not suffix: "lt-live-edge" is an LT-equivalent
-    # sampler, not an IC variant.
-    parts = name.split("-")
-    if "lt" in parts:
-        return "lt"
-    if "wc" in parts:
-        return "wc"
-    return "ic"
 
 
 def check_model_support(name: str, model_name: str) -> None:

@@ -64,8 +64,9 @@ from repro.algorithms.registry import (
     get_algorithm,
 )
 from repro.diffusion.base import DiffusionModel
+from repro.diffusion.registry import base_model_layer
 from repro.diffusion.simulation import MonteCarloEngine
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, MissingAnnotationError
 from repro.graphs.digraph import CompiledGraph, DiGraph, Node
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.specs import (
@@ -221,6 +222,8 @@ class SketchEstimator:
         from repro.sketches.sampler import BatchRRSampler
         from repro.utils.rng import ensure_rng
 
+        if theta < 1:
+            raise ConfigurationError(f"theta must be >= 1, got {theta}")
         self.model = model
         self.theta = int(theta)
         self.engine_seed = seed
@@ -378,9 +381,8 @@ class ScoreEstimator:
         objective: str = "spread",
         max_path_length: int = 3,
     ) -> None:
-        from repro.algorithms.registry import base_model_layer
-
         self.graph = graph.compile() if isinstance(graph, DiGraph) else graph
+        self.model = model
         self.objective = objective
         self.algorithm = "easyim" if objective == "spread" else "osim"
         self.weighting = base_model_layer(model)
@@ -396,6 +398,7 @@ class ScoreEstimator:
             algorithm=self.algorithm,
             max_path_length=self.max_path_length,
             weighting=self.weighting,
+            model=self.model,
         )
 
     def _cumulative(self, seeds: Sequence[Node]) -> List[float]:
@@ -584,8 +587,8 @@ def build_selector(
     if model is not None and info.model_aware and "model" not in options:
         model_name = model if isinstance(model, str) else model.name
         # Declarative specs never coerce: an unsupported model raises with
-        # the supported list (the facade's base-layer fallback is opt-in via
-        # algorithm.options.model).
+        # the supported list (a RIS algorithm in an opinion-aware experiment
+        # names its ic/wc/lt layer in algorithm.options.model).
         check_model_support(spec.name, model_name)
         options["model"] = model_name if info.supported_models is not None else model
     if objective is not None and info.objective_aware and "objective" not in options:
@@ -840,7 +843,10 @@ def run_experiment(
     fixed seed list — then estimates the configured objective through the
     negotiated backend, sweeping every requested prefix.  Pass ``graph`` to
     reuse an already-materialised graph (it must match the spec's
-    description; the content fingerprint is recorded either way).
+    description; the content fingerprint is recorded either way).  An
+    ``opinion`` or ``effective-opinion`` objective on a graph without
+    opinion annotations raises
+    :class:`~repro.exceptions.MissingAnnotationError` before selection.
 
     ``checkpoint`` (a path or a
     :class:`~repro.runtime.checkpoint.RunCheckpoint`) persists the
@@ -881,6 +887,15 @@ def run_experiment(
             dataset = getattr(loaded, "name", None) or spec.graph.dataset
             compiled = loaded.compile() if isinstance(loaded, DiGraph) else loaded
         timings["load_seconds"] = time.perf_counter() - started
+        if (
+            spec.evaluation.objective in ("opinion", "effective-opinion")
+            and isinstance(loaded, DiGraph)
+            and not loaded.has_opinions()
+        ):
+            # Unannotated nodes compile to opinion 0, so every opinion
+            # objective would quietly report 0.0.  (A CompiledGraph no longer
+            # records which nodes were annotated, so it is taken as given.)
+            raise MissingAnnotationError("opinion")
 
         model = spec.model.build()
 

@@ -1,40 +1,21 @@
-"""Benchmark harness: experiment runners and tabular reporting."""
+"""Benchmark harness: selection measurement and tabular reporting."""
 
-from repro.bench.harness import (
-    AlgorithmRun,
-    ExperimentResult,
-    measure_selection,
-    run_k_sweep,
+from repro.bench.harness import AlgorithmRun, measure_selection
+from repro.bench.reporting import (
+    format_series_table,
+    format_table,
+    normalized_rmse_curve,
+    spread_deviation_percent,
 )
-from repro.bench.reporting import format_series_table, format_table, print_experiment
 from repro.bench.experiments import EXPERIMENTS, PaperExperiment, get_experiment
-
-
-def __getattr__(name: str):
-    if name == "ExperimentSpec":
-        # Deprecated alias, warned here (not via repro.bench.experiments) so
-        # the warning points at the user's import site.
-        import warnings
-
-        warnings.warn(
-            "repro.bench.ExperimentSpec was renamed to PaperExperiment "
-            "(the declarative experiment spec now lives at "
-            "repro.specs.ExperimentSpec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PaperExperiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "AlgorithmRun",
-    "ExperimentResult",
     "measure_selection",
-    "run_k_sweep",
     "format_table",
     "format_series_table",
-    "print_experiment",
+    "normalized_rmse_curve",
+    "spread_deviation_percent",
     "EXPERIMENTS",
     "PaperExperiment",
     "get_experiment",

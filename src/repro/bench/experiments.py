@@ -164,23 +164,6 @@ def get_experiment(identifier: str) -> PaperExperiment:
     return EXPERIMENTS[key]
 
 
-def __getattr__(name: str):
-    # The per-figure index class used to be called ExperimentSpec, which now
-    # names the declarative spec in repro.specs; keep the old path importable.
-    if name == "ExperimentSpec":
-        import warnings
-
-        warnings.warn(
-            "repro.bench.experiments.ExperimentSpec was renamed to "
-            "PaperExperiment (the declarative experiment spec now lives at "
-            "repro.specs.ExperimentSpec)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PaperExperiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def experiment_index_rows() -> List[dict]:
     """Rows for the experiment-index table (used by the CLI and the docs)."""
     return [

@@ -19,9 +19,8 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.evaluation import SeedSetEvaluation
 from repro.exceptions import ConfigurationError
 
 Point = Tuple[float, float]
@@ -31,16 +30,13 @@ _MARKERS = "o*x+#@%&"
 
 
 def series_from_evaluations(
-    evaluations: Iterable[SeedSetEvaluation],
+    evaluations: Mapping[str, Mapping[int, float]],
 ) -> Dict[str, List[Point]]:
-    """Convert k-sweep evaluations into the mapping :func:`ascii_chart` expects."""
-    result: Dict[str, List[Point]] = {}
-    for evaluation in evaluations:
-        result[evaluation.label] = list(
-            zip((float(k) for k in evaluation.seed_counts),
-                (float(v) for v in evaluation.values))
-        )
-    return result
+    """Convert labelled ``{k: value}`` sweeps into :func:`ascii_chart` points."""
+    return {
+        label: [(float(k), float(value)) for k, value in curve.items()]
+        for label, curve in evaluations.items()
+    }
 
 
 def ascii_chart(

@@ -2,23 +2,21 @@
 
 The paper's figures measure three things per algorithm: the quality of the
 selected seeds (spread under a reference model), the running time of seed
-selection, and the memory consumed over and above the graph.  The helpers
-here run one algorithm on one graph and capture all three, and
-:func:`run_k_sweep` evaluates seed prefixes for the "vs #seeds" figures.
+selection, and the memory consumed over and above the graph.
+:func:`measure_selection` runs one algorithm on one graph and captures the
+seeds, the time and the memory; the "vs #seeds" curves come from the
+estimators' ``sweep`` (:mod:`repro.api`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 from repro.algorithms.base import SeedSelectionResult, SeedSelector
 from repro.algorithms.registry import get_algorithm
-from repro.core.evaluation import SeedSetEvaluation, evaluate_seed_prefixes
-from repro.diffusion.base import DiffusionModel
 from repro.graphs.digraph import CompiledGraph, DiGraph
 from repro.utils.memory import MemoryTracker
-from repro.utils.rng import RandomState
 from repro.utils.timer import Timer
 
 
@@ -34,18 +32,6 @@ class AlgorithmRun:
     peak_memory_mb: float
     selection: SeedSelectionResult
     metadata: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class ExperimentResult:
-    """A collection of labelled measurement rows plus optional k-sweep series."""
-
-    experiment: str
-    rows: List[Dict[str, object]] = field(default_factory=list)
-    series: Dict[str, SeedSetEvaluation] = field(default_factory=dict)
-
-    def add_row(self, **values: object) -> None:
-        self.rows.append(dict(values))
 
 
 def measure_selection(
@@ -76,39 +62,3 @@ def measure_selection(
         selection=selection,
         metadata=dict(selection.metadata),
     )
-
-
-def run_k_sweep(
-    graph: Union[DiGraph, CompiledGraph],
-    algorithm: Union[str, SeedSelector],
-    evaluation_model: Union[str, DiffusionModel],
-    seed_counts: Sequence[int],
-    objective: str = "spread",
-    simulations: int = 300,
-    penalty: float = 1.0,
-    dataset: str = "",
-    label: Optional[str] = None,
-    seed: RandomState = 0,
-    **algorithm_options: object,
-) -> tuple[AlgorithmRun, SeedSetEvaluation]:
-    """Select ``max(seed_counts)`` seeds once, then evaluate every prefix.
-
-    Returns the measured run and the k-sweep evaluation series — the data
-    behind one curve of a "spread vs #seeds" figure.
-    """
-    budget = max(seed_counts)
-    run = measure_selection(
-        graph, algorithm, budget, dataset=dataset, **algorithm_options
-    )
-    evaluation = evaluate_seed_prefixes(
-        graph,
-        evaluation_model,
-        run.seeds,
-        seed_counts,
-        objective=objective,
-        simulations=simulations,
-        penalty=penalty,
-        label=label or run.algorithm,
-        seed=seed,
-    )
-    return run, evaluation

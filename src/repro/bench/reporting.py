@@ -1,16 +1,24 @@
-"""Plain-text tabular reporting for the benchmark harness.
+"""Plain-text tabular reporting and quality metrics for the benchmarks.
 
 Benchmarks print the same rows/series the paper's tables and figures report,
 so a reader can diff the regenerated output against the published numbers.
 Output is deliberately dependency-free (no pandas / matplotlib): fixed-width
-text tables that render fine in a terminal or a log file.
+text tables that render fine in a terminal or a log file.  A series is one
+labelled k-sweep, ``{label: {k: value}}`` — the shape every estimator's
+``sweep`` returns.
+
+The two metrics the paper's quality claims are stated in live here too:
+:func:`normalized_rmse_curve` (Fig. 5b) and :func:`spread_deviation_percent`
+(the "within 5% of the best method" claim of Figs. 6-7).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
-from repro.core.evaluation import SeedSetEvaluation
+import numpy as np
+
+from repro.exceptions import ConfigurationError
 
 
 def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
@@ -42,29 +50,66 @@ def format_table(rows: Sequence[Mapping[str, object]], title: str = "") -> str:
 
 
 def format_series_table(
-    series: Iterable[SeedSetEvaluation],
+    series: Mapping[str, Mapping[int, float]],
     value_label: str = "value",
     title: str = "",
 ) -> str:
-    """Render several k-sweep series side by side (one column per series)."""
-    series = list(series)
+    """Render several k-sweeps side by side (one column per label).
+
+    ``series`` maps each label to its ``{k: value}`` sweep; the rows follow
+    the first sweep's seed counts.
+    """
     if not series:
         return f"{title}\n(no series)" if title else "(no series)"
-    seed_counts = series[0].seed_counts
+    seed_counts = list(next(iter(series.values())))
     rows: List[Dict[str, object]] = []
-    for position, k in enumerate(seed_counts):
+    for k in seed_counts:
         row: Dict[str, object] = {"k": k}
-        for evaluation in series:
-            row[evaluation.label] = evaluation.values[position]
+        for label, curve in series.items():
+            row[label] = curve[k]
         rows.append(row)
     heading = title or f"{value_label} vs #seeds"
     return format_table(rows, title=heading)
 
 
-def print_experiment(title: str, body: str) -> None:
-    """Print one experiment block with a visible separator."""
-    separator = "=" * max(len(title), 20)
-    print(f"\n{separator}\n{title}\n{separator}\n{body}\n")
+def normalized_rmse_curve(
+    predicted_by_label: Mapping[str, Sequence[float]],
+    ground_truth: Sequence[float],
+    as_percent: bool = True,
+) -> Dict[str, float]:
+    """Normalised RMSE of each labelled prediction series vs the ground truth.
+
+    Used for Fig. 5b, where the "prediction" of a model at each seed count is
+    its estimated opinion spread and the ground truth is the opinion spread
+    observed in the data.
+    """
+    truth = np.asarray(ground_truth, dtype=np.float64)
+    if truth.size == 0:
+        raise ConfigurationError("ground_truth must not be empty")
+    scale = float(np.abs(truth).max())
+    if scale == 0.0:
+        scale = 1.0
+    results: Dict[str, float] = {}
+    for label, predictions in predicted_by_label.items():
+        predicted = np.asarray(predictions, dtype=np.float64)
+        if predicted.shape != truth.shape:
+            raise ConfigurationError(
+                f"series {label!r} has shape {predicted.shape}, expected {truth.shape}"
+            )
+        rmse = float(np.sqrt(np.mean((predicted - truth) ** 2))) / scale
+        results[label] = rmse * 100.0 if as_percent else rmse
+    return results
+
+
+def spread_deviation_percent(value: float, reference: float) -> float:
+    """Relative deviation of ``value`` from ``reference`` in percent.
+
+    The paper's headline quality claim is that EaSyIM/OSIM stay within 5% of
+    the best-known methods; this helper expresses that deviation.
+    """
+    if reference == 0.0:
+        return 0.0 if value == 0.0 else float("inf")
+    return abs(value - reference) / abs(reference) * 100.0
 
 
 def _format_value(value: object) -> str:

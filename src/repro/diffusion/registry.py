@@ -36,6 +36,28 @@ _FACTORIES: Dict[str, Callable[..., DiffusionModel]] = {
 OPINION_AWARE_MODELS = frozenset({"oi-ic", "oi-wc", "oi-lt", "icn", "oc"})
 
 
+def base_model_layer(model_name: str) -> str:
+    """The ic/wc/lt activation layer a (possibly opinion-aware) model runs on.
+
+    EaSyIM, OSIM and the ``score`` estimator weight their walks under this
+    layer.  ``oi-lt`` and ``lt-live-edge`` map to ``lt``, ``oi-wc`` to
+    ``wc``, and ``oc`` to ``lt`` because OC activates under Linear Threshold
+    (:mod:`repro.diffusion.oc`).  Everything else (``oi-ic``, ``icn``,
+    ``ic`` itself) maps to ``ic``.
+    """
+    name = str(model_name).lower()
+    if name == "oc":
+        return "lt"
+    # Match by name segment, not suffix: "lt-live-edge" is an LT-equivalent
+    # sampler, not an IC variant.
+    parts = name.split("-")
+    if "lt" in parts:
+        return "lt"
+    if "wc" in parts:
+        return "wc"
+    return "ic"
+
+
 def available_models() -> list[str]:
     """Sorted list of the registered model identifiers."""
     return sorted(_FACTORIES)

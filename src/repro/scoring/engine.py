@@ -75,6 +75,19 @@ _ALGORITHMS = ("easyim", "osim")
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def osim_psi(graph: CompiledGraph, model: Optional[str] = None) -> np.ndarray:
+    """OSIM's per-edge ``psi = (2 phi - 1) / 2`` when scoring for ``model``.
+
+    OC is OI with ``phi = 1`` on every edge (:mod:`repro.diffusion.oc`), so
+    under ``oc`` the graph's annotated interactions do not enter and every
+    edge carries ``psi = 1/2``.  Every other model reads the annotated
+    ``phi`` (:attr:`~repro.graphs.digraph.CompiledGraph.out_psi`).
+    """
+    if model is not None and model.lower() == "oc":
+        return np.full(graph.number_of_edges, 0.5)
+    return graph.out_psi
+
+
 def _degree_sum(indptr: np.ndarray, nodes: np.ndarray) -> int:
     """Total slice width of ``nodes`` in a CSR — cost estimate, no gather."""
     return int((indptr[nodes + 1] - indptr[nodes]).sum())
@@ -169,14 +182,18 @@ class _OSIMState:
     monotone_decreasing = False
 
     def __init__(
-        self, graph: CompiledGraph, probabilities: np.ndarray, hops: int
+        self,
+        graph: CompiledGraph,
+        probabilities: np.ndarray,
+        hops: int,
+        psi: np.ndarray,
     ) -> None:
         self.graph = graph
         self.probabilities = probabilities
         self.hops = hops
         n = graph.number_of_nodes
         self.opinions = graph.opinions
-        self.psi = graph.out_psi
+        self.psi = psi
         # Hop 0 boundary state (never dirty): or_0 = o_v, alpha_0 = 1, sc_0 = 0.
         self._or0 = graph.opinions.astype(np.float64).copy()
         self._alpha0 = np.ones(n, dtype=np.float64)
@@ -292,6 +309,9 @@ class ScoreEngine:
     weighting:
         Which edge probabilities drive the walk weights (``"ic"``, ``"wc"``
         or ``"lt"``).
+    model:
+        The diffusion model OSIM's scores approximate; it decides the
+        per-edge ``psi`` (:func:`osim_psi`).  EaSyIM ignores it.
     fallback_fraction:
         Incremental edge-work budget per update, as a fraction of the full
         pass ``l * m``; exceeding it triggers a full rebuild.  ``0`` forces
@@ -305,6 +325,7 @@ class ScoreEngine:
         max_path_length: int = 3,
         weighting: str = "ic",
         fallback_fraction: float = DEFAULT_FALLBACK_FRACTION,
+        model: Optional[str] = None,
     ) -> None:
         if algorithm not in _ALGORITHMS:
             raise ConfigurationError(
@@ -325,8 +346,13 @@ class ScoreEngine:
         self.fallback_fraction = fallback_fraction
 
         probabilities = graph.resolved_edge_probabilities(weighting)
-        state_cls = _EaSyIMState if algorithm == "easyim" else _OSIMState
-        self._state = state_cls(graph, probabilities, max_path_length)
+        self._state: Union[_EaSyIMState, _OSIMState] = (
+            _EaSyIMState(graph, probabilities, max_path_length)
+            if algorithm == "easyim"
+            else _OSIMState(
+                graph, probabilities, max_path_length, osim_psi(graph, model)
+            )
+        )
 
         n = graph.number_of_nodes
         self._active = np.zeros(n, dtype=bool)

@@ -521,7 +521,7 @@ class InfluenceIndex:
 
         This is the raw estimator (seeds count themselves); subtract
         ``len(seeds)`` for the paper's Def. 3 objective, as
-        :func:`repro.core.evaluation.index_evaluate_seed_prefixes` does.
+        :class:`repro.api.IndexEstimator` does.
         """
         indices = self._indices_for(seeds)
         with self._lock:

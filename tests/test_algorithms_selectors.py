@@ -181,6 +181,34 @@ class TestPaperAlgorithms:
         assert EaSyIMSelector(model="lt").weighting == "lt"
         assert EaSyIMSelector(model="ic").weighting == "ic"
 
+    @pytest.mark.parametrize("selector", [EaSyIMSelector, OSIMSelector])
+    @pytest.mark.parametrize("model", ["oc", "lt-live-edge", "oi-lt"])
+    def test_lt_family_models_score_under_lt(self, selector, model):
+        # OC and the live-edge sampler both activate under LT.
+        assert selector(model=model).weighting == "lt"
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_osim_under_oc_ignores_annotated_interactions(self, incremental):
+        # A (opinion +1) reaches X over an edge annotated phi = 0; B (+0.2)
+        # reaches Y over phi = 1.  OC is OI with phi = 1 everywhere, so A's
+        # edge carries +1 and A wins; reading the annotated phi = 0 would
+        # flip A's contribution negative and pick B instead.
+        graph = DiGraph(name="phi-flip")
+        for node, opinion in (("A", 1.0), ("B", 0.2), ("X", 0.0), ("Y", 0.0)):
+            graph.add_node(node, opinion=opinion)
+        graph.add_edge("A", "X", probability=1.0, interaction=0.0)
+        graph.add_edge("B", "Y", probability=1.0, interaction=1.0)
+
+        def pick(model: str) -> list:
+            return OSIMSelector(
+                max_path_length=1, model=model, incremental=incremental, seed=0
+            ).select(graph, 1).seeds
+
+        assert pick("oc") == ["A"]
+        assert pick("oi-lt") == ["B"]
+        engine = MonteCarloEngine(graph, "oc", simulations=200, seed=0)
+        assert engine.expected_opinion_spread(["A"]) > engine.expected_opinion_spread(["B"])
+
     def test_osim_prefers_positive_opinion_seed(self, figure1):
         result = OSIMSelector(max_path_length=3, seed=0).select(figure1, 1)
         assert result.seeds == ["A"]

@@ -8,16 +8,15 @@ import pytest
 
 from repro.bench import (
     EXPERIMENTS,
-    ExperimentResult,
     format_series_table,
     format_table,
     get_experiment,
     measure_selection,
-    run_k_sweep,
+    normalized_rmse_curve,
+    spread_deviation_percent,
 )
 from repro.bench.experiments import experiment_index_rows
 from repro.cli import build_parser, main
-from repro.core.evaluation import SeedSetEvaluation
 from repro.exceptions import ConfigurationError
 
 
@@ -36,23 +35,6 @@ class TestHarness:
         )
         assert run.algorithm == "easyim"
 
-    def test_run_k_sweep(self, small_ic_graph):
-        run, evaluation = run_k_sweep(
-            small_ic_graph,
-            "high-degree",
-            evaluation_model="ic",
-            seed_counts=[0, 2, 4],
-            simulations=50,
-        )
-        assert len(run.seeds) == 4
-        assert evaluation.seed_counts == [0, 2, 4]
-        assert evaluation.values[0] == 0.0
-
-    def test_experiment_result_rows(self):
-        result = ExperimentResult(experiment="demo")
-        result.add_row(dataset="x", value=1.5)
-        assert result.rows == [{"dataset": "x", "value": 1.5}]
-
 
 class TestReporting:
     def test_format_table_alignment(self):
@@ -68,13 +50,29 @@ class TestReporting:
         assert "(no rows)" in format_table([], title="empty")
 
     def test_format_series_table(self):
-        series = [
-            SeedSetEvaluation("alg1", [0, 5], [0.0, 2.0], "spread"),
-            SeedSetEvaluation("alg2", [0, 5], [0.0, 3.0], "spread"),
-        ]
+        series = {"alg1": {0: 0.0, 5: 2.0}, "alg2": {0: 0.0, 5: 3.0}}
         text = format_series_table(series, value_label="spread")
-        assert "alg1" in text and "alg2" in text
-        assert "(no series)" in format_series_table([])
+        lines = text.splitlines()
+        assert lines[0] == "spread vs #seeds"
+        assert "alg1" in lines[1] and "alg2" in lines[1]
+        assert lines[-1].split(" | ") == ["5", "2.00", "3.00"]
+        assert "(no series)" in format_series_table({})
+
+    def test_normalized_rmse_curve(self):
+        results = normalized_rmse_curve(
+            {"perfect": [1.0, 2.0], "biased": [2.0, 3.0]}, [1.0, 2.0]
+        )
+        assert results["perfect"] == pytest.approx(0.0)
+        assert results["biased"] > 0.0
+        with pytest.raises(ConfigurationError):
+            normalized_rmse_curve({"x": [1.0]}, [1.0, 2.0])
+        with pytest.raises(ConfigurationError):
+            normalized_rmse_curve({"x": [1.0]}, [])
+
+    def test_spread_deviation_percent(self):
+        assert spread_deviation_percent(95.0, 100.0) == pytest.approx(5.0)
+        assert spread_deviation_percent(0.0, 0.0) == 0.0
+        assert spread_deviation_percent(1.0, 0.0) == float("inf")
 
 
 class TestExperimentRegistry:

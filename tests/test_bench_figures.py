@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.figures import ascii_chart, series_from_evaluations
-from repro.core.evaluation import SeedSetEvaluation
 
 
 class TestAsciiChart:
@@ -47,9 +46,7 @@ class TestAsciiChart:
         assert "series-9" in chart
 
     def test_series_from_evaluations(self):
-        evaluations = [
-            SeedSetEvaluation("alg", [0, 5, 10], [0.0, 2.0, 3.5], "spread"),
-        ]
+        evaluations = {"alg": {0: 0.0, 5: 2.0, 10: 3.5}}
         converted = series_from_evaluations(evaluations)
         assert converted == {"alg": [(0.0, 0.0), (5.0, 2.0), (10.0, 3.5)]}
         chart = ascii_chart(converted, title="from evaluations")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -35,14 +34,18 @@ from repro.api import (
 )
 from repro.algorithms.registry import (
     algorithm_capabilities,
-    algorithm_info,
     available_algorithms,
-    base_model_layer,
 )
 from repro.cli import main as cli_main
 from repro.datasets.registry import load_dataset
+from repro.diffusion.registry import base_model_layer
 from repro.diffusion.simulation import MonteCarloEngine
-from repro.exceptions import ConfigurationError, SpecError
+from repro.exceptions import (
+    BudgetError,
+    ConfigurationError,
+    MissingAnnotationError,
+    SpecError,
+)
 from repro.serving import InfluenceIndex
 from repro.specs import (
     AlgorithmSpec,
@@ -228,6 +231,14 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="implied by the explicit seed list"):
             ExperimentSpec(graph=graph, seeds=[1, 2], budget=2)
 
+    def test_budget_and_penalty_bounds(self, nethept):
+        with pytest.raises(SpecError, match=r"^experiment\.budget: must be >= 1"):
+            _small_spec(budget=0)
+        with pytest.raises(SpecError, match=r"^evaluation\.penalty: must be >= 0"):
+            EvalSpec(penalty=-0.5)
+        with pytest.raises(BudgetError):
+            run_experiment(_small_spec(budget=nethept.number_of_nodes + 1))
+
     def test_seed_counts_cannot_exceed_budget(self):
         with pytest.raises(SpecError, match=r"seed_counts\[1\].*exceeds"):
             _small_spec(evaluation=EvalSpec(seed_counts=[1, 10]))
@@ -262,11 +273,16 @@ class TestCapabilities:
     def test_base_model_layer(self):
         assert base_model_layer("oi-lt") == "lt"
         assert base_model_layer("oi-wc") == "wc"
-        assert base_model_layer("oc") == "ic"
+        # OC activates under LT (repro.diffusion.oc).
+        assert base_model_layer("oc") == "lt"
         assert base_model_layer("ic") == "ic"
         # Segment match, not suffix: the LT-equivalent live-edge sampler
         # must score under LT weights, not IC.
         assert base_model_layer("lt-live-edge") == "lt"
+
+    def test_score_estimator_scores_oc_under_lt(self, nethept_compiled):
+        estimator = ScoreEstimator(nethept_compiled, "oc", objective="opinion")
+        assert estimator.describe()["weighting"] == "lt"
 
     def test_selector_rejects_unsupported_model_with_list(self):
         with pytest.raises(ConfigurationError, match="only supports the ic/lt/wc"):
@@ -310,6 +326,25 @@ class TestCapabilities:
         build_estimator("score", nethept_compiled, "ic", objective="spread",
                         penalty=0.5)
 
+    def test_monte_carlo_sweep_matches_per_prefix_estimates(self, nethept_compiled):
+        seeds = [0, 1, 2, 3]
+
+        def estimator():
+            return MonteCarloEstimator(nethept_compiled, "wc", simulations=100, seed=4)
+
+        sweep = estimator().sweep(seeds, [0, 2, 4])
+        assert list(sweep) == [0, 2, 4]
+        assert sweep[0] == 0.0
+        # A sweep is a fresh engine estimating each prefix in order.
+        replay = estimator()
+        assert sweep[2] == replay.estimate(seeds[:2])
+        assert sweep[4] == replay.estimate(seeds)
+
+    def test_sweep_rejects_counts_beyond_the_seed_list(self, nethept_compiled):
+        estimator = MonteCarloEstimator(nethept_compiled, "wc", simulations=10)
+        with pytest.raises(ConfigurationError, match="outside 0..3"):
+            estimator.sweep([0, 1, 2], [5])
+
     def test_sketch_sweep_matches_per_prefix_estimates(self, nethept_compiled):
         estimator = SketchEstimator(nethept_compiled, "wc", theta=3000, seed=8)
         seeds = [0, 1, 2, 3, 4]
@@ -323,15 +358,16 @@ class TestCapabilities:
         assert set(table) == {"monte-carlo", "sketch", "index", "score"}
         assert table["score"]["sigma_comparable"] is False
 
-    def test_maximizer_runs_ris_algorithms_on_base_models(self, nethept):
+    def test_run_experiment_runs_ris_algorithms_on_base_models(self):
         # Regression: the capability path must hand TIM+/IMM the model *name*
-        # (their constructors reject model instances) when the problem model
-        # is already a supported base layer.
-        problem = repro.IMProblem(nethept.copy(), budget=3, model="wc")
-        result = repro.InfluenceMaximizer(
-            problem, algorithm="tim+", simulations=50, seed=0,
-            epsilon=0.4, max_rr_sets=2000,
-        ).run()
+        # (their constructors reject model instances) when the experiment
+        # model is already a supported base layer.
+        result = run_experiment(_small_spec(
+            budget=3,
+            algorithm=AlgorithmSpec(
+                name="tim+", options={"epsilon": 0.4, "max_rr_sets": 2000}
+            ),
+        ))
         assert len(result.seeds) == 3
 
     def test_index_artifact_model_mismatch_is_refused(
@@ -346,13 +382,25 @@ class TestCapabilities:
         estimator = build_estimator(spec, nethept_compiled, None)
         assert estimator.model == "ic"
 
-    def test_maximizer_still_coerces_ris_base_layer(self, nethept):
-        # The facade keeps the documented base-layer fallback for RIS
-        # algorithms (tests the capability flag, not a frozenset).
-        repro.annotate_graph(nethept.copy(), opinion="uniform",
-                             interaction="uniform", seed=0)
-        info = algorithm_info("tim+")
-        assert info.base_model_fallback and info.supported_models is not None
+    def test_ris_algorithm_in_opinion_experiment_names_its_layer(self):
+        # TIM+ only samples the opinion-oblivious layers: an OI experiment
+        # selects with it by naming the layer, and evaluates under OI.
+        spec = _small_spec(
+            graph=GraphSpec(dataset="nethept", scale=0.1, seed=1, annotate=True),
+            model=ModelSpec(name="oi-ic"),
+            budget=2,
+            algorithm=AlgorithmSpec(
+                name="tim+",
+                options={"model": "ic", "epsilon": 0.4, "max_rr_sets": 1000},
+            ),
+            evaluation=EvalSpec(
+                objective="effective-opinion",
+                estimator=EstimatorSpec(backend="monte-carlo", simulations=50),
+            ),
+        )
+        result = run_experiment(spec)
+        assert len(result.seeds) == 2
+        assert result.model == "oi-ic"
 
 
 # ---------------------------------------------------------- backend equivalence
@@ -470,18 +518,6 @@ class TestRegressionAgainstOldEntryPoints:
         raw = index.estimate_spread(seeds)
         assert estimator.estimate(seeds) == pytest.approx(max(raw - 3, 0.0))
 
-    def test_run_experiment_matches_maximizer(self, nethept):
-        graph = nethept.copy()
-        problem = repro.IMProblem(graph, budget=4, model="wc")
-        maximized = repro.InfluenceMaximizer(
-            problem, algorithm="degree-discount", evaluate=False
-        ).run()
-        result = run_experiment(
-            _small_spec(budget=4, algorithm=AlgorithmSpec(name="degree-discount")),
-            graph=graph,
-        )
-        assert list(maximized.seeds) == result.seeds
-
     def test_score_estimator_telescopes_residual_scores(self, nethept_compiled):
         from repro.scoring import ScoreEngine
 
@@ -538,35 +574,72 @@ class TestRunResult:
         with pytest.raises(ConfigurationError, match="schema"):
             RunResult.from_payload({"schema": "something-else"})
 
+    def test_result_iterates_over_seeds(self):
+        result = run_experiment(_small_spec(budget=3))
+        assert len(result) == 3
+        assert list(result) == result.seeds
+
     def test_run_experiment_rejects_non_spec(self):
         with pytest.raises(ConfigurationError, match="must be an ExperimentSpec"):
             run_experiment({"graph": {"dataset": "nethept"}})
 
+    @pytest.mark.parametrize("objective", ["opinion", "effective-opinion"])
+    def test_opinion_objective_requires_annotation(self, objective, monkeypatch):
+        # Unannotated opinions compile to 0, so the run would quietly
+        # report 0.0; it must refuse before selecting anything.
+        def no_selection(*args, **kwargs):
+            raise AssertionError("selection ran on an unannotated graph")
 
-# ---------------------------------------------------------- deprecation shims
-
-
-class TestDeprecationShims:
-    def test_maximizer_frozensets_warn_and_match_registry(self):
-        import repro.core.maximizer as maximizer
-
-        with pytest.warns(DeprecationWarning, match="algorithm_info"):
-            model_aware = maximizer._MODEL_AWARE_ALGORITHMS
-        with pytest.warns(DeprecationWarning):
-            objective_aware = maximizer._OBJECTIVE_AWARE_ALGORITHMS
-        assert model_aware == frozenset(
-            {"greedy", "celf", "celf++", "modified-greedy", "easyim", "osim",
-             "path-union"}
+        monkeypatch.setattr(repro.api, "build_selector", no_selection)
+        spec = _small_spec(
+            model=ModelSpec(name="oi-ic"),
+            evaluation=EvalSpec(
+                objective=objective,
+                estimator=EstimatorSpec(backend="monte-carlo", simulations=20),
+            ),
         )
-        assert objective_aware == frozenset({"greedy", "celf", "celf++"})
+        with pytest.raises(MissingAnnotationError, match="opinion"):
+            run_experiment(spec)
 
-    def test_bench_experiment_spec_alias_warns(self):
-        import repro.bench.experiments as bench_experiments
+    def test_opinion_objective_under_ic_is_allowed(self):
+        # Figs. 5(a)/(b) read the opinion spread that IC predicts: the check
+        # is about annotations, not about the model being opinion-aware.
+        spec = _small_spec(
+            graph=GraphSpec(dataset="nethept", scale=0.1, seed=1, annotate=True),
+            model=ModelSpec(name="ic"),
+            evaluation=EvalSpec(
+                objective="opinion",
+                estimator=EstimatorSpec(backend="monte-carlo", simulations=20),
+            ),
+        )
+        assert np.isfinite(run_experiment(spec).value)
 
-        with pytest.warns(DeprecationWarning, match="PaperExperiment"):
-            alias = bench_experiments.ExperimentSpec
-        assert alias is bench_experiments.PaperExperiment
+    def test_paper_example_2_on_figure1(self):
+        # Example 2: classical IM (IC, greedy) seeds C, which spreads the
+        # most but drags opinions negative; MEO under OI (OSIM) seeds A.
+        graph = repro.figure1_example_graph()
 
+        def seeds(model: str, algorithm: str, objective: str) -> list:
+            spec = ExperimentSpec(
+                graph=GraphSpec(edge_list="figure1.edges"),
+                model=model,
+                algorithm=algorithm,
+                budget=1,
+                evaluation=EvalSpec(
+                    objective=objective,
+                    estimator=EstimatorSpec(backend="monte-carlo", simulations=400),
+                ),
+            )
+            return run_experiment(spec, graph=graph).seeds
+
+        assert seeds("ic", "greedy", "spread") == ["C"]
+        assert seeds("oi-ic", "osim", "effective-opinion") == ["A"]
+
+
+# ------------------------------------------------------------ public exports
+
+
+class TestPublicExports:
     def test_all_exports_resolve(self):
         missing = [name for name in repro.__all__ if not hasattr(repro, name)]
         assert not missing

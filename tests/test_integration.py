@@ -23,7 +23,7 @@ from repro.algorithms import (
     RandomSelector,
     TIMPlusSelector,
 )
-from repro.core import IMProblem, InfluenceMaximizer, MEOProblem, compare_seed_sets
+from repro.api import MonteCarloEstimator, run_experiment
 from repro.datasets import (
     generate_customer_records,
     generate_tweet_corpus,
@@ -38,6 +38,7 @@ from repro.opinion.estimation import (
     estimate_opinion_from_history,
 )
 from repro.opinion.topics import ground_truth_opinion_spread
+from repro.specs import AlgorithmSpec, EstimatorSpec, EvalSpec, ExperimentSpec, GraphSpec
 
 
 class TestClassicalIMPipeline:
@@ -56,17 +57,25 @@ class TestClassicalIMPipeline:
         # The paper's headline: EaSyIM within a small factor of the best method.
         assert easyim_spread >= 0.8 * tim_spread
 
-    def test_facade_consistency_with_direct_selector(self):
+    def test_run_experiment_consistent_with_direct_selector(self):
         graph = load_dataset("nethept", scale=0.12, seed=5)
-        problem = IMProblem(graph, budget=4, model="ic")
-        via_facade = InfluenceMaximizer(
-            problem, algorithm="easyim", simulations=50, seed=0,
-            max_path_length=3, update_strategy="none",
-        ).run()
+        spec = ExperimentSpec(
+            graph=GraphSpec(dataset="nethept", scale=0.12, seed=5),
+            model="ic",
+            algorithm=AlgorithmSpec(
+                name="easyim",
+                options={"max_path_length": 3, "update_strategy": "none"},
+            ),
+            budget=4,
+            evaluation=EvalSpec(
+                estimator=EstimatorSpec(backend="monte-carlo", simulations=50)
+            ),
+        )
+        via_spec = run_experiment(spec, graph=graph)
         direct = EaSyIMSelector(
             max_path_length=3, update_strategy="none", seed=0
         ).select(graph, 4)
-        assert via_facade.seeds == direct.seeds
+        assert via_spec.seeds == direct.seeds
 
 
 class TestMEOPipeline:
@@ -83,13 +92,23 @@ class TestMEOPipeline:
         # oblivious structural heuristic (the Fig. 2 motivation).
         assert osim_value >= degree_value - 0.25
 
-    def test_full_meo_facade_run(self):
-        graph = load_dataset("nethept", scale=0.15, seed=41)
-        annotate_graph(graph, opinion="normal", interaction="uniform", seed=41)
-        problem = MEOProblem(graph, budget=5, model="oi-ic", penalty=1.0)
-        result = InfluenceMaximizer(problem, algorithm="osim", simulations=200, seed=1).run()
+    def test_full_meo_run(self):
+        spec = ExperimentSpec(
+            graph=GraphSpec(dataset="nethept", scale=0.15, seed=41, annotate=True,
+                            opinion="normal", annotation_seed=41),
+            model="oi-ic",
+            algorithm="osim",
+            budget=5,
+            seed=1,
+            evaluation=EvalSpec(
+                objective="effective-opinion",
+                estimator=EstimatorSpec(backend="monte-carlo", simulations=200,
+                                        engine_seed=1),
+            ),
+        )
+        result = run_experiment(spec)
         assert len(result.seeds) == 5
-        assert np.isfinite(result.expected_spread)
+        assert np.isfinite(result.value)
 
     def test_lambda_changes_selection_objective(self):
         graph = load_dataset("nethept", scale=0.15, seed=51)
@@ -158,12 +177,11 @@ class TestChurnPipeline:
         analysis = ChurnAnalysis(similarity_threshold=0.85, max_neighbors=15, seed=12)
         graph = analysis.build_opinion_graph(records.attributes, records.churn_labels())
         assert graph.has_opinions()
-        problem = MEOProblem(graph, budget=5, model="oi-ic", penalty=1.0)
-        result = InfluenceMaximizer(problem, algorithm="osim", simulations=150, seed=2).run()
-        assert len(result.seeds) == 5
+        seeds = OSIMSelector(model="oi-ic", seed=2).select(graph, 5).seeds
+        assert len(seeds) == 5
         # Retention targets should skew towards positively-opinionated customers:
         # seeding likely-churners (opinion ~ -1) cannot maximise effective opinion.
-        seed_opinions = [graph.opinion(s) for s in result.seeds]
+        seed_opinions = [graph.opinion(s) for s in seeds]
         assert float(np.mean(seed_opinions)) > -0.5
 
     def test_compare_models_on_churn_graph(self):
@@ -173,11 +191,12 @@ class TestChurnPipeline:
         budget = 4
         oi_seeds = OSIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
         ic_seeds = EaSyIMSelector(max_path_length=3, seed=0).select(graph, budget).seeds
-        evaluations = compare_seed_sets(
-            graph, "oi-ic", {"OI": oi_seeds, "IC": ic_seeds},
-            seed_counts=[0, 2, budget], simulations=150,
-        )
-        assert {e.label for e in evaluations} == {"OI", "IC"}
+        for seeds in (oi_seeds, ic_seeds):
+            curve = MonteCarloEstimator(
+                graph, "oi-ic", objective="effective-opinion", simulations=150
+            ).sweep(seeds, [0, 2, budget])
+            assert list(curve) == [0, 2, budget]
+            assert curve[0] == 0.0
 
 
 class TestPersistenceRoundTrip:

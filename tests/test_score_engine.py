@@ -66,6 +66,24 @@ class TestBitForBitEquivalence:
             engine.mark_active(newly)
             assert_engine_matches_reference(engine, compiled, active, weighting)
 
+    def test_osim_under_oc_matches_reference(self):
+        compiled = make_graph()
+        engine = ScoreEngine(compiled, algorithm="osim", weighting="lt", model="oc")
+        rng = np.random.default_rng(5)
+        active = np.zeros(compiled.number_of_nodes, dtype=bool)
+        for _ in range(6):
+            reference = osim_scores(compiled, active, 3, "lt", model="oc")
+            assert np.array_equal(engine.scores, reference)
+            newly = rng.choice(compiled.number_of_nodes, size=4, replace=False)
+            active[newly] = True
+            engine.mark_active(newly)
+        # OC has no interaction term: psi = 1/2 on every edge, whatever the
+        # annotated phi says.
+        assert not np.array_equal(
+            osim_scores(compiled, max_path_length=3, weighting="lt", model="oc"),
+            osim_scores(compiled, max_path_length=3, weighting="lt"),
+        )
+
     @pytest.mark.parametrize("algorithm", ["easyim", "osim"])
     @pytest.mark.parametrize("fallback_fraction", [0.0, 0.05, 1.0])
     def test_fallback_boundary_preserves_scores(self, algorithm, fallback_fraction):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.evaluation import index_evaluate_seed_prefixes
 from repro.exceptions import (
     ConfigurationError,
     IndexArtifactError,
@@ -477,17 +476,18 @@ class TestInfluenceIndex:
             )
         assert curve[1] <= curve[4] <= curve[8]
 
-    def test_index_evaluate_seed_prefixes(self, built_index):
+    def test_index_estimator_sweep_from_artifact(self, built_index, wc_graph, tmp_path):
+        from repro.api import IndexEstimator
+
         seeds = built_index.select(6).seeds
-        evaluation = index_evaluate_seed_prefixes(
-            built_index, seeds, [0, 2, 6], label="warm"
-        )
-        assert evaluation.values[0] == 0.0
-        assert evaluation.values[1] == pytest.approx(
+        artifact = built_index.save(tmp_path / "warm.npz")
+        estimator = IndexEstimator(wc_graph, "ic", artifact=str(artifact))
+        curve = estimator.sweep(seeds, [0, 2, 6])
+        assert curve[0] == 0.0
+        assert curve[2] == pytest.approx(
             max(built_index.estimate_spread(seeds[:2]) - 2, 0.0)
         )
-        assert evaluation.extras["estimator"] == "influence-index"
-        assert evaluation.extras["theta"] == built_index.theta
+        assert estimator.describe()["theta"] == built_index.theta
 
     def test_grow_refuses_foreign_numpy_stream(self, wc_graph):
         from repro.exceptions import ServingError

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.algorithms.easyim import EaSyIMSelector
 from repro.algorithms.imm import IMMSelector
 from repro.algorithms.tim import TIMPlusSelector
-from repro.core.evaluation import sketch_evaluate_seed_prefixes
+from repro.api import SketchEstimator
 from repro.diffusion.simulation import MonteCarloEngine
 from repro.exceptions import BudgetError, ConfigurationError, SketchError
 from repro.graphs.digraph import DiGraph
@@ -429,24 +429,22 @@ class TestRISSelectors:
 class TestSketchSpreadOracle:
     def test_tracks_monte_carlo_estimate(self, wc_graph):
         seeds = [0, 1, 2, 3, 4]
-        sketch = sketch_evaluate_seed_prefixes(
-            wc_graph, "wc", seeds, [0, 1, 3, 5], theta=8000, seed=3
-        )
+        sketch = SketchEstimator(wc_graph, "wc", theta=8000, seed=3)
+        curve = sketch.sweep(seeds, [0, 1, 3, 5])
         engine = MonteCarloEngine(wc_graph, "wc", simulations=2000, seed=5)
-        assert sketch.values[0] == 0.0
-        for k, value in zip(sketch.seed_counts[1:], sketch.values[1:]):
+        assert curve[0] == 0.0
+        for k in (1, 3, 5):
             reference = engine.expected_spread(seeds[:k])
-            assert value == pytest.approx(reference, rel=0.2, abs=1.5)
-        assert sketch.extras["estimator"] == "rr-sketch"
-        assert sketch.extras["theta"] == 8000
+            assert curve[k] == pytest.approx(reference, rel=0.2, abs=1.5)
+        assert sketch.describe()["theta"] == 8000
 
     def test_validates_inputs(self, wc_graph):
         with pytest.raises(ConfigurationError):
-            sketch_evaluate_seed_prefixes(wc_graph, "wc", [0], [2], theta=100)
+            SketchEstimator(wc_graph, "wc", theta=100).sweep([0], [2])
         with pytest.raises(ConfigurationError):
-            sketch_evaluate_seed_prefixes(wc_graph, "wc", [0], [1], theta=0)
+            SketchEstimator(wc_graph, "wc", theta=0)
         with pytest.raises(ConfigurationError):
-            sketch_evaluate_seed_prefixes(wc_graph, "oi-ic", [0], [1])
+            SketchEstimator(wc_graph, "oi-ic")
 
 
 class TestScoreGreedyBudgetRegression:
