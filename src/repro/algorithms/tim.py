@@ -16,16 +16,13 @@ The implementation follows the published two-phase structure:
    maximum coverage.
 
 All RR-set machinery runs on the vectorized sketch subsystem
-(:mod:`repro.sketches`): blocks of reverse BFS frontiers are advanced per
+(:mod:`repro.sketches`): many reverse BFS frontiers are advanced per
 numpy pass over the in-CSR arrays, sets are stored in a CSR-backed
 :class:`~repro.sketches.collection.RRSetCollection`, and the cover picks
-by ``argmax`` over per-node gain counters.  Sampling is chunked into
-``block_size`` sets per pass; the per-set counter-based randomness
-guarantees that the selected seeds are identical for a fixed engine seed
-regardless of the block size.
-The scalar per-set samplers are retained (``_sample_rr_set``,
-``_sample_rr_set_lt``) as the reference implementation for equivalence tests
-and the RIS benchmark baseline.
+by ``argmax`` over per-node gain counters.  ``block_size`` bounds the sets
+sampled concurrently; the per-set counter-based randomness guarantees that
+the selected seeds are identical for a fixed engine seed regardless of the
+block size.
 
 The paper's scalability critique of TIM+ is its memory footprint — all
 ``theta`` RR sets are materialised — which this implementation reproduces
@@ -104,76 +101,6 @@ class TIMPlusSelector(SeedSelector):
     def _in_probabilities(self, graph: CompiledGraph) -> np.ndarray:
         """In-edge aligned traversal probabilities for the configured model."""
         return in_edge_probabilities(graph, self.model)
-
-    def _sample_rr_set(
-        self,
-        graph: CompiledGraph,
-        probabilities: np.ndarray,
-        root: int,
-    ) -> tuple[list[int], int]:
-        """Scalar reference sampler: one RR set rooted at ``root``.
-
-        Returns ``(members, edges_examined)``.  The hot path uses
-        :class:`~repro.sketches.sampler.BatchRRSampler`; this walk is kept
-        for equivalence tests and the scalar benchmark baseline.
-        """
-        if self.model == "lt":
-            return self._sample_rr_set_lt(graph, probabilities, root)
-        members = [root]
-        member_set = {root}
-        frontier = [root]
-        edges_examined = 0
-        rng = self._rng
-        while frontier:
-            next_frontier: list[int] = []
-            for node in frontier:
-                start, end = graph.in_indptr[node], graph.in_indptr[node + 1]
-                count = end - start
-                if count == 0:
-                    continue
-                edges_examined += int(count)
-                draws = rng.random(count)
-                hits = np.flatnonzero(draws < probabilities[start:end])
-                for offset in hits:
-                    source = int(graph.in_indices[start + offset])
-                    if source not in member_set:
-                        member_set.add(source)
-                        members.append(source)
-                        next_frontier.append(source)
-            frontier = next_frontier
-        return members, edges_examined
-
-    def _sample_rr_set_lt(
-        self,
-        graph: CompiledGraph,
-        probabilities: np.ndarray,
-        root: int,
-    ) -> tuple[list[int], int]:
-        """LT RR sets: walk a single live in-edge per node (live-edge model)."""
-        members = [root]
-        member_set = {root}
-        current = root
-        edges_examined = 0
-        rng = self._rng
-        while True:
-            start, end = graph.in_indptr[current], graph.in_indptr[current + 1]
-            if start == end:
-                break
-            local = probabilities[start:end]
-            total = float(local.sum())
-            edges_examined += int(end - start)
-            draw = rng.random()
-            if draw >= total:
-                break
-            cumulative = np.cumsum(local)
-            position = int(np.searchsorted(cumulative, draw, side="right"))
-            source = int(graph.in_indices[start + position])
-            if source in member_set:
-                break
-            member_set.add(source)
-            members.append(source)
-            current = source
-        return members, edges_examined
 
     # ---------------------------------------------------------- block growth
 

@@ -4,10 +4,10 @@ The RIS-based selectors (TIM+, IMM) spend almost all of their time drawing
 RR sets and covering them.  This package provides the batched building
 blocks they run on:
 
-* :class:`~repro.sketches.sampler.BatchRRSampler` — advances whole blocks of
-  reverse BFS frontiers (IC/WC) or live-edge walks (LT) per vectorized pass
-  over the in-CSR arrays, mirroring the forward batch kernels of
-  :mod:`repro.diffusion.batch`.
+* :class:`~repro.sketches.sampler.BatchRRSampler` — advances many reverse
+  BFS frontiers (IC/WC) or live-edge walks (LT) per vectorized pass over the
+  in-CSR arrays, refilling each finished set's slot with the next root, in
+  the style of the forward batch kernels of :mod:`repro.diffusion.batch`.
 * :class:`~repro.sketches.collection.RRSetCollection` — a compact CSR-backed
   store of RR sets (flat int32 ``members``, int64 ``indptr``) that grows
   incrementally, plus the sketch-based spread oracle

@@ -1,32 +1,52 @@
 """Batched reverse-reachable (RR) set sampling.
 
 An RR set for a uniformly random root ``v`` is the set of nodes that reach
-``v`` in a randomly sampled possible world.  The scalar samplers in
-:mod:`repro.algorithms.tim` walk one RR set at a time with Python-level
-frontier loops; :class:`BatchRRSampler` advances whole blocks of RR sets per
-vectorized pass over the in-CSR arrays, in the same kernel style as the
-forward cascade kernels of :mod:`repro.diffusion.batch`:
+``v`` in a randomly sampled possible world.  :class:`BatchRRSampler` grows
+many RR sets at once, one vectorized pass over the in-CSR arrays per round,
+in the same kernel style as the forward cascade kernels of
+:mod:`repro.diffusion.batch`:
 
-* **IC/WC** — a block of reverse BFS frontiers.  Each round flattens every
-  frontier node's in-edge slice with the ``np.repeat``-over-``indptr`` trick,
-  draws one uniform per edge, and admits successful, still-unvisited sources
-  with a sort-free first-wins scatter dedup.
+* **IC/WC** — reverse BFS frontiers.  Each round flattens every frontier
+  node's in-edge slice with the ``np.repeat``-over-``indptr`` trick, hashes
+  one uniform per edge, and admits successful, still-unvisited sources in
+  first-wins order.
 * **LT** — the live-edge single-in-edge walk.  Every active walk consumes one
   uniform per step; the live in-edge is resolved with a single global
   ``searchsorted`` against a band-shifted per-segment cumulative-weight
   array (the same trick as ``_sample_live_parent_matrix``).
 
+**Slots.**  A call samples one RR set per token, but at most ``slots`` sets
+are in flight at a time.  Each set occupies a slot from its root until its
+frontier (or walk) dies out; the next round the slot takes the root of the
+next unstarted token.  Every round therefore stays full until the tokens run
+out, instead of a block of sets starting together and trickling through a
+long tail of near-empty rounds.  :meth:`BatchRRSampler.sample_into` hands the
+sampler ``4 * block_size`` tokens per call with ``block_size`` slots, so
+``block_size`` bounds the concurrent sets, and with them the visited buffer.
+
+**Visited tags.**  The visited state is one ``uint8`` tag per
+``(node, slot)``, node-major (``node * stride + slot``) so the hub nodes that
+dominate reverse traversals share pages.  A slot carries a generation number
+in ``1..255``; a node is visited by the slot's current set iff its tag equals
+that generation.  Opening a set in a slot advances the generation, which
+invalidates the previous set's tags without touching them; only when the
+generation wraps is the slot's column wiped.  The buffer lives across the
+calls of one :meth:`~BatchRRSampler.sample_into` (or a loop of
+:meth:`~BatchRRSampler.sample` calls) and is freed when ``sample_into``
+returns.
+
 **Block-size independence.**  The RIS selectors must return identical seed
-sets for a fixed engine seed regardless of how the sampling work is chunked
-into blocks.  Per-block draws from a shared ``numpy`` generator would break
-that (splitting a block changes the stream layout), so the sampler consumes
-exactly *one* 63-bit token per RR set from the engine generator — bounded
-``Generator.integers`` fills are split-invariant, i.e. drawing ``(10, 10)``
-tokens equals drawing ``(20,)`` — and derives everything else from the token
-with a counter-based generator: the root is ``token % n`` and uniform number
-``t`` of the set is a SplitMix64 hash of ``(token, t)``.  Each set's draw
-counter advances only with its own edges, so the sampled worlds depend only
-on the token sequence, never on which block a set landed in.
+sets for a fixed engine seed regardless of how the sampling work is chunked.
+Per-round draws from a shared ``numpy`` generator would break that, so the
+sampler consumes exactly *one* 63-bit token per RR set from the engine
+generator — bounded ``Generator.integers`` fills are split-invariant, i.e.
+drawing ``(10, 10)`` tokens equals drawing ``(20,)`` — and derives
+everything else from the token with a counter-based generator: the root is
+``token % n``, the IC/WC draw for in-edge ``e`` is a SplitMix64 hash of
+``(token, e)``, and LT step ``t`` of a walk hashes ``(token, t)``.  A set's
+draws never depend on its slot, round or neighbours, and each set keeps its
+own discovery order, so the sampled arrays are identical for any token
+chunking and any slot count.
 """
 
 from __future__ import annotations
@@ -44,6 +64,11 @@ from repro.utils.rng import SPLITMIX64_GAMMA, SPLITMIX64_MUL_A, SPLITMIX64_MUL_B
 SUPPORTED_MODELS = ("ic", "wc", "lt")
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: Tokens per :meth:`BatchRRSampler.sample_into` call, per slot.  Larger
+#: calls spend a smaller share of rounds in the tail where the last sets
+#: finish, but hold more sampled members at once before they are appended.
+_TOKENS_PER_SLOT = 4
 
 # The SplitMix64 finalizer of repro.utils.rng.splitmix64, used as a
 # counter-based generator over (stream, counter) pairs.
@@ -100,7 +125,7 @@ def expand_csr_positions(indptr: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndar
     """Global positions of every CSR entry of ``nodes``, slices concatenated.
 
     Returns ``(positions, degrees)``; the ``np.repeat``-over-``indptr`` trick
-    shared by the sampler's frontier expansion and the coverage decrement.
+    shared by the coverage decrement and the spread oracle.
     """
     degrees = indptr[nodes + 1] - indptr[nodes]
     total = int(degrees.sum())
@@ -132,35 +157,43 @@ def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _dedup_first(keys: np.ndarray) -> np.ndarray:
+def _first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct key.
 
     Sort-based rather than the scatter dedup of ``repro.diffusion.batch``:
-    RR keys range over ``block * n``, and scattering into an array that size
-    is TLB-bound, while the per-round key counts here are small enough that
-    ``np.unique`` stays in cache.
+    RR keys range over ``slots * n``, and scattering into an array that size
+    is TLB-bound, while the per-round key counts here are small.  The sort
+    is the radix :func:`stable_argsort_bounded`, so equal keys stay in
+    index order and the head of each run is the first occurrence.
     """
-    return np.sort(np.unique(keys, return_index=True)[1])
+    order = stable_argsort_bounded(keys, bound)
+    ordered = keys[order]
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    first = np.zeros(keys.size, dtype=bool)
+    first[order[head]] = True
+    return np.flatnonzero(first)
 
 
 def in_edge_probabilities(graph: CompiledGraph, model: str) -> np.ndarray:
     """In-edge aligned traversal probabilities for an RIS model.
 
-    ``ic`` uses the annotated influence probabilities, ``lt`` the annotated
-    LT weights when present; ``wc`` (and ``lt`` without annotations) fall
-    back to ``1 / in_degree(target)``.
+    The out-edge weights of
+    :meth:`~repro.graphs.digraph.CompiledGraph.resolved_edge_probabilities`
+    (``ic``: the annotated probabilities; ``wc``: ``1 / in_degree``;
+    ``lt``: the annotated LT weights, else ``1 / in_degree``), laid out in
+    in-CSR order through
+    :attr:`~repro.graphs.digraph.CompiledGraph.out_to_in_position`.
     """
     if model not in SUPPORTED_MODELS:
         raise ConfigurationError(
             f"model must be one of {SUPPORTED_MODELS}, got {model!r}"
         )
-    if model == "ic":
-        return graph.in_probability
-    if model == "lt" and np.any(graph.in_weight > 0):
-        return graph.in_weight
-    in_degrees = np.diff(graph.in_indptr).astype(np.float64)
-    safe = np.where(in_degrees > 0, in_degrees, 1.0)
-    return np.repeat(1.0 / safe, np.diff(graph.in_indptr))
+    resolved = graph.resolved_edge_probabilities(model)
+    probabilities = np.empty(resolved.size, dtype=np.float64)
+    probabilities[graph.out_to_in_position] = resolved
+    return probabilities
 
 
 #: Per-worker-process sampler installed by :func:`sampler_worker_init`.
@@ -187,7 +220,7 @@ def sampler_worker_run(tokens: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.n
 
 
 class BatchRRSampler:
-    """Draws blocks of RR sets on a compiled graph under ``ic``/``wc``/``lt``.
+    """Draws RR sets on a compiled graph under ``ic``/``wc``/``lt``.
 
     Parameters
     ----------
@@ -217,24 +250,35 @@ class BatchRRSampler:
             probabilities = in_edge_probabilities(graph, model)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
         self._in_degrees = np.diff(graph.in_indptr)
-        # Visited buffer: allocated once for the largest block seen and
-        # wiped incrementally (only the keys a block touched), because
-        # re-allocating a ``block * n`` array per block costs more in page
-        # faults than the sampling itself on small-RR-set graphs.  It lives
-        # across the blocks of one :meth:`sample_into` call (or of a loop of
-        # :meth:`sample` calls) and is released when ``sample_into``
-        # returns.  Keys are node-major (``node * block + set``) so the hub
-        # nodes that dominate reverse traversals share pages.
-        self._visited = np.zeros(0, dtype=bool)
+        # The slot frame (see the module docstring): ``_tags`` holds
+        # ``n * stride`` visited tags, ``_generation`` one generation per
+        # slot; both start empty and grow to the largest slot count seen.
+        self._tags = np.zeros(0, dtype=np.uint8)
+        self._generation = np.zeros(0, dtype=np.uint8)
+        # ``arange * gamma``, the per-edge counter offsets within one
+        # round's flattened slices (IC/WC); grown on demand.
+        self._ramp = np.zeros(0, dtype=np.uint64)
         if model == "lt":
             self._prepare_live_edge_arrays()
         else:
-            self._thresholds = _integer_thresholds(self.probabilities)
-            # Pre-multiplied per-edge counter offsets: one gather per round
-            # instead of a gather plus a 64-bit multiply.
-            self._edge_step = (
-                np.arange(self.probabilities.size, dtype=np.uint64) * _MIX_STEP
-            )
+            self._prepare_thresholds()
+
+    def _prepare_thresholds(self) -> None:
+        """Acceptance thresholds, per target node when every slice allows it.
+
+        WC slices are uniform by construction, as is IC with one global
+        probability; the kernel then compares each slice against its
+        target's threshold.  Any non-uniform slice makes the kernel gather
+        per-edge thresholds instead.
+        """
+        thresholds = _integer_thresholds(self.probabilities)
+        has_in = self._in_degrees > 0
+        first = np.zeros(self.n, dtype=np.uint64)
+        first[has_in] = thresholds[self.graph.in_indptr[:-1][has_in]]
+        if np.array_equal(thresholds, np.repeat(first, self._in_degrees)):
+            self._node_thresholds, self._edge_thresholds = first, None
+        else:
+            self._node_thresholds, self._edge_thresholds = None, thresholds
 
     def _prepare_live_edge_arrays(self) -> None:
         """Band-shifted per-segment cumulative weights for the LT walk."""
@@ -259,16 +303,59 @@ class BatchRRSampler:
         self._band = band
         self._shifted = shifted
 
-    def _block_visited(self, count: int) -> np.ndarray:
-        """Reusable visited buffer covering ``count`` sets.
+    # ----------------------------------------------------------- slot frame
 
-        A larger block may arrive after a smaller one; the node-major key
-        stride is the *buffer* capacity, not the block size, so existing
-        clean state stays valid when only ``count`` grows.
+    def _slot_frame(self, slots: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(tags, generation, stride)`` covering at least ``slots`` slots.
+
+        A call with fewer slots than the buffer holds uses its first
+        columns; the key stride is the buffer's capacity, so tags left by
+        earlier calls stay valid for their slots.
         """
-        if self._visited.size < count * self.n:
-            self._visited = np.zeros(count * self.n, dtype=bool)
-        return self._visited
+        if self._generation.size < slots:
+            self._tags = np.zeros(slots * self.n, dtype=np.uint8)
+            self._generation = np.zeros(slots, dtype=np.uint8)
+        return self._tags, self._generation, self._generation.size
+
+    def _open_sets(
+        self, roots: np.ndarray, opened: int, free: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Open the next unstarted sets in the ``free`` slots.
+
+        Returns the new ``(set, slot, root)`` entries.  Each slot's
+        generation advances and its root is tagged; a slot whose generation
+        wraps past 255 has its column of tags wiped and restarts at
+        generation 1 (tag 0 is never a live generation).
+        """
+        tags, generation = self._tags, self._generation
+        slots = free[: roots.size - opened]
+        sets = np.arange(opened, opened + slots.size, dtype=np.int32)
+        nodes = roots[sets]
+        generation[slots] += np.uint8(1)
+        wrapped = slots[generation[slots] == 0]
+        if wrapped.size:
+            tags.reshape(self.n, generation.size)[:, wrapped] = 0
+            generation[wrapped] = 1
+        tags[nodes * generation.size + slots] = generation[slots]
+        return sets, slots, nodes
+
+    @staticmethod
+    def _free_slots(busy_slots: np.ndarray, slots: int) -> np.ndarray:
+        """The slots in ``range(slots)`` that hold no live set."""
+        busy = np.zeros(slots, dtype=bool)
+        busy[busy_slots] = True
+        return np.flatnonzero(~busy)
+
+    def _release_frame(self) -> None:
+        self._tags = np.zeros(0, dtype=np.uint8)
+        self._generation = np.zeros(0, dtype=np.uint8)
+        self._ramp = np.zeros(0, dtype=np.uint64)
+
+    def _counter_ramp(self, total: int) -> np.ndarray:
+        """``arange(total) * gamma`` as uint64, from a grown cache."""
+        if self._ramp.size < total:
+            self._ramp = np.arange(total, dtype=np.uint64) * _MIX_STEP
+        return self._ramp[:total]
 
     # ------------------------------------------------------------- sampling
 
@@ -316,13 +403,15 @@ class BatchRRSampler:
         return self.sample_tokens(self.draw_tokens(rng, count))
 
     def sample_tokens(
-        self, tokens: np.ndarray
+        self, tokens: np.ndarray, slots: int = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample one RR set per entry of ``tokens`` (see :meth:`sample`).
 
-        This is the replay primitive behind the supervised runtime: a
-        token fully determines its RR set (root and every uniform), so any
-        process sampling the same token block — first try, crash replay or
+        At most ``slots`` sets are in flight at once (all of them when
+        omitted); the result does not depend on ``slots``.  This is the
+        replay primitive behind the supervised runtime: a token fully
+        determines its RR set (root and every uniform), so any process
+        sampling the same token block — first try, crash replay or
         in-process fallback — produces bit-for-bit identical CSR arrays.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -334,9 +423,7 @@ class BatchRRSampler:
             )
         roots = (tokens % self.n).astype(np.int64)
         streams = _mix64(tokens.astype(np.uint64))
-        if self.model == "lt":
-            return self._sample_lt_block(roots, streams)
-        return self._sample_ic_block(roots, streams)
+        return self._sample(roots, streams, tokens.size if slots is None else slots)
 
     def sample_into(
         self,
@@ -345,24 +432,25 @@ class BatchRRSampler:
         target: int,
         block_size: int,
     ) -> None:
-        """Sample RR sets block-wise until ``collection`` holds ``target``.
+        """Sample RR sets until ``collection`` holds ``target``.
 
         The single grow loop shared by the selectors, the sketch spread
-        oracle and the benchmark, so block chunking behaves identically
-        everywhere.  The ``block_size * n`` byte visited buffer is freed on
-        return: what follows (a cover, or spread queries) does not sample,
-        and the buffer can outweigh the RR sets it helped draw.
+        oracle and the benchmark.  Each sampler call takes up to
+        ``4 * block_size`` tokens and keeps ``block_size`` sets in flight.
+        The ``block_size * n`` byte tag buffer is freed on return: what
+        follows (a cover, or spread queries) does not sample, and the
+        buffer can outweigh the RR sets it helped draw.
         """
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         registry = default_registry()
-        sets_total = blocks_total = None
+        sets_total = calls_total = None
         if registry is not None:
             sets_total = registry.counter(
                 "repro_sketch_rr_sets_total", "RR sets drawn by sample_into."
             )
-            blocks_total = registry.counter(
-                "repro_sketch_rr_blocks_total", "Sampling blocks run by sample_into."
+            calls_total = registry.counter(
+                "repro_sketch_rr_blocks_total", "Sampler calls made by sample_into."
             )
         with span(
             "rr_sample",
@@ -372,14 +460,18 @@ class BatchRRSampler:
         ):
             try:
                 while collection.num_sets < target:
-                    block = min(block_size, target - collection.num_sets)
-                    members, indptr, _ = self.sample(rng, block)
+                    count = min(
+                        _TOKENS_PER_SLOT * block_size, target - collection.num_sets
+                    )
+                    members, indptr, _ = self.sample_tokens(
+                        self.draw_tokens(rng, count), slots=block_size
+                    )
                     collection.append(members, indptr)
                     if sets_total is not None:
-                        sets_total.inc(block)
-                        blocks_total.inc()
+                        sets_total.inc(count)
+                        calls_total.inc()
             finally:
-                self._visited = np.zeros(0, dtype=bool)
+                self._release_frame()
 
     def sample_roots(
         self, rng: np.random.Generator, roots: np.ndarray
@@ -387,145 +479,186 @@ class BatchRRSampler:
         """Draw one RR set per entry of ``roots`` (mainly for tests)."""
         roots = np.asarray(roots, dtype=np.int64)
         tokens = self.draw_tokens(rng, roots.size)
-        streams = _mix64(tokens.astype(np.uint64))
+        return self._sample(roots, _mix64(tokens.astype(np.uint64)), roots.size)
+
+    def _sample(
+        self, roots: np.ndarray, streams: np.ndarray, slots: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slots = max(1, min(int(slots), roots.size))
         if self.model == "lt":
-            return self._sample_lt_block(roots, streams)
-        return self._sample_ic_block(roots, streams)
+            set_chunks, node_chunks = self._walk_lt(roots, streams, slots)
+        else:
+            set_chunks, node_chunks = self._walk_ic(roots, streams, slots)
+        return self._assemble(set_chunks, node_chunks, roots.size)
 
     # ------------------------------------------------------------ IC family
 
-    def _sample_ic_block(
-        self, roots: np.ndarray, streams: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        graph = self.graph
-        n = self.n
+    def _walk_ic(
+        self, roots: np.ndarray, streams: np.ndarray, slots: int
+    ) -> Tuple[list, list]:
+        """Reverse BFS of every token's set; returns per-round (set, node) chunks.
+
+        The frontier is three parallel arrays (set, slot, node).  Within a
+        set, entries stay in discovery order from round to round: new
+        entries are ordered by frontier entry, then by in-edge, and
+        :func:`_first_occurrences` keeps the first of duplicate discoveries.
+        """
         count = roots.size
-        indptr = graph.in_indptr
-        indices = graph.in_indices
-        thresholds = self._thresholds
+        indptr = self.graph.in_indptr
+        indices = self.graph.in_indices
+        in_degrees = self._in_degrees
+        node_thresholds = self._node_thresholds
+        edge_thresholds = self._edge_thresholds
+        tags, generation, stride = self._slot_frame(slots)
+        key_bound = self.n * stride
 
-        visited = self._block_visited(count)
-        stride = visited.size // n
-
-        owner_chunks = [np.arange(count, dtype=np.int64)]
-        node_chunks = [roots]
-        frontier_owner = owner_chunks[0]
-        frontier_node = roots
-        visited[roots * stride + frontier_owner] = True
-
-        while frontier_owner.size:
-            positions, degrees = expand_csr_positions(indptr, frontier_node)
-            if positions.size == 0:
+        set_chunks: list = []
+        node_chunks: list = []
+        frontier_set = _EMPTY.astype(np.int32)
+        frontier_slot = frontier_node = _EMPTY
+        free = np.arange(slots, dtype=np.int64)
+        opened = 0
+        while True:
+            if opened < count and free.size:
+                new_set, new_slot, new_node = self._open_sets(roots, opened, free)
+                opened += new_slot.size
+                set_chunks.append(new_set)
+                node_chunks.append(new_node)
+                frontier_set = np.concatenate((frontier_set, new_set))
+                frontier_slot = np.concatenate((frontier_slot, new_slot))
+                frontier_node = np.concatenate((frontier_node, new_node))
+            if frontier_set.size == 0:
                 break
-            edge_owner = np.repeat(frontier_owner, degrees)
 
-            # The draw for a (set, edge) pair is keyed by the set's stream
-            # and the *global edge id* — a set examines each in-edge at most
-            # once (nodes enter its frontier once), so edge ids never repeat
-            # within a set and the draws are independent of both the round
-            # structure and the block composition.  The comparison runs in
-            # the integer hash domain (see _integer_thresholds).
-            hashes = _mix64(streams[edge_owner] + self._edge_step[positions])
+            degrees = in_degrees[frontier_node]
+            ends = np.cumsum(degrees)
+            total = int(ends[-1])
+            # Flattened edge i of entry j sits at in-CSR position i + shift[j].
+            shift = indptr[frontier_node] - (ends - degrees)
+
+            # The draw for a (set, edge) pair hashes the set's stream and the
+            # *global edge id*: a set examines each in-edge at most once
+            # (nodes enter its frontier once), so edge ids never repeat
+            # within a set and the draws depend on neither the round nor the
+            # slot.  The comparison runs in the integer hash domain (see
+            # _integer_thresholds).
+            hashes = np.repeat(
+                streams[frontier_set] + shift.view(np.uint64) * _MIX_STEP, degrees
+            )
+            hashes += self._counter_ramp(total)
+            _mix64(hashes)
             hashes >>= np.uint64(11)
-            hit = np.flatnonzero(hashes < thresholds[positions])
-            if hit.size == 0:
-                break
-            sources = indices[positions[hit]]
-            keys = sources * stride + edge_owner[hit]
-            fresh = np.flatnonzero(~visited[keys])
-            if fresh.size == 0:
-                break
-            winners = fresh[_dedup_first(keys[fresh])]
-            visited[keys[winners]] = True
-            frontier_owner = edge_owner[hit[winners]]
-            frontier_node = sources[winners]
-            owner_chunks.append(frontier_owner)
-            node_chunks.append(frontier_node)
+            if node_thresholds is not None:
+                limits = np.repeat(node_thresholds[frontier_node], degrees)
+            else:
+                limits = edge_thresholds[
+                    np.repeat(shift, degrees) + np.arange(total, dtype=np.int64)
+                ]
+            hit = np.flatnonzero(hashes < limits)
 
-        return self._finish_block(owner_chunks, node_chunks, count)
+            entry = np.searchsorted(ends, hit, side="right")
+            sources = indices[hit + shift[entry]]
+            hit_slot = frontier_slot[entry]
+            keys = sources * stride + hit_slot
+            fresh = np.flatnonzero(tags[keys] != generation[hit_slot])
+            winners = fresh[_first_occurrences(keys[fresh], key_bound)]
+            frontier_slot = hit_slot[winners]
+            frontier_node = sources[winners]
+            frontier_set = frontier_set[entry[winners]]
+            tags[keys[winners]] = generation[frontier_slot]
+            set_chunks.append(frontier_set)
+            node_chunks.append(frontier_node)
+            if opened < count:
+                free = self._free_slots(frontier_slot, slots)
+        return set_chunks, node_chunks
 
     # ------------------------------------------------------------ LT family
 
-    def _sample_lt_block(
-        self, roots: np.ndarray, streams: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        graph = self.graph
-        n = self.n
+    def _walk_lt(
+        self, roots: np.ndarray, streams: np.ndarray, slots: int
+    ) -> Tuple[list, list]:
+        """Live-edge walks of every token's set, in the IC kernel's slot frame.
+
+        One uniform per walk per step; a walk's step counter is its own age,
+        so the draws depend on neither the round nor the slot.
+        """
         count = roots.size
         in_degrees = self._in_degrees
+        totals = self._totals
+        indices = self.graph.in_indices
+        tags, generation, stride = self._slot_frame(slots)
 
-        visited = self._block_visited(count)
-        stride = visited.size // n
-        owner_chunks = [np.arange(count, dtype=np.int64)]
-        node_chunks = [roots]
-        visited[roots * stride + owner_chunks[0]] = True
-
-        current = roots.copy()
-        alive = np.arange(count, dtype=np.int64)
-        step = np.uint64(0)
-        while alive.size:
-            nodes = current[alive]
-            has_in = in_degrees[nodes] > 0
-            alive = alive[has_in]
-            nodes = nodes[has_in]
-            if alive.size == 0:
+        set_chunks: list = []
+        node_chunks: list = []
+        walk_set = _EMPTY.astype(np.int32)
+        walk_slot = walk_node = _EMPTY
+        walk_step = np.zeros(0, dtype=np.uint64)
+        free = np.arange(slots, dtype=np.int64)
+        opened = 0
+        while True:
+            if opened < count and free.size:
+                new_set, new_slot, new_node = self._open_sets(roots, opened, free)
+                opened += new_slot.size
+                set_chunks.append(new_set)
+                node_chunks.append(new_node)
+                walk_set = np.concatenate((walk_set, new_set))
+                walk_slot = np.concatenate((walk_slot, new_slot))
+                walk_node = np.concatenate((walk_node, new_node))
+                walk_step = np.concatenate(
+                    (walk_step, np.zeros(new_slot.size, dtype=np.uint64))
+                )
+            if walk_set.size == 0:
                 break
 
-            # One uniform per walk per step; a walk's step index is its own
-            # age, so the draws are independent of block composition.
-            draws = _counter_uniforms(streams[alive], step)
-            step += np.uint64(1)
-            live = draws < self._totals[nodes]
-            alive = alive[live]
-            nodes = nodes[live]
+            keep = np.flatnonzero(in_degrees[walk_node] > 0)
+            draws = _counter_uniforms(streams[walk_set[keep]], walk_step[keep])
+            live = draws < totals[walk_node[keep]]
+            keep = keep[live]
             draws = draws[live]
-            if alive.size == 0:
-                break
 
-            queries = draws + self._band * nodes
-            edge_positions = np.searchsorted(self._shifted, queries, side="right")
-            sources = graph.in_indices[edge_positions]
-            keys = sources * stride + alive
-            fresh = ~visited[keys]
-            alive = alive[fresh]
-            sources = sources[fresh]
-            if alive.size == 0:
-                break
-            visited[keys[fresh]] = True
-            owner_chunks.append(alive)
-            node_chunks.append(sources)
-            current[alive] = sources
+            queries = draws + self._band * walk_node[keep]
+            sources = indices[np.searchsorted(self._shifted, queries, side="right")]
+            slot = walk_slot[keep]
+            keys = sources * stride + slot
+            fresh = tags[keys] != generation[slot]
+            keep = keep[fresh]
+            walk_slot = slot[fresh]
+            walk_node = sources[fresh]
+            walk_set = walk_set[keep]
+            walk_step = walk_step[keep] + np.uint64(1)
+            tags[keys[fresh]] = generation[walk_slot]
+            set_chunks.append(walk_set)
+            node_chunks.append(walk_node)
+            if opened < count:
+                free = self._free_slots(walk_slot, slots)
+        return set_chunks, node_chunks
 
-        return self._finish_block(owner_chunks, node_chunks, count)
-
-    def _finish_block(
-        self,
-        owner_chunks: list,
-        node_chunks: list,
-        count: int,
+    def _assemble(
+        self, set_chunks: list, node_chunks: list, count: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Assemble the per-set CSR and wipe the visited keys for reuse.
+        """Assemble the per-set CSR from the per-round (set, node) chunks.
 
         The stable sort preserves each set's discovery order, which is what
-        makes the assembled arrays independent of how sets were blocked;
-        owners are below ``count``, so it is radix passes, not a merge sort.
-        Widths fall out of the membership: every member enters its set's
-        frontier (or walk) exactly once and is expanded exactly once, so the
-        edges a set examined are the summed in-degrees of its members.
-        ``members`` comes back as int32, the width the collection stores
-        node ids in; the kernels work in int64 because their visited keys
-        reach ``block * n``.
+        makes the assembled arrays independent of slots and token chunking;
+        set ids are below ``count``, so it is radix passes, not a merge
+        sort.  Widths fall out of the membership: every member enters its
+        set's frontier (or walk) exactly once and is expanded exactly once,
+        so the edges a set examined are the summed in-degrees of its
+        members.  Set ids are int32 and nodes are narrowed to int32, the
+        width the collection stores node ids in, before the sort; the
+        kernels keep nodes in int64 because their visited keys reach
+        ``slots * n``.  Each temporary is dropped as soon as it is used, so
+        a call's peak holds about two copies of its members.
         """
-        owners = np.concatenate(owner_chunks)
-        nodes = np.concatenate(node_chunks)
-        stride = self._visited.size // self.n
-        self._visited[nodes * stride + owners] = False
-        order = stable_argsort_bounded(owners, count)
-        members = nodes[order].astype(np.int32)
-        sizes = np.bincount(owners, minlength=count)
+        owners = np.concatenate(set_chunks)
+        nodes = np.concatenate(node_chunks, dtype=np.int32)
+        set_chunks.clear()
+        node_chunks.clear()
+        members = nodes[stable_argsort_bounded(owners, count)]
+        del nodes
         indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        widths = np.bincount(
-            owners, weights=self._in_degrees[nodes], minlength=count
-        ).astype(np.int64)
-        return members, indptr, widths
+        np.cumsum(np.bincount(owners, minlength=count), out=indptr[1:])
+        del owners
+        # Every set holds its root, so the set starts strictly increase.
+        widths = np.add.reduceat(self._in_degrees[members], indptr[:-1])
+        return members, indptr, widths.astype(np.int64, copy=False)

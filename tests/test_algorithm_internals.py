@@ -7,12 +7,18 @@ import pytest
 
 from repro.algorithms.score_greedy import ScoreGreedySelector
 from repro.algorithms.simpath import SimPathSelector
-from repro.algorithms.tim import TIMPlusSelector, _log_binomial
+from repro.algorithms.tim import _log_binomial
 from repro.bench.reporting import _format_value
 from repro.diffusion import MonteCarloEngine
 from repro.graphs import DiGraph, path_graph, star_graph
-from repro.sketches import RRSetCollection, greedy_max_coverage, pad_with_unselected
+from repro.sketches import (
+    RRSetCollection,
+    greedy_max_coverage,
+    in_edge_probabilities,
+    pad_with_unselected,
+)
 from repro.utils.rng import ensure_rng
+from rr_reference import sample_rr_set, sample_rr_set_lt
 
 
 class TestScoreGreedyDriver:
@@ -77,10 +83,9 @@ class TestTIMInternals:
         graph.add_edge(0, 1, probability=1.0)
         graph.add_edge(1, 2, probability=1.0)
         compiled = graph.compile()
-        selector = TIMPlusSelector(epsilon=0.5, seed=0)
-        probabilities = selector._in_probabilities(compiled)
-        members, width = selector._sample_rr_set(
-            compiled, probabilities, compiled.index_of[2]
+        members, width = sample_rr_set(
+            compiled, in_edge_probabilities(compiled, "ic"), compiled.index_of[2],
+            np.random.default_rng(0),
         )
         # With p = 1 the RR set of node 2 is every node that can reach it.
         assert set(members) == {compiled.index_of[0], compiled.index_of[1],
@@ -91,10 +96,9 @@ class TestTIMInternals:
         graph = star_graph(5)
         graph.set_linear_threshold_weights()
         compiled = graph.compile()
-        selector = TIMPlusSelector(model="lt", epsilon=0.5, seed=1)
-        probabilities = selector._in_probabilities(compiled)
-        members, _ = selector._sample_rr_set_lt(
-            compiled, probabilities, compiled.index_of[3]
+        members, _ = sample_rr_set_lt(
+            compiled, in_edge_probabilities(compiled, "lt"), compiled.index_of[3],
+            np.random.default_rng(1),
         )
         # A leaf's only possible live in-edge comes from the hub.
         assert members[0] == compiled.index_of[3]

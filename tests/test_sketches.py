@@ -24,6 +24,7 @@ from repro.sketches import (
     in_edge_probabilities,
     pad_with_unselected,
 )
+from rr_reference import sample_rr_set
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,16 @@ def wc_compiled(wc_graph):
 def lt_compiled(wc_graph):
     graph = wc_graph.copy()
     graph.set_linear_threshold_weights()
+    return graph.compile()
+
+
+@pytest.fixture(scope="module")
+def mixed_compiled(wc_graph):
+    """IC probabilities drawn per edge, so in-slices are not uniform."""
+    graph = wc_graph.copy()
+    rng = np.random.default_rng(31)
+    for source, target, _ in list(graph.edges()):
+        graph.set_probability(source, target, float(rng.uniform(0.05, 0.6)))
     return graph.compile()
 
 
@@ -73,6 +84,43 @@ class TestBatchSampler:
             assert np.array_equal(whole.members, other.members)
             assert np.array_equal(whole.indptr, other.indptr)
             assert np.array_equal(whole_widths, other_widths)
+
+    @pytest.mark.parametrize("model", ["ic", "wc", "lt"])
+    def test_sample_into_independent_of_tiny_block_sizes(
+        self, wc_compiled, lt_compiled, mixed_compiled, model
+    ):
+        # 1500 sets over 2 or 3 concurrent sets: every slot opens 500 or
+        # more sets, so its visited tags wrap past 255 at least once.
+        compiled = {"ic": mixed_compiled, "wc": wc_compiled, "lt": lt_compiled}[model]
+        arrays = []
+        for block_size in (2048, 2, 3):
+            collection = RRSetCollection(compiled.number_of_nodes)
+            BatchRRSampler(compiled, model).sample_into(
+                np.random.default_rng(17), collection, 1500, block_size
+            )
+            arrays.append((collection.members, collection.indptr))
+        reference_members, reference_indptr = arrays[0]
+        assert reference_indptr[-1] > 1500  # not just the roots
+        for members, indptr in arrays[1:]:
+            assert np.array_equal(members, reference_members)
+            assert np.array_equal(indptr, reference_indptr)
+
+    def test_generation_wrap_wipes_the_slot(self):
+        # One slot: the first set visits {a, b}, the next 254 sets only c,
+        # so the 256th set opens after the slot's generation wrapped back
+        # to the first set's.  Stale tags would hide b from it.
+        graph = DiGraph()
+        graph.add_edge("b", "a", probability=1.0)
+        graph.add_node("c")
+        compiled = graph.compile()
+        a, b, c = compiled.indices_for(["a", "b", "c"])
+        roots = np.array([a] + [c] * 254 + [a])
+        tokens = np.int64(3) * np.arange(1, roots.size + 1) + roots
+        members, indptr, _ = BatchRRSampler(compiled, "ic").sample_tokens(
+            tokens, slots=1
+        )
+        assert members[indptr[-2]:].tolist() == [a, b]
+        assert members[: indptr[1]].tolist() == [a, b]
 
     def test_buffer_reuse_across_blocks_is_clean(self, wc_compiled):
         sampler = BatchRRSampler(wc_compiled, "ic")
@@ -107,15 +155,14 @@ class TestBatchSampler:
         compiled = lt_compiled if model == "lt" else wc_compiled
         n = compiled.number_of_nodes
         draws = 4000
-        selector = TIMPlusSelector(model=model, seed=11)
-        probabilities = selector._in_probabilities(compiled)
-        rng = selector._rng
+        probabilities = in_edge_probabilities(compiled, model)
+        rng = np.random.default_rng(11)
         scalar_frequency = np.zeros(n)
         scalar_width = 0.0
         for _ in range(draws):
             root = int(rng.integers(0, n))
-            members, width = selector._sample_rr_set(
-                compiled, probabilities, root
+            members, width = sample_rr_set(
+                compiled, probabilities, root, rng, model
             )
             scalar_frequency[list(members)] += 1
             scalar_width += width
@@ -206,6 +253,12 @@ _PINNED_SAMPLES = {
         "28967a026b8392ea552f30bbc37c7e012fd140f90a55e2034688e9ae1a97faff",
         "3ffca51af3a16e358d54986b75294f6c573c780cd090b9a259c09aad866258f9",
     ),
+    # IC with per-edge probabilities (``mixed_compiled``): the one case
+    # whose in-slices are not uniform, so the per-edge threshold gather runs.
+    "ic-mixed": (
+        "ba8284e2fd0a83702c062ed0648f3da12b532f95ec9776709f26576706f76e1b",
+        "10203707a0f7ca95657990140d71478d28c36ea13d8b852f953fb909f4d5a843",
+    ),
 }
 
 
@@ -218,12 +271,17 @@ class TestIdWidths:
         graph.set_uniform_probabilities(0.3)
         return graph.compile()
 
-    @pytest.mark.parametrize("model", ["ic", "wc", "lt"])
+    @pytest.mark.parametrize("case", ["ic", "wc", "lt", "ic-mixed"])
     def test_sampled_values_pinned(
-        self, ic_compiled, wc_compiled, lt_compiled, model
+        self, ic_compiled, wc_compiled, lt_compiled, mixed_compiled, case
     ):
-        compiled = {"ic": ic_compiled, "wc": wc_compiled, "lt": lt_compiled}[model]
-        sampler = BatchRRSampler(compiled, model)
+        compiled = {
+            "ic": ic_compiled,
+            "wc": wc_compiled,
+            "lt": lt_compiled,
+            "ic-mixed": mixed_compiled,
+        }[case]
+        sampler = BatchRRSampler(compiled, case.split("-")[0])
         tokens = BatchRRSampler.draw_tokens(np.random.default_rng(2024), 600)
         members, indptr, _ = sampler.sample_tokens(tokens)
         assert members.dtype == np.int32
@@ -232,7 +290,7 @@ class TestIdWidths:
             hashlib.sha256(members.astype(np.int64).tobytes()).hexdigest(),
             hashlib.sha256(indptr.tobytes()).hexdigest(),
         )
-        assert digests == _PINNED_SAMPLES[model]
+        assert digests == _PINNED_SAMPLES[case]
 
     def test_collection_and_index_dtypes(self, wc_compiled):
         collection, _ = _sample_chunked(wc_compiled, "ic", [100, 140], seed=3)
