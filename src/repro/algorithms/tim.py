@@ -115,15 +115,6 @@ class TIMPlusSelector(SeedSelector):
 
     # ---------------------------------------------------------- KPT estimate
 
-    def _estimate_kpt(
-        self, graph: CompiledGraph, probabilities: np.ndarray, budget: int
-    ) -> float:
-        """Phase-1 KPT estimation (Algorithm 2 of the TIM paper)."""
-        kpt, _ = self._estimate_kpt_with_sets(
-            graph, BatchRRSampler(graph, self.model, probabilities), budget
-        )
-        return kpt
-
     def _estimate_kpt_with_sets(
         self,
         graph: CompiledGraph,

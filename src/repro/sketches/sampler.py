@@ -25,13 +25,16 @@ sampler ``4 * block_size`` tokens per call with ``block_size`` slots, so
 ``block_size`` bounds the concurrent sets, and with them the visited buffer.
 
 **Visited tags.**  The visited state is one ``uint8`` tag per
-``(node, slot)``, node-major (``node * stride + slot``) so the hub nodes that
-dominate reverse traversals share pages.  A slot carries a generation number
-in ``1..255``; a node is visited by the slot's current set iff its tag equals
+``(slot, node)``, slot-major (``slot * n + node``): each slot owns one
+contiguous row of ``n`` tags.  A slot carries a generation number in
+``1..255``; a node is visited by the slot's current set iff its tag equals
 that generation.  Opening a set in a slot advances the generation, which
 invalidates the previous set's tags without touching them; only when the
-generation wraps is the slot's column wiped.  The buffer lives across the
-calls of one :meth:`~BatchRRSampler.sample_into` (or a loop of
+generation wraps is the slot's row wiped, one ``n``-byte memset.  The
+layout is chosen for that wipe: node-major, it would be ``n`` single-byte
+writes one cache line apart, and every call that hosts more than 255 sets
+per slot (TIM+'s final θ, IMM, large-θ LT) wraps.  The buffer lives across
+the calls of one :meth:`~BatchRRSampler.sample_into` (or a loop of
 :meth:`~BatchRRSampler.sample` calls) and is freed when ``sample_into``
 returns.
 
@@ -51,7 +54,7 @@ chunking and any slot count.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -237,7 +240,7 @@ class BatchRRSampler:
         self,
         graph: CompiledGraph,
         model: str,
-        probabilities: np.ndarray = None,
+        probabilities: Optional[np.ndarray] = None,
     ) -> None:
         if model not in SUPPORTED_MODELS:
             raise ConfigurationError(
@@ -250,9 +253,9 @@ class BatchRRSampler:
             probabilities = in_edge_probabilities(graph, model)
         self.probabilities = np.asarray(probabilities, dtype=np.float64)
         self._in_degrees = np.diff(graph.in_indptr)
-        # The slot frame (see the module docstring): ``_tags`` holds
-        # ``n * stride`` visited tags, ``_generation`` one generation per
-        # slot; both start empty and grow to the largest slot count seen.
+        # The slot frame (see the module docstring): ``_tags`` holds one
+        # row of ``n`` visited tags per slot, ``_generation`` one generation
+        # per slot; both start empty and grow to the largest slot count seen.
         self._tags = np.zeros(0, dtype=np.uint8)
         self._generation = np.zeros(0, dtype=np.uint8)
         # ``arange * gamma``, the per-edge counter offsets within one
@@ -288,10 +291,13 @@ class BatchRRSampler:
         totals = np.zeros(n, dtype=np.float64)
         if weights.size:
             cumulative = np.cumsum(weights)
-            starts = self.graph.in_indptr[:-1]
-            prefix = cumulative[starts] - weights[starts]
-            within = cumulative - np.repeat(prefix, in_degrees)
+            # Only nodes with in-edges have a first in-edge; a trailing
+            # source's slice start is one past the last edge.
             positive = np.flatnonzero(in_degrees > 0)
+            starts = self.graph.in_indptr[positive]
+            prefix = np.zeros(n, dtype=np.float64)
+            prefix[positive] = cumulative[starts] - weights[starts]
+            within = cumulative - np.repeat(prefix, in_degrees)
             totals[positive] = within[self.graph.in_indptr[1:][positive] - 1]
             band = float(max(2.0, np.ceil(within.max()) + 1.0))
             segment_of_edge = np.repeat(np.arange(n), in_degrees)
@@ -305,17 +311,18 @@ class BatchRRSampler:
 
     # ----------------------------------------------------------- slot frame
 
-    def _slot_frame(self, slots: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """``(tags, generation, stride)`` covering at least ``slots`` slots.
+    def _slot_frame(self, slots: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(tags, generation)`` covering at least ``slots`` slots.
 
-        A call with fewer slots than the buffer holds uses its first
-        columns; the key stride is the buffer's capacity, so tags left by
+        The visited key of ``(slot, node)`` is ``slot * n + node``.  A call
+        with fewer slots than the buffer holds uses its first rows, whose
+        keys do not depend on the buffer's capacity, so tags left by
         earlier calls stay valid for their slots.
         """
         if self._generation.size < slots:
             self._tags = np.zeros(slots * self.n, dtype=np.uint8)
             self._generation = np.zeros(slots, dtype=np.uint8)
-        return self._tags, self._generation, self._generation.size
+        return self._tags, self._generation
 
     def _open_sets(
         self, roots: np.ndarray, opened: int, free: np.ndarray
@@ -324,7 +331,7 @@ class BatchRRSampler:
 
         Returns the new ``(set, slot, root)`` entries.  Each slot's
         generation advances and its root is tagged; a slot whose generation
-        wraps past 255 has its column of tags wiped and restarts at
+        wraps past 255 has its row of tags wiped and restarts at
         generation 1 (tag 0 is never a live generation).
         """
         tags, generation = self._tags, self._generation
@@ -334,9 +341,9 @@ class BatchRRSampler:
         generation[slots] += np.uint8(1)
         wrapped = slots[generation[slots] == 0]
         if wrapped.size:
-            tags.reshape(self.n, generation.size)[:, wrapped] = 0
+            tags.reshape(generation.size, self.n)[wrapped] = 0
             generation[wrapped] = 1
-        tags[nodes * generation.size + slots] = generation[slots]
+        tags[slots * self.n + nodes] = generation[slots]
         return sets, slots, nodes
 
     @staticmethod
@@ -403,7 +410,7 @@ class BatchRRSampler:
         return self.sample_tokens(self.draw_tokens(rng, count))
 
     def sample_tokens(
-        self, tokens: np.ndarray, slots: int = None
+        self, tokens: np.ndarray, slots: Optional[int] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sample one RR set per entry of ``tokens`` (see :meth:`sample`).
 
@@ -509,8 +516,8 @@ class BatchRRSampler:
         in_degrees = self._in_degrees
         node_thresholds = self._node_thresholds
         edge_thresholds = self._edge_thresholds
-        tags, generation, stride = self._slot_frame(slots)
-        key_bound = self.n * stride
+        n = self.n
+        tags, generation = self._slot_frame(slots)
 
         set_chunks: list = []
         node_chunks: list = []
@@ -559,9 +566,9 @@ class BatchRRSampler:
             entry = np.searchsorted(ends, hit, side="right")
             sources = indices[hit + shift[entry]]
             hit_slot = frontier_slot[entry]
-            keys = sources * stride + hit_slot
+            keys = hit_slot * n + sources
             fresh = np.flatnonzero(tags[keys] != generation[hit_slot])
-            winners = fresh[_first_occurrences(keys[fresh], key_bound)]
+            winners = fresh[_first_occurrences(keys[fresh], slots * n)]
             frontier_slot = hit_slot[winners]
             frontier_node = sources[winners]
             frontier_set = frontier_set[entry[winners]]
@@ -586,7 +593,8 @@ class BatchRRSampler:
         in_degrees = self._in_degrees
         totals = self._totals
         indices = self.graph.in_indices
-        tags, generation, stride = self._slot_frame(slots)
+        n = self.n
+        tags, generation = self._slot_frame(slots)
 
         set_chunks: list = []
         node_chunks: list = []
@@ -619,7 +627,7 @@ class BatchRRSampler:
             queries = draws + self._band * walk_node[keep]
             sources = indices[np.searchsorted(self._shifted, queries, side="right")]
             slot = walk_slot[keep]
-            keys = sources * stride + slot
+            keys = slot * n + sources
             fresh = tags[keys] != generation[slot]
             keep = keep[fresh]
             walk_slot = slot[fresh]

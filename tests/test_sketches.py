@@ -108,7 +108,8 @@ class TestBatchSampler:
     def test_generation_wrap_wipes_the_slot(self):
         # One slot: the first set visits {a, b}, the next 254 sets only c,
         # so the 256th set opens after the slot's generation wrapped back
-        # to the first set's.  Stale tags would hide b from it.
+        # to the first set's.  Stale tags would hide b from it.  The single
+        # in-edge b -> a is traversed with probability 1 under every model.
         graph = DiGraph()
         graph.add_edge("b", "a", probability=1.0)
         graph.add_node("c")
@@ -116,22 +117,26 @@ class TestBatchSampler:
         a, b, c = compiled.indices_for(["a", "b", "c"])
         roots = np.array([a] + [c] * 254 + [a])
         tokens = np.int64(3) * np.arange(1, roots.size + 1) + roots
-        members, indptr, _ = BatchRRSampler(compiled, "ic").sample_tokens(
-            tokens, slots=1
-        )
-        assert members[indptr[-2]:].tolist() == [a, b]
-        assert members[: indptr[1]].tolist() == [a, b]
+        for model in ("ic", "wc", "lt"):
+            members, indptr, _ = BatchRRSampler(compiled, model).sample_tokens(
+                tokens, slots=1
+            )
+            assert members[indptr[-2]:].tolist() == [a, b], model
+            assert members[: indptr[1]].tolist() == [a, b], model
 
     def test_buffer_reuse_across_blocks_is_clean(self, wc_compiled):
-        sampler = BatchRRSampler(wc_compiled, "ic")
-        rng = np.random.default_rng(7)
-        collection = RRSetCollection(wc_compiled.number_of_nodes)
-        for count in (100, 140):
-            members, indptr, _ = sampler.sample(rng, count)
-            collection.append(members, indptr)
-        fresh, _ = _sample_chunked(wc_compiled, "ic", [240], seed=7)
-        assert np.array_equal(collection.members, fresh.members)
-        assert np.array_equal(collection.indptr, fresh.indptr)
+        # (140, 100, 260): the second call runs on the first rows of a
+        # larger buffer, the third regrows it.
+        for counts in ((100, 140), (140, 100, 260)):
+            sampler = BatchRRSampler(wc_compiled, "ic")
+            rng = np.random.default_rng(7)
+            collection = RRSetCollection(wc_compiled.number_of_nodes)
+            for count in counts:
+                members, indptr, _ = sampler.sample(rng, count)
+                collection.append(members, indptr)
+            fresh, _ = _sample_chunked(wc_compiled, "ic", [sum(counts)], seed=7)
+            assert np.array_equal(collection.members, fresh.members)
+            assert np.array_equal(collection.indptr, fresh.indptr)
 
     def test_deterministic_chain_rr_set(self):
         graph = DiGraph()
