@@ -61,6 +61,20 @@ class TestDesignAndExperiments:
                          "6(d)", "6(f)", "6(i)", "7(a)", "7(d)", "7(f)", "7(j)"):
             assert fragment in experiments, fragment
 
+    @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md", "EXPERIMENTS.md"])
+    def test_named_benchmark_files_exist(self, doc):
+        """Every concrete benchmark script or ``BENCH_*.json`` record a doc
+        names must exist; globs such as ``bench_fig*.py`` are skipped."""
+        text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w/*])(benchmarks/[\w/]+\.py)\b", text))
+        named.update(
+            f"benchmarks/{name}"
+            for name in re.findall(r"(?<![\w/*])(bench_\w+\.py)\b", text)
+        )
+        named.update(re.findall(r"(?<![\w/*])(BENCH_\w+\.json)\b", text))
+        missing = sorted(path for path in named if not (REPO_ROOT / path).exists())
+        assert not missing, f"{doc} names missing files: {missing}"
+
     def test_every_example_script_exists_and_has_docstring(self):
         examples = sorted((REPO_ROOT / "examples").glob("*.py"))
         assert len(examples) >= 4

@@ -28,7 +28,7 @@ from repro.exceptions import (
     IndexArtifactError,
     ServiceOverloadedError,
 )
-from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.serving import (
     CircuitBreaker,
     Deadline,
@@ -623,6 +623,89 @@ class TestServiceResilience:
         assert plan.fired[-1] == (faults.SITE_LEADER, 1, "raise")
         # The failure is not sticky: leadership was released cleanly.
         assert service.evaluate(compiled, "ic", [0]) > 0
+
+    def test_mixed_load_under_faults_answers_or_sheds_every_request(
+        self, tmp_path
+    ):
+        """The degraded-answer contract under closed-loop mixed traffic.
+
+        16 client threads fire 60 evaluates, selects and hot swaps at a
+        bounded admission queue while the coalescing leader crashes on ~15%
+        of its batches and artifact reads stall.  With ``degraded_ok`` every
+        request is answered (possibly degraded) or shed after its retry
+        budget; none fails and none hangs.
+        """
+        graph = barabasi_albert_graph(500, 3, seed=1)
+        graph.set_weighted_cascade_probabilities()
+        compiled = graph.compile()
+        artifact = tmp_path / "index.npz"
+        InfluenceIndex.build(compiled, "ic", 2_000, engine_seed=0).save(artifact)
+        service = make_service(
+            default_theta=2_000,
+            engine_seed=0,
+            max_queue=12,
+            retry_policy=RetryPolicy(base_delay=0.001, seed=FAULT_SEED),
+        )
+        service.load_artifact(artifact, compiled)
+
+        rng = np.random.default_rng(7)
+        requests = []
+        for i in range(60):
+            if i % 50 == 25:
+                requests.append("swap")
+            elif i % 10 == 0:
+                requests.append("select")
+            else:
+                requests.append(rng.choice(500, size=8, replace=False).tolist())
+
+        outcomes = {"answered": 0, "shed": 0, "failed": 0}
+        lock = threading.Lock()
+
+        def client(request):
+            # A shed request backs off and retries, as the overload error
+            # instructs; it counts as shed only once its retries run out.
+            for _ in range(50):
+                try:
+                    if request == "swap":
+                        service.hot_swap(artifact, compiled)
+                    elif request == "select":
+                        service.select(
+                            compiled, "ic", 8,
+                            deadline_ms=2_000.0, degraded_ok=True,
+                        )
+                    else:
+                        service.evaluate(
+                            compiled, "ic", request,
+                            deadline_ms=2_000.0, degraded_ok=True,
+                        )
+                except ServiceOverloadedError:
+                    threading.Event().wait(0.002)
+                    continue
+                except Exception:  # noqa: BLE001 — counted and asserted on
+                    outcome = "failed"
+                else:
+                    outcome = "answered"
+                break
+            else:
+                outcome = "shed"
+            with lock:
+                outcomes[outcome] += 1
+
+        plan = FaultPlan(
+            [
+                FaultRule(faults.SITE_LEADER, "raise", probability=0.15),
+                FaultRule(
+                    faults.SITE_ARTIFACT_READ, "sleep", delay=0.02,
+                    probability=0.5,
+                ),
+            ],
+            seed=FAULT_SEED,
+        )
+        with fault_injection(plan), ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(client, requests))
+        assert plan.fired, "no fault fired: the contract went untested"
+        assert sum(outcomes.values()) == len(requests)
+        assert outcomes["failed"] == 0, outcomes
 
     def test_concurrent_eviction_with_inflight_evaluates(
         self, compiled, other_compiled

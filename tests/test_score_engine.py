@@ -19,7 +19,7 @@ from repro.algorithms.easyim import EaSyIMSelector, easyim_scores
 from repro.algorithms.osim import OSIMSelector, osim_scores
 from repro.exceptions import ConfigurationError
 from repro.graphs import DiGraph, random_kout_graph
-from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.opinion.annotate import annotate_graph
 from repro.scoring import DEFAULT_FALLBACK_FRACTION, ScoreEngine
 from repro.scoring.engine import FALLBACK_PATIENCE
@@ -241,6 +241,41 @@ class TestSelectorParity:
         ).select(compiled, 8)
         assert incremental.seeds == full.seeds
         assert incremental.scores == full.scores
+
+    @pytest.mark.parametrize(
+        "shape, selector, model, falls_back",
+        [
+            # Subcritical uniform-IC cascades: small dirty balls.
+            ("kout", EaSyIMSelector, "ic", False),
+            ("kout", OSIMSelector, "oi-ic", False),
+            # WC gives mean branching factor 1: critical cascades.
+            ("kout-wc", EaSyIMSelector, "wc", True),
+            # Hubs blow the edge budget on almost every update, so the
+            # engine lives in its full-rebuild fallback.
+            ("ba-wc", EaSyIMSelector, "wc", True),
+        ],
+    )
+    def test_large_graph_seed_sets_match_full_recompute(
+        self, shape, selector, model, falls_back
+    ):
+        if shape == "ba-wc":
+            graph = barabasi_albert_graph(5_000, 3, seed=1)
+        else:
+            graph = random_kout_graph(5_000, 6, seed=1)
+        if shape != "kout":
+            graph.set_weighted_cascade_probabilities()
+        annotate_graph(graph, opinion="uniform", interaction="uniform", seed=3)
+        compiled = graph.compile()
+        incremental = selector(model=model, seed=7).select(compiled, 50)
+        full = selector(model=model, seed=7, incremental=False).select(
+            compiled, 50
+        )
+        assert incremental.seeds == full.seeds
+        assert incremental.scores == full.scores
+        engine = incremental.metadata["engine"]
+        assert engine["incremental_updates"] > 0
+        if falls_back:
+            assert engine["fallback_rebuilds"] > 0
 
     def test_regression_fixed_seed_sets_unchanged(self):
         """Pinned seed sets from the pre-engine driver on a fixed graph: both

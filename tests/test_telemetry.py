@@ -9,12 +9,14 @@ contract the serving instrumentation relies on.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import threading
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 import repro
@@ -87,6 +89,24 @@ class TestRegistry:
         assert len(set(DEFAULT_LATENCY_BUCKETS)) == len(DEFAULT_LATENCY_BUCKETS)
         assert DEFAULT_LATENCY_BUCKETS[0] <= 0.001  # sub-millisecond resolution
         assert DEFAULT_LATENCY_BUCKETS[-1] >= 10.0  # covers slow builds
+
+    @pytest.mark.parametrize("n", [30, 400])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_bucket_quantiles_within_one_bucket(self, seed, n):
+        """The histogram contract: a derived p50/p95/p99 lies within the
+        width of the bucket holding the exact percentile.  Latencies are
+        synthetic (log-normal around 0.2 ms), so nothing is timed."""
+        samples = np.random.default_rng(seed).lognormal(math.log(2e-4), 0.6, n)
+        histogram = MetricsRegistry().histogram("repro_test_seconds")
+        for value in samples:
+            histogram.observe(value)
+        bounds = DEFAULT_LATENCY_BUCKETS
+        for q in (0.5, 0.95, 0.99):
+            exact = float(np.percentile(samples, 100.0 * q))
+            index = bisect.bisect_left(bounds, exact)
+            assert index < len(bounds), "exact percentile beyond the buckets"
+            width = bounds[index] - (bounds[index - 1] if index else 0.0)
+            assert abs(histogram.quantile(q) - exact) <= width, (q, exact)
 
     def test_labeled_children_are_distinct_and_cached(self):
         reg = MetricsRegistry()
