@@ -92,27 +92,28 @@ def annotate_interactions(
     constant:
         Value used by the ``"constant"`` scheme.
 
-    Returns the number of annotated edges.
+    Returns the number of annotated edges.  The random schemes draw one
+    vector of ``number_of_edges`` values, assigned in :meth:`DiGraph.edges`
+    order; it equals one scalar draw per edge in that order.
     """
     if scheme not in INTERACTION_SCHEMES:
         raise ConfigurationError(
             f"unknown interaction scheme {scheme!r}; expected one of {INTERACTION_SCHEMES}"
         )
+    if scheme == "constant" and not 0.0 <= constant <= 1.0:
+        raise ConfigurationError(
+            f"constant interaction must lie in [0, 1], got {constant}"
+        )
     rng = ensure_rng(seed)
-    count = 0
-    for _, _, data in graph.edges():
-        if scheme == "uniform":
-            data.interaction = float(rng.uniform(0.0, 1.0))
-        elif scheme == "agreeable":
-            data.interaction = float(rng.uniform(0.5, 1.0))
-        else:
-            if not 0.0 <= constant <= 1.0:
-                raise ConfigurationError(
-                    f"constant interaction must lie in [0, 1], got {constant}"
-                )
-            data.interaction = float(constant)
-        count += 1
-    return count
+    edges = [data for _, _, data in graph.edges()]
+    if scheme == "constant":
+        values = [float(constant)] * len(edges)
+    else:
+        low = 0.0 if scheme == "uniform" else 0.5
+        values = rng.uniform(low, 1.0, size=len(edges)).tolist()
+    for data, value in zip(edges, values):
+        data.interaction = value
+    return len(edges)
 
 
 def annotate_graph(

@@ -7,8 +7,8 @@ record:
 * ``members`` / ``indptr`` — the RR-set CSR, exactly as sampled.
 * ``node_indptr`` / ``node_sets`` — the precomputed inverted index (which
   sets contain each node), so a warm ``select(k)`` never pays the
-  member-array argsort that building it costs; absent in hand-rolled
-  artifacts, in which case it is derived lazily on first use.
+  counting-sort pass over the members that building it costs; absent in
+  hand-rolled artifacts, in which case it is derived lazily on first use.
 * ``meta_json`` — a uint8 byte array holding the JSON-encoded metadata:
   artifact format name and version, diffusion ``model``, ``engine_seed``,
   ``theta`` (number of sets), sampling ``block_size``, the graph content

@@ -15,14 +15,16 @@ keeps below ``2**31`` (``n >= 2**31`` or more than ``2**31 - 1`` sets raise
 :class:`~repro.exceptions.SketchError`), while ``indptr`` and
 ``node_indptr`` count entries, which can pass ``2**31``.  Ids are the bulk
 of the bytes, so a built collection holds about 8 bytes per member instead
-of 24.  Arrays adopted by :meth:`RRSetCollection.from_csr` keep their own
-integer dtype (artifacts written before the switch hold int64), and every
-query reads either width.
+of 24.  The inverted index is built over set-aligned chunks of the member
+array (:data:`_INDEX_CHUNK` members each), so the build allocates no array
+the size of ``members`` besides ``node_sets`` itself.  Arrays adopted by
+:meth:`RRSetCollection.from_csr` keep their own integer dtype (artifacts
+written before the switch hold int64), and every query reads either width.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,26 @@ _MAX_ID = int(np.iinfo(np.int32).max)
 #: transient ``requests x chunk`` boolean matrix (a set larger than this
 #: still forms one chunk on its own).
 _SPREADS_CHUNK = 1 << 16
+
+#: Member entries placed per pass of the inverted-index build; bounds the
+#: build's transient arrays (a set larger than this forms one chunk on its
+#: own).
+_INDEX_CHUNK = 1 << 16
+
+
+def _set_chunks(indptr: np.ndarray, num_sets: int, budget: int) -> Iterator[Tuple[int, int]]:
+    """Split sets ``0..num_sets`` into runs ``(first, stop)`` of whole sets.
+
+    Each run holds at most ``budget`` members, except a single set larger
+    than ``budget``, which forms a run on its own.
+    """
+    first = 0
+    while first < num_sets:
+        limit = indptr[first] + budget
+        stop = int(np.searchsorted(indptr, limit, side="right")) - 1
+        stop = min(max(stop, first + 1), num_sets)
+        yield first, stop
+        first = stop
 
 
 class RRSetCollection:
@@ -202,28 +224,63 @@ class RRSetCollection:
         Returns ``(node_indptr, node_sets)``: node ``v`` appears in sets
         ``node_sets[node_indptr[v]:node_indptr[v + 1]]``.  This is the
         access structure greedy max coverage walks, and once cached it is
-        also how :meth:`estimated_spreads` answers.  Building it costs one
-        stable sort of ``members`` by node — linear-time radix passes
-        (:func:`~repro.sketches.sampler.stable_argsort_bounded`) for any
-        ``n`` below ``2**32`` — so it is cached here and persisted inside
-        index artifacts (where a warm ``select(k)`` would otherwise pay the
-        sort on every reopen).  Deterministic given the CSR: within a node,
-        set ids appear in ascending order.  ``node_sets`` is int32 and
-        ``node_indptr`` int64; the per-entry set ids the sort permutes are a
-        temporary, not kept.
+        also how :meth:`estimated_spreads` answers.  Building it costs a
+        linear pass over ``members`` (see :meth:`_build_inverted_index`), so
+        it is cached here and persisted inside index artifacts (where a warm
+        ``select(k)`` would otherwise pay the build on every reopen).
+        Deterministic given the CSR: within a node, set ids appear in
+        ascending order.  ``node_sets`` is int32 and ``node_indptr`` int64.
         """
         self._consolidate()
         if self._node_indptr is None or self._node_sets is None:
-            counts = np.bincount(self._members, minlength=self.n)
-            node_indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=node_indptr[1:])
-            order = stable_argsort_bounded(self._members, self.n)
-            set_ids = np.repeat(
-                np.arange(self._num_sets, dtype=np.int32), np.diff(self._indptr)
-            )
-            self._node_sets = set_ids[order]
-            self._node_indptr = node_indptr
+            self._node_indptr, self._node_sets = self._build_inverted_index()
         return self._node_indptr, self._node_sets
+
+    def _build_inverted_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Counting sort of the set ids by node, over set-aligned chunks.
+
+        The result equals ``set_ids[np.argsort(members, kind="stable")]``
+        with ``set_ids`` the per-member set id, but no array the size of
+        ``members`` is allocated besides ``node_sets`` itself: the build's
+        transient memory is bounded by :data:`_INDEX_CHUNK` members (or the
+        largest set) plus one ``n``-sized cursor.  A first pass counts each
+        node's entries; a second places each chunk's entries with one
+        stable radix sort of the chunk
+        (:func:`~repro.sketches.sampler.stable_argsort_bounded`), every run
+        of a node at that node's fill cursor.  Chunks go in set order and
+        the sort is stable, so set ids stay ascending within a node.  Each
+        chunk costs O(chunk size), never O(n).
+        """
+        members, indptr, n = self._members, self._indptr, self.n
+        chunks = list(_set_chunks(indptr, self._num_sets, _INDEX_CHUNK))
+        node_indptr = np.zeros(n + 1, dtype=np.int64)
+        for first, stop in chunks:
+            np.add.at(node_indptr[1:], members[indptr[first]:indptr[stop]], 1)
+        np.cumsum(node_indptr, out=node_indptr)
+        node_sets = np.empty(members.size, dtype=np.int32)
+        fill = node_indptr[:-1].copy()
+        for first, stop in chunks:
+            chunk = members[indptr[first]:indptr[stop]]
+            if chunk.size == 0:
+                continue
+            order = stable_argsort_bounded(chunk, n)
+            keys = chunk[order]
+            head = np.empty(keys.size, dtype=bool)
+            head[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+            runs = keys[starts]
+            lengths = np.diff(starts, append=keys.size)
+            # Entry i of the sorted chunk goes to its node's cursor plus its
+            # rank within the node's run.
+            positions = np.repeat(fill[runs] - starts, lengths)
+            positions += np.arange(keys.size)
+            set_ids = np.repeat(
+                np.arange(first, stop, dtype=np.int32), np.diff(indptr[first:stop + 1])
+            )
+            node_sets[positions] = set_ids[order]
+            fill[runs] += lengths
+        return node_indptr, node_sets
 
     def set_members(self, index: int) -> np.ndarray:
         """Members of set ``index`` in discovery order."""
@@ -235,10 +292,6 @@ class RRSetCollection:
     def as_lists(self) -> List[List[int]]:
         """The collection as ``list[list[int]]`` (tests and debugging)."""
         return [self.set_members(i).tolist() for i in range(self.num_sets)]
-
-    def coverage_counts(self) -> np.ndarray:
-        """Number of sets each node appears in (the initial greedy gains)."""
-        return np.bincount(self.members, minlength=self.n)
 
     def covered_fraction(self, seeds: Sequence[int]) -> float:
         """Fraction of sets containing at least one seed."""
@@ -335,11 +388,7 @@ class RRSetCollection:
         # returns the element *at* the boundary, and errors when the
         # boundary equals the slice size; empty sets are never covered, so
         # they simply don't enter the count).
-        set_start = 0
-        while set_start < self.num_sets:
-            limit = indptr[set_start] + _SPREADS_CHUNK
-            set_end = int(np.searchsorted(indptr, limit, side="right")) - 1
-            set_end = min(max(set_end, set_start + 1), self.num_sets)
+        for set_start, set_end in _set_chunks(indptr, self.num_sets, _SPREADS_CHUNK):
             lo, hi = indptr[set_start], indptr[set_end]
             sizes = np.diff(indptr[set_start:set_end + 1])
             nonempty = np.flatnonzero(sizes > 0)
@@ -347,7 +396,6 @@ class RRSetCollection:
                 hits = seed_mask[:, members[lo:hi]]
                 starts = indptr[set_start:set_end][nonempty] - lo
                 covered += np.logical_or.reduceat(hits, starts, axis=1).sum(axis=1)
-            set_start = set_end
         return covered
 
     @property

@@ -66,6 +66,25 @@ class TestAnnotation:
         annotate_interactions(small_ic_graph, scheme="constant", constant=0.25)
         assert all(d.interaction == 0.25 for _, _, d in small_ic_graph.edges())
 
+    @pytest.mark.parametrize("scheme, low", [("uniform", 0.0), ("agreeable", 0.5)])
+    def test_interaction_draw_matches_scalar_loop(self, small_ic_graph, scheme, low):
+        # One vector draw assigned in edge order equals one scalar draw per
+        # edge, and leaves the generator at the same position.
+        rng = np.random.default_rng(17)
+        reference = [float(rng.uniform(low, 1.0)) for _ in small_ic_graph.edges()]
+        after = rng.uniform()
+        shared = np.random.default_rng(17)
+        annotate_interactions(small_ic_graph, scheme=scheme, seed=shared)
+        drawn = [d.interaction for _, _, d in small_ic_graph.edges()]
+        assert drawn == reference
+        assert shared.uniform() == after
+
+    def test_interaction_constant_validated_before_edges(self):
+        edgeless = DiGraph()
+        edgeless.add_node("a")
+        with pytest.raises(ConfigurationError, match="constant interaction"):
+            annotate_interactions(edgeless, scheme="constant", constant=1.5)
+
     def test_interaction_unknown_scheme(self, small_ic_graph):
         with pytest.raises(ConfigurationError):
             annotate_interactions(small_ic_graph, scheme="bogus")

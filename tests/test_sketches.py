@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.diffusion.simulation import MonteCarloEngine
 from repro.exceptions import BudgetError, ConfigurationError, SketchError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
+import repro.sketches.collection as collection_module
 from repro.sketches import (
     BatchRRSampler,
     RRSetCollection,
@@ -236,9 +238,116 @@ class TestRRSetCollection:
         assert collection.estimated_spread([0, 4]) == pytest.approx(5.0)
         assert collection.estimated_spread([]) == 0.0
 
-    def test_coverage_counts(self):
+
+def _reference_index(collection):
+    """The inverted index as one stable argsort of the whole member array."""
+    members, indptr = collection.members, collection.indptr
+    node_indptr = np.zeros(collection.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(members, minlength=collection.n), out=node_indptr[1:])
+    set_ids = np.repeat(
+        np.arange(collection.num_sets, dtype=np.int32), np.diff(indptr)
+    )
+    return node_indptr, set_ids[np.argsort(members, kind="stable")]
+
+
+def _assert_reference_index(collection):
+    node_indptr, node_sets = collection.inverted_index()
+    expected_indptr, expected_sets = _reference_index(collection)
+    assert node_indptr.dtype == np.int64 and node_sets.dtype == np.int32
+    assert np.array_equal(node_indptr, expected_indptr)
+    assert np.array_equal(node_sets, expected_sets)
+
+
+class TestInvertedIndexChunks:
+    """The chunked index build equals one stable argsort of ``members``."""
+
+    @pytest.fixture
+    def tiny_chunks(self, monkeypatch):
+        # Three members per chunk, so every collection below spans many
+        # chunks.
+        monkeypatch.setattr(collection_module, "_INDEX_CHUNK", 3)
+
+    def test_counts_per_node(self, tiny_chunks):
         collection = RRSetCollection.from_lists(4, [[0, 1], [1], [1, 3]])
-        assert collection.coverage_counts().tolist() == [1, 3, 0, 1]
+        node_indptr, node_sets = collection.inverted_index()
+        assert np.diff(node_indptr).tolist() == [1, 3, 0, 1]
+        assert node_sets.tolist() == [0, 0, 1, 2, 2]
+
+    def test_empty_sets(self, tiny_chunks):
+        sets = [[], [2, 0], [], [], [1, 2, 0], [0], [], [2]]
+        _assert_reference_index(RRSetCollection.from_lists(3, sets))
+        _assert_reference_index(RRSetCollection.from_lists(3, [[], [], []]))
+        _assert_reference_index(RRSetCollection.from_lists(3, []))
+
+    def test_set_larger_than_budget(self, tiny_chunks):
+        sets = [[4], [0, 1, 2, 3, 4, 5, 6], [6, 0], [5, 4, 3, 2, 1], [], [1]]
+        _assert_reference_index(RRSetCollection.from_lists(7, sets))
+
+    def test_int64_members_from_csr(self, tiny_chunks):
+        rng = np.random.default_rng(7)
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 6, size=200))])
+        members = rng.integers(0, 40, size=int(indptr[-1])).astype(np.int64)
+        collection = RRSetCollection.from_csr(40, members, indptr)
+        assert collection.members.dtype == np.int64
+        _assert_reference_index(collection)
+
+    def test_many_nodes_two_pass_radix(self, tiny_chunks):
+        # n > 2**16: each chunk is sorted by two stable 16-bit passes.
+        n = (1 << 16) + 300
+        rng = np.random.default_rng(11)
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(0, 5, size=400))])
+        members = rng.integers(0, n, size=int(indptr[-1]), dtype=np.int32)
+        # Ids sharing their low 16 bits, so the high pass decides the order.
+        members[::7] = rng.choice([5, 5 + (1 << 16), 17, 17 + (1 << 16)], members[::7].size)
+        _assert_reference_index(RRSetCollection.from_csr(n, members, indptr))
+
+    def test_grown_after_index_built(self, tiny_chunks, wc_compiled):
+        collection, _ = _sample_chunked(wc_compiled, "wc", [40], seed=9)
+        _assert_reference_index(collection)
+        sampler = BatchRRSampler(wc_compiled, "wc")
+        members, indptr, _ = sampler.sample(np.random.default_rng(10), 60)
+        collection.append(members, indptr)
+        _assert_reference_index(collection)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        sizes=st.lists(st.integers(min_value=0, max_value=9), max_size=30),
+        budget=st.integers(min_value=1, max_value=10),
+        data=st.data(),
+    )
+    def test_any_budget(self, n, sizes, budget, data):
+        sets = [
+            data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+            for size in sizes
+        ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(collection_module, "_INDEX_CHUNK", budget)
+            _assert_reference_index(RRSetCollection.from_lists(n, sets))
+
+    def test_transient_memory_is_one_chunk(self):
+        # 1.2M members over 2000 nodes.  Besides its outputs the build keeps
+        # an n-entry int64 fill cursor and per-chunk arrays (the intp sort
+        # order and positions, the sorted keys and set ids): about 36 bytes
+        # per chunk member, 2.4 MB here, so 64 bytes per chunk member plus
+        # the cursor bound it.  A one-shot build over ``members`` holds the
+        # whole intp sort order and per-member set ids at once, 12 bytes per
+        # member: its traced excess here is 14.4 MB.
+        n = 2000
+        rng = np.random.default_rng(5)
+        indptr = np.concatenate([[0], np.cumsum(rng.integers(1, 12, size=200_000))])
+        members = rng.integers(0, n, size=int(indptr[-1]), dtype=np.int32)
+        assert members.size >= 1_000_000
+        collection = RRSetCollection.from_csr(n, members, indptr)
+        tracemalloc.start()
+        try:
+            node_indptr, node_sets = collection.inverted_index()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        allowance = 64 * collection_module._INDEX_CHUNK + 8 * (n + 1)
+        assert peak <= node_sets.nbytes + node_indptr.nbytes + allowance
+
 
 
 #: sha256 of ``members.astype(np.int64)`` and of ``indptr`` for 600 RR sets
