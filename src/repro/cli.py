@@ -298,29 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline JSON of known violations; only *new* findings fail "
-        "(and stale entries are reported so paid-down debt gets removed)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline FILE from this run's findings and exit 0 "
-        "(justifications of surviving entries are preserved)",
-    )
-    lint_parser.add_argument(
-        "--diff-baseline", action="store_true",
-        help="compare this run against --baseline FILE: print added findings "
-        "and stale (paid-down) entries; exit nonzero on either, so the "
-        "baseline can only shrink",
-    )
-    lint_parser.add_argument(
         "--rules", default=None, metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
-    )
-    lint_parser.add_argument(
-        "--scope", choices=("file", "project", "all"), default="all",
-        help="run only the per-file rules, only the whole-program rules "
-        "(REP011+), or both (default)",
     )
     lint_parser.add_argument(
         "--list-rules", action="store_true",
@@ -328,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--explain", default=None, metavar="CODE",
-        help="print the full explanation for one rule (e.g. REP011) and exit",
-    )
-    lint_parser.add_argument(
-        "--callgraph", action="store_true",
-        help="dump the resolved whole-program call graph as JSON and exit",
+        help="print the full explanation for one rule (e.g. REP007) and exit",
     )
     lint_parser.add_argument("--json", action="store_true")
     return parser
@@ -987,81 +962,8 @@ def _command_lint(args: argparse.Namespace) -> int:
             for code in args.rules.split(",")
             if code.strip()
         ]
-    if args.scope != "all":
-        candidates = rules if rules is not None else devtools.all_rules()
-        keep_project = args.scope == "project"
-        rules = [
-            rule for rule in candidates
-            if isinstance(rule, devtools.ProjectRule) == keep_project
-        ]
     paths = [pathlib.Path(path) for path in args.paths]
-    root = pathlib.Path.cwd()
-
-    if args.callgraph:
-        from repro.devtools.callgraph import parse_cached
-        from repro.devtools.framework import ProjectContext, iter_source_files
-
-        entries = []
-        for path in iter_source_files(paths):
-            try:
-                relpath = str(path.resolve().relative_to(root.resolve()))
-            except ValueError:
-                relpath = str(path)
-            entries.append(
-                (path, relpath.replace("\\", "/"), parse_cached(path))
-            )
-        context = ProjectContext.build(entries)
-        print(json.dumps(context.graph.to_dict(), indent=2))
-        return 0
-
-    if args.update_baseline:
-        if not args.baseline:
-            raise ConfigurationError("--update-baseline requires --baseline FILE")
-        baseline_path = pathlib.Path(args.baseline)
-        previous_justifications = {}
-        if baseline_path.exists():
-            previous_justifications = devtools.Baseline.load(
-                baseline_path
-            ).justifications
-        report = devtools.run_lint(paths, root=root, rules=rules)
-        devtools.Baseline.from_findings(
-            report.findings, previous_justifications
-        ).save(baseline_path)
-        print(
-            f"baseline {args.baseline} updated: "
-            f"{len(report.findings)} finding(s) recorded"
-        )
-        return 0
-
-    if args.diff_baseline:
-        if not args.baseline:
-            raise ConfigurationError("--diff-baseline requires --baseline FILE")
-        baseline = devtools.Baseline.load(pathlib.Path(args.baseline))
-        report = devtools.run_lint(paths, root=root, rules=rules, baseline=baseline)
-        if args.json:
-            print(json.dumps({
-                "added": [finding.to_dict() for finding in report.findings],
-                "stale": list(report.stale_baseline),
-                "ok": report.ok,
-            }, indent=2))
-        else:
-            for finding in report.findings:
-                print(
-                    f"+ {finding.path}:{finding.line} {finding.rule} "
-                    f"{finding.message}"
-                )
-            for key in report.stale_baseline:
-                print(f"- stale (violation fixed — remove the entry): {key}")
-            if report.ok:
-                print("baseline is exact: no new findings, no stale entries")
-        return 0 if report.ok else 1
-
-    baseline = (
-        devtools.Baseline.load(pathlib.Path(args.baseline))
-        if args.baseline
-        else None
-    )
-    report = devtools.run_lint(paths, root=root, rules=rules, baseline=baseline)
+    report = devtools.run_lint(paths, root=pathlib.Path.cwd(), rules=rules)
     print(devtools.render_json(report) if args.json else devtools.render_text(report))
     return 0 if report.ok else 1
 

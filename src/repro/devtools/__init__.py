@@ -1,17 +1,12 @@
 """Developer tooling: the invariant linter and the runtime lock checker.
 
-``repro lint`` (and the CI ``lint`` jobs) runs the AST-based rules in
-:mod:`repro.devtools.rules` over ``src/``; the framework —
-registration, ``# repro: noqa[RULE]`` suppressions, the committed
-baseline and the JSON/human reporters — lives in
-:mod:`repro.devtools.framework`.  The whole-program layer —
-:mod:`repro.devtools.callgraph` (one-parse project index + conservative
-call graph) and :mod:`repro.devtools.flow` (interprocedural determinism
-taint, static lock-order and exception-contract passes, REP011–REP013)
-— runs once per lint after the per-file rules.
+``repro lint`` (and the CI ``lint`` job) runs the per-file AST rules in
+:mod:`repro.devtools.rules` over ``src/`` and fails on any finding; the
+framework — registration, ``# repro: noqa[RULE]`` suppressions and the
+JSON/human reporters — lives in :mod:`repro.devtools.framework`.
 :mod:`repro.devtools.lockcheck` holds the declared serving-layer lock
 hierarchy plus the runtime monitor the chaos suite runs under
-(``REPRO_LOCKCHECK=1``).
+(``REPRO_LOCKCHECK=1``), which checks lock order across call chains.
 
 This package is import-light on purpose: it depends only on the
 standard library and :mod:`repro.exceptions`, so linting never drags in
@@ -19,12 +14,9 @@ numpy or the engines it is checking.
 """
 
 from repro.devtools.framework import (
-    Baseline,
     Finding,
     LintReport,
     ModuleContext,
-    ProjectContext,
-    ProjectRule,
     Rule,
     all_rules,
     get_rule,
@@ -41,15 +33,12 @@ from repro.devtools.lockcheck import (
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "InstrumentedLock",
     "LOCK_HIERARCHY",
     "LintReport",
     "LockOrderMonitor",
     "ModuleContext",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "get_rule",

@@ -1,4 +1,4 @@
-"""AST-based invariant linter: rule registry, suppressions, baseline, reporters.
+"""AST-based invariant linter: rule registry, suppressions, reporters.
 
 The library's headline guarantee — bit-for-bit deterministic seed sets
 across every backend — rests on a handful of project-wide invariants
@@ -12,17 +12,13 @@ Pieces:
 
 * :class:`Rule` — one invariant, implemented as a visitor over a parsed
   module; registered via :func:`register` under a stable ``REPxxx`` code.
-* :class:`Finding` — one violation, with a stable fingerprint used for
-  baseline matching (rule, path, message — line numbers are allowed to
-  drift without invalidating the baseline).
+* :class:`Finding` — one violation at a (path, line, column).
 * ``# repro: noqa[REP001]`` — per-line, per-rule suppression.  Bare
   ``# repro: noqa`` is deliberately not supported: every suppression
   names the rule it silences.
-* :class:`Baseline` — a committed JSON file of known debt so adopting a
-  new rule never blocks CI; the goal state (and the current state of
-  this repository) is an **empty** baseline.
 * :func:`run_lint` + :func:`render_text`/:func:`render_json` — driver
-  and reporters for the ``repro lint`` CLI and the CI job.
+  and reporters for the ``repro lint`` CLI and the CI job.  Any finding
+  fails the run.
 """
 
 from __future__ import annotations
@@ -32,19 +28,15 @@ import dataclasses
 import json
 import pathlib
 import re
-import time
 import tokenize
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Type
 
 from repro.exceptions import LintError
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleContext",
-    "ProjectContext",
-    "ProjectRule",
     "Rule",
     "all_rules",
     "get_rule",
@@ -64,23 +56,13 @@ _CODE_PATTERN = re.compile(r"^REP\d{3}$")
 
 @dataclasses.dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a specific location.
-
-    ``fingerprint`` intentionally omits the line number so that unrelated
-    edits moving code around do not churn a committed baseline; two
-    identical messages in one file are disambiguated by the reporter, not
-    the fingerprint (the baseline stores a count per fingerprint).
-    """
+    """One rule violation at a specific location."""
 
     path: str
     line: int
     column: int
     rule: str
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -96,23 +78,20 @@ class ModuleContext:
     """A parsed source module handed to every rule.
 
     ``relpath`` is the path relative to the lint root (stable across
-    machines, used in findings and baselines); ``dotted`` is the module's
+    machines, used in findings); ``dotted`` is the module's
     import path when it lives under a package root (``repro.utils.rng``),
     used by rules that scope themselves to parts of the package.
     """
 
-    def __init__(
-        self,
-        path: pathlib.Path,
-        relpath: str,
-        source: str,
-        tree: Optional[ast.Module] = None,
-    ) -> None:
+    def __init__(self, path: pathlib.Path, relpath: str, source: str) -> None:
         self.path = path
         self.relpath = relpath
         self.source = source
         self.lines = source.splitlines()
-        self.tree = tree if tree is not None else ast.parse(source, filename=str(path))
+        try:
+            self.tree = ast.parse(source, filename=str(path))
+        except SyntaxError as error:
+            raise LintError(f"{path}: cannot parse: {error}") from error
         self.dotted = _dotted_name(relpath)
 
     def line_text(self, line: int) -> str:
@@ -168,59 +147,6 @@ class Rule:
             path=module.relpath,
             line=getattr(node, "lineno", 1),
             column=getattr(node, "col_offset", 0) + 1,
-            rule=self.code,
-            message=message,
-        )
-
-
-class ProjectContext:
-    """Whole-program view handed to :class:`ProjectRule` checks.
-
-    Built once per lint run from the same parsed trees the per-file rules
-    saw (one parse per file, via the mtime-keyed AST cache), so the
-    cross-module pass adds call-graph construction and fixpoint time but
-    no re-parsing.
-    """
-
-    def __init__(self, project: object, graph: object) -> None:
-        # Typed as object to keep framework <-> callgraph import lazy;
-        # concrete types are callgraph.Project / callgraph.CallGraph.
-        self.project = project
-        self.graph = graph
-
-    @classmethod
-    def build(
-        cls, entries: Sequence[Tuple[pathlib.Path, str, ast.Module]]
-    ) -> "ProjectContext":
-        from repro.devtools.callgraph import CallGraph, Project
-
-        project = Project.build([(str(p), rel, tree) for p, rel, tree in entries])
-        return cls(project, CallGraph.build(project))
-
-
-class ProjectRule(Rule):
-    """A rule that needs the whole project, not one module at a time.
-
-    Subclasses implement :meth:`check_project` instead of :meth:`check`;
-    the driver runs them once after the per-file pass, against the call
-    graph built from the same ASTs.  Findings still carry a (path, line)
-    anchor and respect ``# repro: noqa[REPxxx]`` on that line, and their
-    fingerprints feed the same baseline.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, context: ProjectContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, relpath: str, line: int, column: int, message: str
-    ) -> Finding:
-        return Finding(
-            path=relpath.replace("\\", "/"),
-            line=line,
-            column=column + 1,
             rule=self.code,
             message=message,
         )
@@ -312,24 +238,15 @@ def _suppressed_lines(source: str, path: pathlib.Path) -> Dict[int, set]:
 
 @dataclasses.dataclass
 class LintReport:
-    """Outcome of one lint run: surviving findings plus bookkeeping.
-
-    ``timings`` records wall seconds per phase (``per_file`` for the
-    one-module-at-a-time rules, ``project`` for the whole-program pass) so
-    the CI time-budget check reads the engine's own numbers instead of
-    wrapping the process in ``time``.
-    """
+    """Outcome of one lint run: surviving findings plus bookkeeping."""
 
     findings: List[Finding]
     files_checked: int
     suppressed: int
-    baselined: int
-    stale_baseline: List[str]
-    timings: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
     def counts_by_rule(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -338,224 +255,35 @@ class LintReport:
         return counts
 
 
-class Baseline:
-    """Committed record of known violations, matched by fingerprint count.
-
-    The file format is trivially diffable JSON::
-
-        {"version": 1, "findings": {"<fingerprint>": <count>, ...}}
-
-    An entry's value may also be an object carrying a justification — the
-    required form for analysis-limitation false positives, so every
-    baselined finding says *why* it is allowed to stay::
-
-        {"<fingerprint>": {"count": 1, "justification": "why this is a FP"}}
-
-    A finding whose fingerprint is in the baseline (up to its count) is
-    reported as *baselined*, not failing; baseline entries that no longer
-    match anything are reported as *stale* so paid-down debt is removed
-    from the file instead of lingering.  Together with ``--diff-baseline``
-    failing on stale entries, the baseline can only ever shrink.
-    """
-
-    VERSION = 1
-
-    def __init__(
-        self,
-        counts: Optional[Mapping[str, int]] = None,
-        justifications: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.counts: Dict[str, int] = dict(counts or {})
-        self.justifications: Dict[str, str] = dict(justifications or {})
-
-    @classmethod
-    def load(cls, path: pathlib.Path) -> "Baseline":
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise LintError(
-                f"baseline file {path} does not exist; create one with "
-                "`repro lint --update-baseline`"
-            ) from None
-        except json.JSONDecodeError as error:
-            raise LintError(f"baseline file {path} is not valid JSON: {error}") from error
-        if not isinstance(data, dict) or data.get("version") != cls.VERSION:
-            raise LintError(
-                f"baseline file {path} has unsupported format "
-                f"(expected version {cls.VERSION})"
-            )
-        findings = data.get("findings", {})
-        if not isinstance(findings, dict):
-            raise LintError(f"baseline file {path}: 'findings' must be a mapping")
-        counts: Dict[str, int] = {}
-        justifications: Dict[str, str] = {}
-        for key, value in findings.items():
-            if isinstance(value, int) and value > 0:
-                counts[key] = value
-            elif (
-                isinstance(value, dict)
-                and isinstance(value.get("count"), int)
-                and value["count"] > 0
-                and isinstance(value.get("justification"), str)
-                and value["justification"].strip()
-            ):
-                counts[key] = value["count"]
-                justifications[key] = value["justification"]
-            else:
-                raise LintError(
-                    f"baseline file {path}: entry {key!r} must be a positive "
-                    "count or {'count': N, 'justification': '...'} with a "
-                    "non-empty justification"
-                )
-        return cls(counts, justifications)
-
-    @classmethod
-    def from_findings(
-        cls,
-        findings: Iterable[Finding],
-        justifications: Optional[Mapping[str, str]] = None,
-    ) -> "Baseline":
-        counts: Dict[str, int] = {}
-        for finding in findings:
-            counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-        kept = {
-            key: text
-            for key, text in (justifications or {}).items()
-            if key in counts
-        }
-        return cls(counts, kept)
-
-    def save(self, path: pathlib.Path) -> None:
-        entries: Dict[str, Union[int, Dict[str, object]]] = {}
-        for key in sorted(self.counts):
-            if key in self.justifications:
-                entries[key] = {
-                    "count": self.counts[key],
-                    "justification": self.justifications[key],
-                }
-            else:
-                entries[key] = self.counts[key]
-        payload = {"version": self.VERSION, "findings": entries}
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-    def split(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], int, List[str]]:
-        """Partition ``findings`` into (new, number_baselined, stale_keys)."""
-        budget = dict(self.counts)
-        new: List[Finding] = []
-        baselined = 0
-        for finding in findings:
-            remaining = budget.get(finding.fingerprint, 0)
-            if remaining > 0:
-                budget[finding.fingerprint] = remaining - 1
-                baselined += 1
-            else:
-                new.append(finding)
-        stale = sorted(key for key, count in budget.items() if count > 0)
-        return new, baselined, stale
-
-
-def _load_module(path: pathlib.Path, relpath: str) -> Tuple[ModuleContext, Dict[int, set]]:
-    """Read + parse one file (through the AST cache) with its noqa map."""
-    from repro.devtools.callgraph import parse_cached
-
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = parse_cached(path, source)
-    except SyntaxError as error:
-        raise LintError(f"{path}: cannot parse: {error}") from error
-    module = ModuleContext(path, relpath, source, tree=tree)
-    return module, _suppressed_lines(source, path)
-
-
-def lint_file(
-    path: pathlib.Path,
-    relpath: str,
-    rules: Sequence[Rule],
-) -> Tuple[List[Finding], int]:
-    """Lint one file with the per-file rules; (findings, suppressed count)."""
-    module, suppressed_map = _load_module(path, relpath)
-    findings: List[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        for finding in rule.check(module):
-            if finding.rule in suppressed_map.get(finding.line, ()):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
-
-
 def run_lint(
     paths: Sequence[pathlib.Path],
     *,
     root: Optional[pathlib.Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with every registered rule.
-
-    Per-file rules run module by module; :class:`ProjectRule` instances
-    then run once against the whole-program context built from the very
-    same parsed trees.
-    """
+    """Lint every Python file under ``paths`` with every registered rule."""
     active = list(rules) if rules is not None else all_rules()
-    file_rules = [rule for rule in active if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in active if isinstance(rule, ProjectRule)]
-    base = root or pathlib.Path.cwd()
+    base = (root or pathlib.Path.cwd()).resolve()
     findings: List[Finding] = []
     suppressed = 0
     files = 0
-    entries: List[Tuple[pathlib.Path, str, ast.Module]] = []
-    suppressions: Dict[str, Dict[int, set]] = {}
-    started = time.perf_counter()
     for path in iter_source_files([pathlib.Path(p) for p in paths]):
         try:
-            relpath = str(path.resolve().relative_to(base.resolve()))
+            relpath = str(path.resolve().relative_to(base))
         except ValueError:
             relpath = str(path)
-        relpath = relpath.replace("\\", "/")
-        module, suppressed_map = _load_module(path, relpath)
-        entries.append((path, relpath, module.tree))
-        suppressions[relpath] = suppressed_map
-        for rule in file_rules:
+        source = path.read_text(encoding="utf-8")
+        module = ModuleContext(path, relpath.replace("\\", "/"), source)
+        noqa = _suppressed_lines(source, path)
+        for rule in active:
             for finding in rule.check(module):
-                if finding.rule in suppressed_map.get(finding.line, ()):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-        files += 1
-    per_file_seconds = time.perf_counter() - started
-    project_seconds = 0.0
-    if project_rules and entries:
-        started = time.perf_counter()
-        context = ProjectContext.build(entries)
-        for rule in project_rules:
-            for finding in rule.check_project(context):
-                noqa = suppressions.get(finding.path, {})
                 if finding.rule in noqa.get(finding.line, ()):
                     suppressed += 1
                 else:
                     findings.append(finding)
-        project_seconds = time.perf_counter() - started
-    findings.sort()
-    if baseline is not None:
-        new, baselined, stale = baseline.split(findings)
-    else:
-        new, baselined, stale = findings, 0, []
+        files += 1
     return LintReport(
-        findings=new,
-        files_checked=files,
-        suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        timings={
-            "per_file": round(per_file_seconds, 6),
-            "project": round(project_seconds, 6),
-        },
+        findings=sorted(findings), files_checked=files, suppressed=suppressed
     )
 
 
@@ -567,20 +295,14 @@ def render_text(report: LintReport) -> str:
             f"{finding.path}:{finding.line}:{finding.column} "
             f"{finding.rule} {finding.message}"
         )
-    for key in report.stale_baseline:
-        lines.append(f"stale baseline entry (violation fixed — remove it): {key}")
     counts = report.counts_by_rule()
     if counts:
         per_rule = ", ".join(f"{rule}={count}" for rule, count in sorted(counts.items()))
-        lines.append(f"found {len(report.findings)} new violation(s) ({per_rule})")
+        lines.append(f"found {len(report.findings)} violation(s) ({per_rule})")
     summary = (
         f"checked {report.files_checked} file(s): "
-        f"{len(report.findings)} new, {report.baselined} baselined, "
-        f"{report.suppressed} suppressed"
+        f"{len(report.findings)} finding(s), {report.suppressed} suppressed"
     )
-    if report.timings:
-        total = sum(report.timings.values())
-        summary += f" in {total:.2f}s"
     lines.append(summary + (" — OK" if report.ok else ""))
     return "\n".join(lines)
 
@@ -592,10 +314,7 @@ def render_json(report: LintReport) -> str:
         "ok": report.ok,
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
-        "stale_baseline": list(report.stale_baseline),
         "counts_by_rule": report.counts_by_rule(),
-        "timings": report.timings,
         "findings": [finding.to_dict() for finding in report.findings],
     }
     return json.dumps(payload, indent=2)

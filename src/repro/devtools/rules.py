@@ -21,19 +21,7 @@ REP009    telemetry-conventions   metric names are repro_-prefixed snake_case,
                                   registered via the registry (no raw dict tallies)
 REP010    no-raw-pools            worker processes are spawned only through
                                   repro.runtime (SupervisedPool), never raw pools
-REP011    determinism-taint       no nondeterminism source (wall clock, global
-                                  RNG state, entropy, id(), set-order iteration)
-                                  reachable from the deterministic zones
-REP012    static-lock-order       the cross-function lock-acquisition graph is
-                                  acyclic and respects the declared hierarchy
-REP013    exception-contract      contracted public APIs raise only their
-                                  declared exception roots, through any depth
 ========  ======================  ==============================================
-
-REP011–REP013 are whole-program rules: they run once per lint over the
-call graph (:mod:`repro.devtools.callgraph`) with the interprocedural
-passes in :mod:`repro.devtools.flow`, and their findings embed the full
-source→sink call chain.
 """
 
 from __future__ import annotations
@@ -45,8 +33,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 from repro.devtools.framework import (
     Finding,
     ModuleContext,
-    ProjectContext,
-    ProjectRule,
     Rule,
     register,
 )
@@ -55,8 +41,6 @@ from repro.devtools.lockcheck import LOCK_HIERARCHY, STATIC_LOCK_MAP
 __all__ = [
     "AllExportsRule",
     "CsrImmutabilityRule",
-    "DeterminismTaintRule",
-    "ExceptionContractRule",
     "ExceptionTaxonomyRule",
     "LockOrderRule",
     "NoPrintRule",
@@ -64,7 +48,6 @@ __all__ = [
     "NoSwallowedExceptRule",
     "NoWallClockRule",
     "RngDisciplineRule",
-    "StaticLockOrderRule",
     "TelemetryConventionsRule",
 ]
 
@@ -807,103 +790,3 @@ class NoRawPoolsRule(Rule):
             if origin is not None and origin.startswith("multiprocessing"):
                 return full
         return None
-
-
-# ---------------------------------------------------------------------------
-# Whole-program rules (REP011–REP013).  These run once per lint over the
-# project call graph; the heavy lifting lives in repro.devtools.flow.
-# ---------------------------------------------------------------------------
-
-
-@register
-class DeterminismTaintRule(ProjectRule):
-    """REP011: no nondeterminism source reachable from a deterministic zone.
-
-    Sources — wall-clock reads, ``numpy.random``/``random`` module-level
-    state, OS entropy (``os.urandom``/``uuid``/``secrets``), ``id()``, and
-    iteration over ``set`` values feeding order-sensitive sinks — are
-    found per function, then propagated backwards through the call graph.
-    Any function inside a declared deterministic zone (``repro.sketches``,
-    ``repro.runtime``, ``repro.scoring``, ``repro.serving.index``,
-    ``repro.graphs``, or a module with ``__repro_deterministic__ = True``)
-    that can reach a source is reported, with the full call chain in the
-    message.  Randomness requested explicitly through
-    ``repro.utils.rng`` (``seed=None`` opts in) does not taint callers.
-    """
-
-    code = "REP011"
-    name = "determinism-taint"
-    summary = "no nondeterminism source reachable from deterministic zones"
-
-    def check_project(self, context: ProjectContext) -> Iterator[Finding]:
-        from repro.devtools import flow
-
-        for taint in flow.DeterminismTaint(context.graph).run():
-            if len(taint.chain) == 1:
-                # The source sits in the zone function itself: anchor the
-                # finding at the offending expression.
-                line, col = taint.source.lineno, taint.source.col
-            else:
-                line, col = taint.function.lineno, 0
-            yield self.finding_at(
-                taint.function.relpath, line, col, taint.message
-            )
-
-
-@register
-class StaticLockOrderRule(ProjectRule):
-    """REP012: the inferred lock-acquisition graph matches the hierarchy.
-
-    ``with self._lock``-style sites are resolved to the levels
-    :data:`repro.devtools.lockcheck.STATIC_LOCK_MAP` declares (unmapped
-    project locks participate under ``Class.attr`` labels), calls made
-    while holding a lock pull in every acquisition their callees can
-    perform, and the resulting cross-function edges are checked for
-    hierarchy inversions and cycles.  Same-function inversions between
-    ranked locks are REP007's job and are not re-reported here.
-    """
-
-    code = "REP012"
-    name = "static-lock-order"
-    summary = "cross-function lock acquisitions are acyclic and ordered"
-
-    def check_project(self, context: ProjectContext) -> Iterator[Finding]:
-        from repro.devtools import flow
-
-        for violation in flow.LockOrderAnalysis(context.graph).run():
-            yield self.finding_at(
-                violation.held.relpath,
-                violation.held.lineno,
-                violation.held.col,
-                violation.message,
-            )
-
-
-@register
-class ExceptionContractRule(ProjectRule):
-    """REP013: contracted public APIs raise only declared exception roots.
-
-    Each function in the contract table (seeded from the
-    ``repro.exceptions`` taxonomy in
-    :data:`repro.devtools.flow.DEFAULT_EXCEPTION_CONTRACTS`; modules add
-    entries with ``__repro_exception_contract__``) gets its raisable set
-    computed through the call graph, with ``try/except`` handlers
-    filtering at every call site.  A bare ``ValueError`` three calls deep
-    in a serving path fails here even though per-file REP003 cannot see
-    across the call.
-    """
-
-    code = "REP013"
-    name = "exception-contract"
-    summary = "public API raisable sets match their declared contracts"
-
-    def check_project(self, context: ProjectContext) -> Iterator[Finding]:
-        from repro.devtools import flow
-
-        for escape in flow.ExceptionContractAnalysis(context.graph).run():
-            yield self.finding_at(
-                escape.function.relpath,
-                escape.function.lineno,
-                0,
-                escape.message,
-            )

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 from repro.diffusion.independent_cascade import IndependentCascadeModel
 
-# WC probabilities feed the RR-set sampler; opt this module into the
-# REP011 determinism-taint zone (see repro.devtools.flow).
-__repro_deterministic__ = True
-
 
 class WeightedCascadeModel(IndependentCascadeModel):
     """IC with ``p_(u,v) = 1 / in_degree(v)``."""

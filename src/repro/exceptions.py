@@ -277,8 +277,8 @@ class LintError(ReproError, RuntimeError):
     """Raised by :mod:`repro.devtools` for unusable lint input.
 
     Covers unparsable source, malformed ``# repro: noqa[...]`` comments,
-    bad baselines and unknown rule codes — *not* rule violations, which
-    are reported as findings, never exceptions.
+    missing lint targets and unknown rule codes — *not* rule violations,
+    which are reported as findings, never exceptions.
     """
 
 

@@ -460,6 +460,11 @@ class ScoreEngine:
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
             return _EMPTY
+        if nodes.min() < 0 or nodes.max() >= self._active.size:
+            raise ConfigurationError(
+                f"node indices must lie in [0, {self._active.size}), got "
+                f"{int(nodes.min())}..{int(nodes.max())}"
+            )
         fresh = np.unique(nodes[~self._active[nodes]])
         if fresh.size == 0:
             return _EMPTY

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
 from repro.bench.experiments import EXPERIMENTS
+from repro.cli import build_parser
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -82,3 +84,45 @@ class TestDesignAndExperiments:
             source = script.read_text(encoding="utf-8")
             assert source.lstrip().startswith(("#!", '"""')), script.name
             assert '"""' in source
+
+
+CLI_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+
+
+def _cli_commands(markdown: str) -> list[str]:
+    """The arguments of every ``python -m repro.cli`` command line.
+
+    Backslash continuations are joined first; each command is cut at the
+    first shell redirect, pipe, comment or closing backtick.
+    """
+    joined = re.sub(r"\\\n\s*", " ", markdown)
+    commands = []
+    for line in joined.splitlines():
+        match = re.search(r"python3? -m repro\.cli\b", line)
+        if match:
+            commands.append(re.split(r"[>|#`]", line[match.end():], maxsplit=1)[0])
+    return commands
+
+
+DOC_COMMANDS = [
+    (doc, command)
+    for doc in CLI_DOCS
+    for command in _cli_commands((REPO_ROOT / doc).read_text(encoding="utf-8"))
+]
+
+
+def test_docs_show_cli_commands():
+    assert DOC_COMMANDS, "no `python -m repro.cli` command lines found in the docs"
+
+
+@pytest.mark.parametrize(
+    "doc,command",
+    DOC_COMMANDS,
+    ids=[f"{doc}:{index}" for index, (doc, _) in enumerate(DOC_COMMANDS)],
+)
+def test_documented_cli_command_parses(doc, command):
+    """A flag removed from the CLI fails here instead of lingering in docs."""
+    try:
+        build_parser().parse_args(shlex.split(command))
+    except SystemExit:
+        pytest.fail(f"{doc}: `python -m repro.cli{command.rstrip()}` does not parse")

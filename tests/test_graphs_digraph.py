@@ -246,8 +246,12 @@ class TestCopySubgraphReverse:
 
     def test_subgraph_unknown_node_raises(self):
         graph = self._sample()
-        with pytest.raises(NodeNotFoundError):
-            graph.subgraph(["a", "zzz"])
+        # Many missing string labels: a report picked by set iteration would
+        # name another label under almost every hash seed.
+        missing = [f"missing-{i:02d}" for i in range(32)]
+        with pytest.raises(NodeNotFoundError) as caught:
+            graph.subgraph(["a", *missing, "b"])
+        assert caught.value.node == missing[0]
 
     def test_reverse_flips_edges(self):
         graph = self._sample()

@@ -18,10 +18,13 @@ from repro.analysis.paths import all_pairs_bounded_walk_weights
 from repro.datasets import load_dataset
 from repro.diffusion import MonteCarloEngine, get_model
 from repro.diffusion.registry import OPINION_AWARE_MODELS
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.graphs import DiGraph, star_graph
+from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.io import iter_edge_tuples
 from repro.opinion.annotate import annotate_graph
+from repro.scoring import ScoreEngine
+from repro.serving import InfluenceIndex, InfluenceService, save_index_artifact
 from repro.utils.rng import ensure_rng
 
 
@@ -171,3 +174,53 @@ class TestOSIMWeightingVariants:
         selector = OSIMSelector(max_path_length=2, weighting="bogus", seed=0)
         with pytest.raises(ConfigurationError):
             selector.select(graph, 2)
+
+
+# Public entry points fed a malformed input must raise a ReproError
+# subclass, never a bare builtin.  Entry points whose own tests already
+# check this are not repeated here: run_experiment and build_estimator
+# (test_experiment_api.py), InfluenceIndex.build/grow/select and
+# load_index_artifact (test_serving.py), SupervisedPool.run
+# (test_runtime.py).
+MALFORMED_CALLS = [
+    ("InfluenceService.get_index",
+     lambda graph, index, tmp: InfluenceService().get_index(graph, "oi-ic")),
+    ("InfluenceService.evaluate",
+     lambda graph, index, tmp: InfluenceService(default_theta=200).evaluate(
+         graph, "ic", ["no-such-node"])),
+    ("InfluenceService.sweep",
+     lambda graph, index, tmp: InfluenceService(default_theta=200).sweep(
+         graph, "ic", [-1])),
+    ("InfluenceService.select",
+     lambda graph, index, tmp: InfluenceService(default_theta=200).select(
+         graph, "ic", -1)),
+    ("InfluenceService.hot_swap",
+     lambda graph, index, tmp: InfluenceService().hot_swap(
+         tmp / "missing.npz", graph)),
+    ("InfluenceIndex.estimate_spread",
+     lambda graph, index, tmp: index.estimate_spread(["no-such-node"])),
+    ("InfluenceIndex.estimate_spreads",
+     lambda graph, index, tmp: index.estimate_spreads([[0], ["no-such-node"]])),
+    ("save_index_artifact",
+     lambda graph, index, tmp: save_index_artifact(
+         tmp / "index.npz", index.collection, {})),
+    ("ScoreEngine.mark_active",
+     lambda graph, index, tmp: ScoreEngine(graph).mark_active(
+         [graph.number_of_nodes])),
+]
+
+
+@pytest.fixture(scope="module")
+def served_graph_and_index():
+    graph = erdos_renyi_graph(60, 0.08, seed=5).compile()
+    return graph, InfluenceIndex.build(graph, "ic", 500, engine_seed=1)
+
+
+@pytest.mark.parametrize(
+    "call", [call for _, call in MALFORMED_CALLS],
+    ids=[name for name, _ in MALFORMED_CALLS],
+)
+def test_malformed_input_raises_repro_error(call, served_graph_and_index, tmp_path):
+    graph, index = served_graph_and_index
+    with pytest.raises(ReproError):
+        call(graph, index, tmp_path)
