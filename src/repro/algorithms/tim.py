@@ -47,6 +47,7 @@ from repro.sketches.coverage import greedy_max_coverage, pad_with_unselected
 from repro.sketches.sampler import (
     SUPPORTED_MODELS as _SUPPORTED_MODELS,
     BatchRRSampler,
+    count_rr_sets,
     in_edge_probabilities,
 )
 from repro.utils.rng import RandomState, ensure_rng
@@ -144,6 +145,7 @@ class TIMPlusSelector(SeedSelector):
                 kappa = 1.0 - (1.0 - widths / m) ** budget
                 total += float(kappa.sum())
                 drawn += block
+            count_rr_sets(batch)
             if batch and total / batch > 1.0 / (2 ** i):
                 return max(n * total / (2.0 * batch), 1.0), collection
             if batch >= self.max_rr_sets:
@@ -192,6 +194,7 @@ class TIMPlusSelector(SeedSelector):
             hits = seed_mask[members]
             covered += int(np.count_nonzero(np.logical_or.reduceat(hits, indptr[:-1])))
             drawn += block
+        count_rr_sets(theta_prime)
         fraction = covered / theta_prime
         kpt_prime = fraction * n / (1.0 + epsilon_prime)
         return max(kpt, kpt_prime)

@@ -18,7 +18,10 @@ Two frontier cores cover the whole model zoo:
   in proportion to edge draws and activations: it compares the round's
   draws against the edge probabilities first and resolves cascade, target
   and activation state for the hits only; each frontier entry carries its
-  final opinion, so no ``(count, n)`` opinion matrix is kept.
+  final opinion, so no ``(count, n)`` opinion matrix is kept.  Per-edge
+  probabilities need every draw's CSR edge position for the gather; when
+  every edge has the same probability (:func:`ic_edge_probability` passes
+  the graph's cached scalar), only the hits get a position.
 * :func:`run_lt_batch` — the LT family (LT, OC, OI-LT): frontier nodes push
   their edge weight onto inactive out-neighbours, which activate once the
   accumulated weight reaches their (per-cascade) random threshold.
@@ -48,7 +51,7 @@ one place that decides IC, WC and LT weighting.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -160,12 +163,26 @@ def _count_rounds(rounds: np.ndarray, frontier_cascades: np.ndarray) -> None:
 # ---------------------------------------------------------------- IC family
 
 
+def ic_edge_probability(
+    graph: CompiledGraph, weighting: str
+) -> Union[float, np.ndarray]:
+    """The ``edge_probability`` argument of :func:`run_ic_batch` for ``weighting``.
+
+    The graph's cached uniform value when every resolved edge probability
+    is the same (the default IC ``p``), else the per-edge array.
+    """
+    uniform = graph.uniform_edge_probability(weighting)
+    if uniform is None:
+        return graph.resolved_edge_probabilities(weighting)
+    return uniform
+
+
 def run_ic_batch(
     graph: CompiledGraph,
     seeds: Sequence[int],
     rng: np.random.Generator,
     count: int,
-    edge_probability: np.ndarray,
+    edge_probability: Union[float, np.ndarray],
     opinion: str = "initial",
     quality_factor: Optional[float] = None,
 ) -> BatchOutcome:
@@ -175,7 +192,9 @@ def run_ic_batch(
     ----------
     edge_probability:
         ``(m,)`` activation probabilities aligned with the out-CSR edge
-        arrays (uniform IC probabilities, WC ``1/indeg``, ...).
+        arrays (annotated IC probabilities, WC ``1/indeg``, ...), or one
+        scalar shared by every edge (see :func:`ic_edge_probability`).
+        Both forms consume the same draws and give the same outcome.
     opinion:
         ``"initial"`` — activated nodes keep their initial opinion (IC/WC);
         ``"interaction"`` — the OI mixing rule using the activating edge's
@@ -187,6 +206,7 @@ def run_ic_batch(
     validated = validate_seed_indices(graph, seeds)
     n = graph.number_of_nodes
     seed_array = np.asarray(validated, dtype=np.int64)
+    uniform = float(edge_probability) if np.ndim(edge_probability) == 0 else None
     # Flat (count * n) state keyed by ``cascade * n + node`` — 1D fancy
     # indexing on precomputed keys is measurably cheaper than repeated 2D
     # index arithmetic on the hot path.
@@ -210,21 +230,29 @@ def run_ic_batch(
     while frontier_cas.size:
         _count_rounds(rounds, frontier_cas)
 
-        # CSR expansion inlined (rather than via _expand_csr): only the
-        # edge positions are built for every attempt.  The cascade, target
-        # and key of an attempt are looked up for its hits alone, whose
-        # frontier owner is found from the degree prefix sums.
+        # CSR expansion inlined (rather than via _expand_csr): the cascade,
+        # target and key of an attempt are looked up for its hits alone,
+        # whose frontier owner is found from the degree prefix sums.  Per-
+        # edge probabilities need every attempt's edge position; a uniform
+        # probability needs the positions of the hits only.
         starts = indptr[frontier_node]
         degrees = indptr[frontier_node + 1] - starts
         ends = np.cumsum(degrees)
         total = int(ends[-1])
         if total == 0:
             break
-        positions = np.arange(total) + np.repeat(starts - ends + degrees, degrees)
+        # Attempt j of frontier entry i sits at CSR position j + shift[i].
+        shift = starts - ends + degrees
         draws = rng.random(total)
-        hits = np.flatnonzero(draws < edge_probability[positions])
-        owner = np.searchsorted(ends, hits, side="right")
-        positions = positions[hits]
+        if uniform is None:
+            positions = np.arange(total) + np.repeat(shift, degrees)
+            hits = np.flatnonzero(draws < edge_probability[positions])
+            owner = np.searchsorted(ends, hits, side="right")
+            positions = positions[hits]
+        else:
+            hits = np.flatnonzero(draws < uniform)
+            owner = np.searchsorted(ends, hits, side="right")
+            positions = hits + shift[owner]
         targets = graph.out_indices[positions]
         keys = frontier_cas[owner] * n + targets
         # Keep only successful attempts on still-inactive targets.

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.diffusion.base import BatchOutcome, DiffusionModel
-from repro.diffusion.batch import run_ic_batch
+from repro.diffusion.batch import ic_edge_probability, run_ic_batch
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 
@@ -54,7 +54,7 @@ class ICNModel(DiffusionModel):
             seeds,
             rng,
             count,
-            graph.out_probability,
+            ic_edge_probability(graph, "ic"),
             opinion="polarity",
             quality_factor=self.quality_factor,
         )

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.diffusion.base import BatchOutcome, DiffusionModel
-from repro.diffusion.batch import run_ic_batch
+from repro.diffusion.batch import ic_edge_probability, run_ic_batch
 from repro.graphs.digraph import CompiledGraph
 
 
@@ -39,5 +39,5 @@ class IndependentCascadeModel(DiffusionModel):
         count: int,
     ) -> BatchOutcome:
         return run_ic_batch(
-            graph, seeds, rng, count, graph.resolved_edge_probabilities(self.weighting)
+            graph, seeds, rng, count, ic_edge_probability(graph, self.weighting)
         )

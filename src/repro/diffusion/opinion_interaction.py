@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.diffusion.base import BatchOutcome, DiffusionModel
-from repro.diffusion.batch import run_ic_batch, run_lt_batch
+from repro.diffusion.batch import ic_edge_probability, run_ic_batch, run_lt_batch
 from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import CompiledGraph
 
@@ -61,6 +61,6 @@ class OpinionInteractionModel(DiffusionModel):
             seeds,
             rng,
             count,
-            graph.resolved_edge_probabilities(self.first_layer),
+            ic_edge_probability(graph, self.first_layer),
             opinion="interaction",
         )

@@ -417,6 +417,7 @@ class CompiledGraph:
         "_fingerprint",
         "_edge_sources",
         "_resolved_probabilities",
+        "_uniform_probabilities",
         "_out_psi",
         "_out_to_in_position",
     )
@@ -459,6 +460,7 @@ class CompiledGraph:
         # score engines and diffusion kernels share them).
         self._edge_sources: Optional[np.ndarray] = None
         self._resolved_probabilities: Dict[str, np.ndarray] = {}
+        self._uniform_probabilities: Dict[str, Optional[float]] = {}
         self._out_psi: Optional[np.ndarray] = None
         self._out_to_in_position: Optional[np.ndarray] = None
 
@@ -617,6 +619,22 @@ class CompiledGraph:
             )
         self._resolved_probabilities[weighting] = resolved
         return resolved
+
+    def uniform_edge_probability(self, weighting: str) -> Optional[float]:
+        """The one value every resolved edge probability equals, else ``None`` (cached).
+
+        ``None`` also for a graph without edges.  Decided once per
+        weighting with an exact comparison, so the IC-family kernel can
+        compare its draws against this scalar instead of gathering one
+        probability per edge; the draws and the cascades stay the same.
+        """
+        if weighting not in self._uniform_probabilities:
+            resolved = self.resolved_edge_probabilities(weighting)
+            uniform = None
+            if resolved.size and np.all(resolved == resolved[0]):
+                uniform = float(resolved[0])
+            self._uniform_probabilities[weighting] = uniform
+        return self._uniform_probabilities[weighting]
 
     @property
     def out_psi(self) -> np.ndarray:

@@ -80,6 +80,11 @@ _MIX_A = np.uint64(SPLITMIX64_MUL_A)
 _MIX_B = np.uint64(SPLITMIX64_MUL_B)
 _INV_2_53 = float(2.0 ** -53)
 
+_RR_SETS_HELP = (
+    "RR sets drawn for seed selection and sketch estimation "
+    "(index builds count into repro_index_rr_sets_total)."
+)
+
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a uint64 array.
@@ -122,6 +127,18 @@ def _integer_thresholds(probabilities: np.ndarray) -> np.ndarray:
     float conversion of the uniform.
     """
     return np.ceil(probabilities * float(1 << 53)).astype(np.uint64)
+
+
+def count_rr_sets(count: int) -> None:
+    """Add ``count`` drawn RR sets to ``repro_sketch_rr_sets_total``.
+
+    For draws outside :meth:`BatchRRSampler.sample_into`, which counts its
+    own; :meth:`BatchRRSampler.sample` does not count, because index builds
+    draw through it and count into ``repro_index_rr_sets_total``.
+    """
+    registry = default_registry()
+    if registry is not None:
+        registry.counter("repro_sketch_rr_sets_total", _RR_SETS_HELP).inc(count)
 
 
 def expand_csr_positions(indptr: np.ndarray, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -453,9 +470,7 @@ class BatchRRSampler:
         registry = default_registry()
         sets_total = calls_total = None
         if registry is not None:
-            sets_total = registry.counter(
-                "repro_sketch_rr_sets_total", "RR sets drawn by sample_into."
-            )
+            sets_total = registry.counter("repro_sketch_rr_sets_total", _RR_SETS_HELP)
             calls_total = registry.counter(
                 "repro_sketch_rr_blocks_total", "Sampler calls made by sample_into."
             )

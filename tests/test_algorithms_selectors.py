@@ -21,6 +21,7 @@ from repro.algorithms import (
     SimPathSelector,
     SingleDiscountSelector,
     TIMPlusSelector,
+    algorithm_info,
     available_algorithms,
     get_algorithm,
 )
@@ -29,6 +30,8 @@ from repro.algorithms.pagerank import pagerank_scores
 from repro.diffusion import MonteCarloEngine
 from repro.exceptions import BudgetError, ConfigurationError
 from repro.graphs import DiGraph, figure1_example_graph, star_graph
+from repro.graphs.generators import barabasi_albert_graph
+from repro.opinion.annotate import annotate_graph
 
 #: Cheap configurations used when checking that every algorithm runs end to end.
 FAST_SELECTORS = [
@@ -79,6 +82,50 @@ class TestSelectorContract:
     def test_top_k_by_score_tie_breaking(self):
         assert top_k_by_score([1.0, 3.0, 3.0, 0.5], 2) == [1, 2]
         assert top_k_by_score([1.0, 3.0, 3.0, 0.5], 2, excluded={1}) == [2, 0]
+
+
+@pytest.fixture(scope="module")
+def twelve_node_graph():
+    """A 12-node annotated graph every registered selector runs on."""
+    graph = barabasi_albert_graph(12, 2, seed=3, probability=0.3)
+    annotate_graph(graph, seed=4)
+    return graph.compile()
+
+
+def cheap_selector(name, seed=0):
+    """The registered selector ``name``, made cheap through its capabilities."""
+    info = algorithm_info(name)
+    options = {}
+    if info.seedable:
+        options["seed"] = seed
+    if info.simulation_aware:
+        options["simulations"] = 10
+    if info.rr_set_aware:
+        options["max_rr_sets"] = 2000
+    return get_algorithm(name, **options)
+
+
+@pytest.mark.parametrize("name", available_algorithms())
+class TestRegistryContract:
+    """The budget and reproducibility contract of every registered selector."""
+
+    def test_zero_budget_is_a_configuration_error(self, twelve_node_graph, name):
+        with pytest.raises(ConfigurationError) as raised:
+            cheap_selector(name).select(twelve_node_graph, 0)
+        assert not isinstance(raised.value, BudgetError)
+
+    def test_budget_above_n_is_a_budget_error(self, twelve_node_graph, name):
+        with pytest.raises(BudgetError):
+            cheap_selector(name).select(twelve_node_graph, 13)
+
+    def test_budget_n_selects_every_node(self, twelve_node_graph, name):
+        result = cheap_selector(name).select(twelve_node_graph, 12)
+        assert sorted(result.seeds) == sorted(twelve_node_graph.labels)
+
+    def test_fixed_seed_reproduces_the_selection(self, twelve_node_graph, name):
+        first = cheap_selector(name, seed=5).select(twelve_node_graph, 4)
+        second = cheap_selector(name, seed=5).select(twelve_node_graph, 4)
+        assert first.seeds == second.seeds
 
 
 class TestStructuralBaselines:

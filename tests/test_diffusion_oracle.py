@@ -7,6 +7,11 @@ matrices.  The sparse kernel must consume the same random numbers and
 reach the same activations and opinions; only the summation order of the
 opinion objectives may differ.
 
+With one probability on every edge, ``run_ic_batch`` takes that probability
+as a scalar and resolves the edge positions of the hits only.  The uniform
+cases run through both forms, on a real generator and on ``GridRNG``, whose
+draws land exactly on the probabilities (that pins the strict ``u < p``).
+
 ``exact_oi_ic_objectives`` enumerates every live-edge x agreement world of
 a tiny in-forest (in-degree <= 1, so each activation has a unique
 activator) to get the exact Def. 3/6/7 values that ``MonteCarloEngine``
@@ -22,9 +27,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion import MonteCarloEngine
+from repro.diffusion import MonteCarloEngine, get_model
 from repro.diffusion.base import validate_seed_indices
-from repro.diffusion.batch import run_ic_batch
+from repro.diffusion.batch import ic_edge_probability, run_ic_batch
 from repro.graphs.digraph import CompiledGraph, DiGraph
 from repro.graphs.generators import barabasi_albert_graph
 from repro.opinion.annotate import annotate_graph
@@ -34,6 +39,24 @@ SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+class GridRNG:
+    """Stand-in generator whose uniforms cycle through 0.0, 0.1, ..., 0.9.
+
+    A real generator almost never draws a value equal to an edge
+    probability, so ``u <= p`` and ``u < p`` would agree on it; on this
+    grid the draws hit 0.0 and 0.3 exactly.
+    """
+
+    def __init__(self, position: int) -> None:
+        self.position = position
+
+    def random(self, size=None):
+        count = 1 if size is None else int(size)
+        values = np.arange(self.position, self.position + count) % 10 / 10.0
+        self.position += count
+        return float(values[0]) if size is None else values
 
 
 def reference_run_ic_batch(
@@ -160,7 +183,10 @@ def kernel_cases(draw):
         edge_probability = compiled.resolved_edge_probabilities("wc")
     elif probabilities == "uniform":
         uniform = draw(st.sampled_from([0.0, 0.3, 1.0]))
-        edge_probability = np.full(compiled.number_of_edges, uniform)
+        if draw(st.booleans()):
+            edge_probability = uniform
+        else:
+            edge_probability = np.full(compiled.number_of_edges, uniform)
     else:
         edge_probability = compiled.out_probability
     seeds = draw(st.lists(st.integers(0, n - 1), max_size=5))
@@ -176,13 +202,20 @@ def kernel_cases(draw):
     }
 
 
-def assert_matches_reference(case):
+def assert_matches_reference(case, make_rng=np.random.default_rng):
+    """Run ``case`` through both kernels; return the sparse outcome.
+
+    A scalar ``edge_probability`` reaches the reference as a full array.
+    """
     penalty = case.pop("penalty")
     rng_seed = case.pop("rng_seed")
-    sparse_rng = np.random.default_rng(rng_seed)
-    dense_rng = np.random.default_rng(rng_seed)
+    sparse_rng = make_rng(rng_seed)
+    dense_rng = make_rng(rng_seed)
     outcome = run_ic_batch(rng=sparse_rng, **case)
-    active, opinions, rounds = reference_run_ic_batch(rng=dense_rng, **case)
+    dense_case = dict(case, edge_probability=np.broadcast_to(
+        case["edge_probability"], (case["graph"].number_of_edges,)
+    ))
+    active, opinions, rounds = reference_run_ic_batch(rng=dense_rng, **dense_case)
 
     assert np.array_equal(outcome.active, active)
     assert np.array_equal(outcome.rounds, rounds)
@@ -194,6 +227,13 @@ def assert_matches_reference(case):
     np.testing.assert_allclose(objectives[1:], expected[1:], rtol=1e-12, atol=1e-12)
     # The RNG stream is left where the dense kernel left it.
     assert sparse_rng.random() == dense_rng.random()
+    return outcome
+
+
+def annotated_graph(probability: float = 0.1) -> CompiledGraph:
+    graph = barabasi_albert_graph(300, 3, seed=5, probability=probability)
+    annotate_graph(graph, opinion="normal", interaction="uniform", seed=6)
+    return graph.compile()
 
 
 class TestSparseICKernel:
@@ -204,9 +244,7 @@ class TestSparseICKernel:
 
     @pytest.mark.parametrize("opinion", ["initial", "interaction", "polarity"])
     def test_matches_dense_reference_on_annotated_graph(self, opinion):
-        graph = barabasi_albert_graph(300, 3, seed=5)
-        annotate_graph(graph, opinion="normal", interaction="uniform", seed=6)
-        compiled = graph.compile()
+        compiled = annotated_graph()
         assert_matches_reference({
             "graph": compiled,
             "seeds": [0, 4, 4, 17, 250],
@@ -217,6 +255,64 @@ class TestSparseICKernel:
             "rng_seed": 11,
             "penalty": 1.5,
         })
+
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, GridRNG],
+                             ids=["generator", "grid"])
+    @pytest.mark.parametrize("opinion", ["initial", "interaction", "polarity"])
+    @pytest.mark.parametrize("probability", [0.0, 0.3, 1.0])
+    def test_uniform_scalar_and_array_paths_match_reference(
+        self, probability, opinion, make_rng
+    ):
+        compiled = annotated_graph()
+        scalar, array = [
+            assert_matches_reference({
+                "graph": compiled,
+                "seeds": [0, 4, 4, 17, 250],
+                "count": 64,
+                "edge_probability": edge_probability,
+                "opinion": opinion,
+                "quality_factor": 0.6,
+                "rng_seed": 11,
+                "penalty": 1.5,
+            }, make_rng)
+            for edge_probability in (
+                probability, np.full(compiled.number_of_edges, probability)
+            )
+        ]
+        # Same activation order and opinions, not only the same end state.
+        for field in ("log_cascades", "log_nodes", "log_opinions", "seed_opinions"):
+            assert np.array_equal(getattr(scalar, field), getattr(array, field))
+
+    def test_models_pass_the_scalar_only_for_uniform_probabilities(self):
+        uniform = DiGraph()
+        uniform.add_edges_from([(0, 1), (1, 2), (0, 2)], probability=0.1)
+        compiled = uniform.compile()
+        assert ic_edge_probability(compiled, "ic") == 0.1
+        assert isinstance(ic_edge_probability(compiled, "ic"), float)
+        # In-degrees 1 and 2: WC probabilities differ, so the array goes in.
+        assert ic_edge_probability(compiled, "wc") is (
+            compiled.resolved_edge_probabilities("wc")
+        )
+        per_edge = barabasi_albert_graph(50, 2, seed=1)
+        per_edge.set_weighted_cascade_probabilities()
+        per_edge = per_edge.compile()
+        assert ic_edge_probability(per_edge, "ic") is per_edge.out_probability
+
+    @pytest.mark.parametrize("model", ["ic", "oi-ic", "icn"])
+    def test_uniform_models_match_the_array_path(self, model):
+        compiled = annotated_graph(probability=0.3)
+        assert compiled.uniform_edge_probability("ic") == 0.3
+        outcome = get_model(model).simulate_batch(
+            compiled, [0, 17], np.random.default_rng(4), 32
+        )
+        opinion = {"ic": "initial", "oi-ic": "interaction", "icn": "polarity"}[model]
+        expected = run_ic_batch(
+            compiled, [0, 17], np.random.default_rng(4), 32,
+            np.full(compiled.number_of_edges, 0.3), opinion=opinion,
+            quality_factor=getattr(get_model(model), "quality_factor", None),
+        )
+        for field in ("active", "rounds", "log_cascades", "log_nodes", "log_opinions"):
+            assert np.array_equal(getattr(outcome, field), getattr(expected, field))
 
     def test_log_holds_each_non_seed_activation_once(self):
         graph = barabasi_albert_graph(200, 4, seed=1)

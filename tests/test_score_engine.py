@@ -369,6 +369,17 @@ class TestGraphStaticCaches:
         with pytest.raises(ConfigurationError):
             compiled.resolved_edge_probabilities("nope")
 
+    def test_uniform_probability_decided_once_per_weighting(self):
+        compiled = make_graph(n=40)
+        uniform = compiled.uniform_edge_probability("ic")
+        assert uniform == compiled.out_probability[0]
+        assert np.all(compiled.out_probability == uniform)
+        assert uniform is compiled.uniform_edge_probability("ic")  # cached
+        assert compiled.uniform_edge_probability("wc") is None
+        edgeless = DiGraph()
+        edgeless.add_node(0)
+        assert edgeless.compile().uniform_edge_probability("ic") is None
+
     def test_position_map_is_a_bijection_onto_the_same_edges(self):
         compiled = make_graph(n=60, out_degree=3)
         out_to_in = compiled.out_to_in_position

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.algorithms import TIMPlusSelector
 from repro.exceptions import ConfigurationError, LifecycleError
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -510,3 +511,39 @@ class TestEngineInstrumentation:
                         "direct_rebuilds", "pool_rebuilds")
         )
         assert total_mirrored == by_kind > 0
+
+
+class TestRRSetCounters:
+    """Each drawn RR set lands in exactly one of the two RR-set counters."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        from repro.sketches.sampler import BatchRRSampler
+
+        sizes = []
+        original = BatchRRSampler.sample_tokens
+
+        def counting(sampler, tokens, slots=None):
+            sizes.append(len(tokens))
+            return original(sampler, tokens, slots)
+
+        monkeypatch.setattr(BatchRRSampler, "sample_tokens", counting)
+        return sizes
+
+    def test_timplus_counts_its_kpt_phase_sets(self, small_graph, drawn):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = TIMPlusSelector(model="wc", epsilon=0.3, seed=0).select(
+                small_graph, 5
+            )
+        # The KPT phases draw sets beyond the final theta.
+        assert sum(drawn) > result.metadata["rr_sets"]
+        assert registry.counter("repro_sketch_rr_sets_total").value == sum(drawn)
+        assert registry.get("repro_index_rr_sets_total") is None
+
+    def test_index_build_moves_only_the_index_counter(self, small_graph, drawn):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            repro.InfluenceIndex.build(small_graph, "ic", 500, engine_seed=0)
+        assert registry.counter("repro_index_rr_sets_total").value == sum(drawn) == 500
+        assert registry.get("repro_sketch_rr_sets_total") is None
