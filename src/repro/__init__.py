@@ -98,7 +98,6 @@ from repro.specs import (
     load_experiment_spec,
 )
 from repro.api import (
-    IndexEstimator,
     MonteCarloEstimator,
     RunResult,
     ScoreEstimator,
@@ -198,7 +197,6 @@ __all__ = [
     "estimator_capabilities",
     "MonteCarloEstimator",
     "SketchEstimator",
-    "IndexEstimator",
     "ScoreEstimator",
     # telemetry
     "MetricsRegistry",

@@ -1,9 +1,9 @@
 """The unified experiment API: one call runs any declarative spec.
 
 This module is the execution half of the spec layer
-(:mod:`repro.specs`): it adapts the four spread-estimation backends the
-repo has grown — the batch Monte-Carlo engine, the RIS sketch collection,
-the persistent serving index and the incremental score engine — behind one
+(:mod:`repro.specs`): it adapts the three spread-estimation backends — the
+batch Monte-Carlo engine, the RR-sketch index (sampled in memory or loaded
+from a persisted artifact) and the incremental score engine — behind one
 :class:`SpreadEstimator` protocol, negotiates which backend can serve a
 requested (model, objective) pair from capability metadata, and executes
 :class:`~repro.specs.ExperimentSpec` documents end-to-end::
@@ -29,8 +29,8 @@ emits everywhere.
 
 Objective conventions: all backends report the paper's Def. 3 spread
 (activated nodes *excluding* seeds) for the ``spread`` objective, so the
-Monte-Carlo, sketch and index backends agree within sampling error on the
-same seed set.  The ``score`` backend is different by design: it reports
+Monte-Carlo and sketch backends agree within sampling error on the same
+seed set.  The ``score`` backend is different by design: it reports
 the EaSyIM/OSIM residual path-score mass (the quantity ScoreGREEDY
 maximises), a fast heuristic *ranking* surface that is not
 sigma-comparable; its results are flagged ``sigma_comparable: false`` in
@@ -86,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
 #: Schema identifier stamped on every serialised :class:`RunResult`.
 RESULT_SCHEMA = "repro/run-result@1"
 
-#: Diffusion models the sketch/index backends can sample under (sorted view
+#: Diffusion models the sketch backend can sample under (sorted view
 #: of the sampler's supported set, for stable error messages).
 _RIS_MODELS = tuple(sorted(RIS_MODELS))
 
@@ -96,7 +96,7 @@ _RIS_MODELS = tuple(sorted(RIS_MODELS))
 
 @runtime_checkable
 class SpreadEstimator(Protocol):
-    """Common surface of the four spread-estimation backends.
+    """Common surface of the three spread-estimation backends.
 
     ``estimate(seeds)`` returns the configured objective's value for one
     seed set; ``sweep(seeds, seed_counts)`` evaluates every requested
@@ -200,10 +200,13 @@ class MonteCarloEstimator:
 
 
 class SketchEstimator:
-    """Adapter over a freshly sampled RR-sketch collection (the RIS oracle).
+    """Adapter over an RR-sketch :class:`~repro.serving.index.InfluenceIndex`.
 
-    One sampling pass at construction; every query afterwards is a batched
-    coverage pass over the same ``theta`` sets.
+    Loads ``artifact`` when given (the index validates the graph
+    fingerprint); otherwise draws ``theta`` RR sets in one sampling pass and
+    wraps them.  Every query afterwards is a batched coverage pass over the
+    same sets, and the wrapped index also answers warm ``select`` queries
+    for the CLI.
     """
 
     backend = "sketch"
@@ -212,90 +215,18 @@ class SketchEstimator:
     def __init__(
         self,
         graph: Union[DiGraph, CompiledGraph],
-        model: str,
-        *,
-        theta: int = 20_000,
-        block_size: int = 2048,
-        seed: int = 0,
-    ) -> None:
-        from repro.sketches.collection import RRSetCollection
-        from repro.sketches.sampler import BatchRRSampler
-        from repro.utils.rng import ensure_rng
-
-        if theta < 1:
-            raise ConfigurationError(f"theta must be >= 1, got {theta}")
-        self.model = model
-        self.theta = int(theta)
-        self.engine_seed = seed
-        self.graph = graph.compile() if isinstance(graph, DiGraph) else graph
-        sampler = BatchRRSampler(self.graph, model)
-        self.collection = RRSetCollection(self.graph.number_of_nodes)
-        sampler.sample_into(ensure_rng(seed), self.collection, self.theta, block_size)
-
-    def _raw(self, indices: Sequence[int]) -> float:
-        return float(self.collection.estimated_spread(list(indices)))
-
-    def estimate(self, seeds: Sequence[Node]) -> float:
-        seeds = list(seeds)
-        if not seeds:
-            return 0.0
-        indices = self.graph.indices_for(seeds)
-        return def3_spread(self._raw(indices), len(seeds))
-
-    def details(self, seeds: Sequence[Node]) -> Dict[str, float]:
-        seeds = list(seeds)
-        raw = self._raw(self.graph.indices_for(seeds)) if seeds else 0.0
-        return {
-            "estimated_spread": raw,
-            "spread": def3_spread(raw, len(seeds)),
-        }
-
-    def sweep(
-        self, seeds: Sequence[Node], seed_counts: Sequence[int]
-    ) -> Dict[int, float]:
-        counts = _check_prefix_counts(seeds, seed_counts)
-        indices = self.graph.indices_for(list(seeds))
-        nonzero = [k for k in counts if k > 0]
-        # One batched oracle call for the whole sweep.
-        raw = self.collection.estimated_spreads([indices[:k] for k in nonzero])
-        by_count = dict(zip(nonzero, raw))
-        return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "model": self.model,
-            "theta": self.collection.num_sets,
-            "engine_seed": self.engine_seed,
-            "sigma_comparable": self.sigma_comparable,
-        }
-
-
-class IndexEstimator:
-    """Adapter over a persistent :class:`~repro.serving.index.InfluenceIndex`.
-
-    Loads ``artifact`` when given (validating the graph fingerprint),
-    otherwise builds an in-memory index at ``theta``.  Sweeps run as one
-    batched coverage pass; the wrapped index also answers warm ``select``
-    queries for the CLI.
-    """
-
-    backend = "index"
-    sigma_comparable = True
-
-    def __init__(
-        self,
-        graph: Union[DiGraph, CompiledGraph],
-        model: str,
+        model: Optional[str],
         *,
         theta: int = 20_000,
         block_size: int = 2048,
         seed: int = 0,
         artifact: Optional[str] = None,
         mmap: bool = True,
-        workers: int = 1,
     ) -> None:
         from repro.serving.index import InfluenceIndex
+        from repro.sketches.collection import RRSetCollection
+        from repro.sketches.sampler import BatchRRSampler
+        from repro.utils.rng import ensure_rng
 
         compiled = graph.compile() if isinstance(graph, DiGraph) else graph
         if artifact is not None:
@@ -309,15 +240,18 @@ class IndexEstimator:
                     f"{model!r}; rebuild the index or fix the spec"
                 )
         else:
-            self.index = InfluenceIndex.build(
+            if theta < 1:
+                raise ConfigurationError(f"theta must be >= 1, got {theta}")
+            sampler = BatchRRSampler(compiled, model)
+            collection = RRSetCollection(compiled.number_of_nodes)
+            sampler.sample_into(ensure_rng(seed), collection, int(theta), block_size)
+            self.index = InfluenceIndex(
                 compiled,
-                model,
-                theta,
+                collection,
+                model=model,
                 engine_seed=seed,
                 block_size=block_size,
-                workers=workers,
             )
-        self.graph = compiled
         self.artifact = artifact
 
     @property
@@ -325,10 +259,7 @@ class IndexEstimator:
         return self.index.model
 
     def estimate(self, seeds: Sequence[Node]) -> float:
-        seeds = list(seeds)
-        if not seeds:
-            return 0.0
-        return def3_spread(self.index.estimate_spread(seeds), len(seeds))
+        return self.details(seeds)["spread"]
 
     def details(self, seeds: Sequence[Node]) -> Dict[str, float]:
         seeds = list(seeds)
@@ -344,6 +275,7 @@ class IndexEstimator:
         counts = _check_prefix_counts(seeds, seed_counts)
         seeds = list(seeds)
         nonzero = [k for k in counts if k > 0]
+        # One batched oracle call for the whole sweep.
         raw = self.index.estimate_spreads([seeds[:k] for k in nonzero])
         by_count = dict(zip(nonzero, raw))
         return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}
@@ -411,9 +343,15 @@ class ScoreEstimator:
         """
         key = tuple(seeds)
         if self._cache_key != key:
+            try:
+                indices = self.graph.indices_for(list(seeds))
+            except KeyError as error:
+                raise ConfigurationError(
+                    f"seed {error.args[0]!r} is not a node of the graph"
+                ) from None
             engine = self._engine()
             totals = [0.0]
-            for node in self.graph.indices_for(list(seeds)):
+            for node in indices:
                 totals.append(totals[-1] + float(engine.score_of(node)))
                 engine.mark_active([node])
             self._cache_key, self._cache_totals = key, totals
@@ -458,11 +396,6 @@ def estimator_capabilities() -> Dict[str, Dict[str, object]]:
             "objectives": ["spread"],
             "sigma_comparable": True,
         },
-        "index": {
-            "models": list(_RIS_MODELS),
-            "objectives": ["spread"],
-            "sigma_comparable": True,
-        },
         "score": {
             "models": "any (scored under the ic/wc/lt base layer)",
             "objectives": ["spread", "opinion", "effective-opinion"],
@@ -481,7 +414,7 @@ def build_estimator(
 ) -> SpreadEstimator:
     """Construct the backend an :class:`EstimatorSpec` names, or refuse loudly.
 
-    Capability negotiation: the sketch and index backends can only sample
+    Capability negotiation: the sketch backend can only sample
     under the opinion-oblivious ic/wc/lt models and only estimate the
     ``spread`` objective; asking for more raises a
     :class:`ConfigurationError` naming the backends that *can* serve the
@@ -493,15 +426,15 @@ def build_estimator(
     backend = spec.backend
     if model is None:
         # Only an index artifact carries its own model in its provenance.
-        if not (backend == "index" and spec.artifact is not None):
+        if not (backend == "sketch" and spec.artifact is not None):
             raise ConfigurationError(
                 f"estimator backend {backend!r} requires a diffusion model; "
-                "only the 'index' backend with an artifact can infer one"
+                "only the 'sketch' backend with an artifact can infer one"
             )
         model_name = None
     else:
         model_name = model if isinstance(model, str) else model.name
-    if backend in ("sketch", "index"):
+    if backend == "sketch":
         problems = []
         if model_name is not None and model_name not in _RIS_MODELS:
             problems.append(
@@ -533,17 +466,8 @@ def build_estimator(
             theta=spec.theta,
             block_size=spec.block_size,
             seed=spec.engine_seed,
-        )
-    if backend == "index":
-        return IndexEstimator(
-            graph,
-            model_name,
-            theta=spec.theta,
-            block_size=spec.block_size,
-            seed=spec.engine_seed,
             artifact=spec.artifact,
             mmap=spec.mmap,
-            workers=spec.workers,
         )
     if backend == "score":
         if objective == "effective-opinion" and penalty != 1.0:
@@ -674,7 +598,7 @@ class RunResult:
         algorithm/model/objective/backend/budget), then the seeds and the
         estimates (the flattened ``spreads`` mapping, ``value``, ``curve``),
         then estimator-specific ``extras`` at top level (e.g. ``theta``,
-        ``memory_mapped`` for the index backend), then ``selection_metadata``,
+        ``memory_mapped`` for ``index query``), then ``selection_metadata``,
         ``runtime_seconds``, ``timings`` and ``provenance``.  ``None``-valued
         fields are omitted.
         """

@@ -609,7 +609,7 @@ def _command_index_query(args: argparse.Namespace) -> int:
     graph_spec = _graph_spec_from_args(args)
     graph = graph_spec.build().compile()
     estimator_spec = EstimatorSpec(
-        backend="index", artifact=args.artifact, mmap=not args.no_mmap
+        backend="sketch", artifact=args.artifact, mmap=not args.no_mmap
     )
     started = time.perf_counter()
     estimator = build_estimator(estimator_spec, graph, None)
@@ -633,7 +633,7 @@ def _command_index_query(args: argparse.Namespace) -> int:
             seeds=list(selection.seeds),
             model=index.model,
             objective="spread",
-            backend="index",
+            backend=estimator.backend,
             budget=args.budget,
             spreads={"estimated_spread": selection.estimated_spread},
             extras={**extras, "covered_fraction": round(selection.covered_fraction, 6)},
@@ -645,7 +645,7 @@ def _command_index_query(args: argparse.Namespace) -> int:
             seeds=seeds,
             model=index.model,
             objective="spread",
-            backend="index",
+            backend=estimator.backend,
             spreads=estimator.details(seeds),
             extras=extras,
         )
@@ -660,7 +660,7 @@ def _command_index_query(args: argparse.Namespace) -> int:
             seeds=[],
             model=index.model,
             objective="spread",
-            backend="index",
+            backend=estimator.backend,
             curve={k: def3_spread(v, k) for k, v in raw_curve.items()},
             extras={
                 **extras,

@@ -6,7 +6,6 @@ Execution lives in :mod:`repro.api`.
 """
 
 from repro.specs.experiment import (
-    BACKEND_ALIASES,
     ESTIMATOR_BACKENDS,
     OBJECTIVES,
     AlgorithmSpec,
@@ -20,7 +19,6 @@ from repro.specs.experiment import (
 
 __all__ = [
     "AlgorithmSpec",
-    "BACKEND_ALIASES",
     "ESTIMATOR_BACKENDS",
     "EstimatorSpec",
     "EvalSpec",

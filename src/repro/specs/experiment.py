@@ -43,17 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
 _S = TypeVar("_S", bound="_SpecBase")
 
 #: Canonical estimator backend identifiers, in documentation order.
-ESTIMATOR_BACKENDS = ("monte-carlo", "sketch", "index", "score")
-
-#: Accepted aliases, normalised to canonical identifiers at spec creation.
-BACKEND_ALIASES = {
-    "mc": "monte-carlo",
-    "montecarlo": "monte-carlo",
-    "ris": "sketch",
-    "rr-sketch": "sketch",
-    "serving": "index",
-    "score-engine": "score",
-}
+ESTIMATOR_BACKENDS = ("monte-carlo", "sketch", "score")
 
 #: Objectives a spec may ask an estimator for (Defs. 3, 6 and 7 of the paper).
 OBJECTIVES = ("spread", "opinion", "effective-opinion")
@@ -360,12 +350,12 @@ class EstimatorSpec(_SpecBase):
     Backends (see :mod:`repro.api` for the adapters):
 
     ``monte-carlo``
-        The batch Monte-Carlo engine — any model, any objective.
+        The batch Monte-Carlo engine — any model, any objective; the only
+        backend ``workers`` applies to.
     ``sketch``
-        A fresh RR-sketch collection (RIS oracle) — ic/wc/lt, spread only.
-    ``index``
-        A persistent :class:`~repro.serving.index.InfluenceIndex`, loaded
-        from ``artifact`` or built on the fly — ic/wc/lt, spread only.
+        An RR-sketch :class:`~repro.serving.index.InfluenceIndex` (the RIS
+        oracle), loaded from ``artifact`` (memory-mapped unless ``mmap`` is
+        false) or sampled in memory at ``theta`` — ic/wc/lt, spread only.
     ``score``
         The incremental :class:`~repro.scoring.engine.ScoreEngine` —
         EaSyIM/OSIM residual path scores, a fast *heuristic* proxy that is
@@ -389,13 +379,12 @@ class EstimatorSpec(_SpecBase):
 
     def validate(self, path: str = "estimator") -> None:
         _require_type(self.backend, str, f"{path}.backend", "a string")
-        backend = BACKEND_ALIASES.get(self.backend.lower(), self.backend.lower())
+        backend = self.backend.lower()
         if backend not in ESTIMATOR_BACKENDS:
             raise SpecError(
                 f"{path}.backend",
                 f"unknown backend {self.backend!r}; available: "
-                f"{', '.join(ESTIMATOR_BACKENDS)} "
-                f"(aliases: {', '.join(sorted(BACKEND_ALIASES))})",
+                f"{', '.join(ESTIMATOR_BACKENDS)}",
             )
         self.backend = backend
         for name in ("simulations", "theta", "block_size", "max_path_length", "workers"):
@@ -410,10 +399,10 @@ class EstimatorSpec(_SpecBase):
         )
         if self.artifact is not None:
             _require_type(self.artifact, str, f"{path}.artifact", "a string path")
-            if self.backend != "index":
+            if self.backend != "sketch":
                 raise SpecError(
                     f"{path}.artifact",
-                    f"artifacts are only meaningful for the 'index' backend, "
+                    f"artifacts are only meaningful for the 'sketch' backend, "
                     f"got backend {self.backend!r}",
                 )
         _require_type(self.mmap, bool, f"{path}.mmap", "a boolean")
@@ -421,7 +410,7 @@ class EstimatorSpec(_SpecBase):
     @classmethod
     def from_dict(cls, data: object, path: str = "estimator") -> "EstimatorSpec":
         if isinstance(data, str):
-            # Shorthand: "estimator": "ris"
+            # Shorthand: "estimator": "sketch"
             return cls._construct({"backend": data}, path)
         mapping = _check_mapping(data, path)
         _reject_unknown(mapping, [f.name for f in dataclasses.fields(cls)], path)

@@ -13,8 +13,10 @@ import shlex
 
 import pytest
 
+import repro.api
 from repro.bench.experiments import EXPERIMENTS
 from repro.cli import build_parser
+from repro.specs import ESTIMATOR_BACKENDS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -126,3 +128,23 @@ def test_documented_cli_command_parses(doc, command):
         build_parser().parse_args(shlex.split(command))
     except SystemExit:
         pytest.fail(f"{doc}: `python -m repro.cli{command.rstrip()}` does not parse")
+
+
+@pytest.mark.parametrize("doc", CLI_DOCS)
+def test_docs_name_only_existing_backends_and_estimators(doc):
+    """A retired estimator backend or adapter class fails here.
+
+    Checks every ``backend="..."`` / ``"backend": "..."`` literal against
+    ``ESTIMATOR_BACKENDS``, and every backticked ``...Estimator`` name against
+    ``repro.api``.
+    """
+    text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+    backends = re.findall(r'(?:\bbackend\s*=\s*|"backend"\s*:\s*)"([^"]*)"', text)
+    estimators = {
+        name
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for name in re.findall(r"\b([A-Z]\w*Estimator)\b", span)
+    }
+    unknown = sorted(set(backends) - set(ESTIMATOR_BACKENDS))
+    unknown += sorted(name for name in estimators if not hasattr(repro.api, name))
+    assert not unknown, f"{doc} names retired backends or estimators: {unknown}"

@@ -3,9 +3,10 @@
 Covers the spec layer's JSON round-trips (including a property-based
 ExperimentSpec -> dict -> ExperimentSpec equality check), schema-style
 validation errors, capability negotiation (registry metadata instead of
-frozensets), backend equivalence (Monte-Carlo vs sketch vs index within
-3 sigma on the same seed set), regression against the pre-redesign entry
-points, the deprecation shims, the public-export audit and the rebuilt CLI.
+frozensets), backend equivalence (Monte-Carlo vs sketch within 3 sigma on
+the same seed set), the invariants the one RR-sketch backend rests on,
+regression against the pre-redesign entry points, the deprecation shims,
+the public-export audit and the rebuilt CLI.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 import repro
 from repro.api import (
     RESULT_SCHEMA,
-    IndexEstimator,
     MonteCarloEstimator,
     RunResult,
     ScoreEstimator,
@@ -48,6 +48,7 @@ from repro.exceptions import (
 )
 from repro.serving import InfluenceIndex
 from repro.specs import (
+    ESTIMATOR_BACKENDS,
     AlgorithmSpec,
     EstimatorSpec,
     EvalSpec,
@@ -108,13 +109,12 @@ class TestSpecRoundTrips:
                 "model": "wc",
                 "algorithm": "high-degree",
                 "budget": 3,
-                "evaluation": {"estimator": "ris"},
+                "evaluation": {"estimator": "sketch"},
             }
         )
         assert spec.model == ModelSpec(name="wc")
         assert spec.algorithm == AlgorithmSpec(name="high-degree")
-        # Aliases normalise to canonical backend names.
-        assert spec.evaluation.estimator.backend == "sketch"
+        assert spec.evaluation.estimator == EstimatorSpec(backend="sketch")
 
     def test_seeds_spec_round_trip(self):
         spec = ExperimentSpec(
@@ -137,7 +137,7 @@ class TestSpecRoundTrips:
         selection_seed=st.none() | st.integers(min_value=0, max_value=1000),
         objective=st.sampled_from(["spread", "opinion", "effective-opinion"]),
         penalty=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-        backend=st.sampled_from(["monte-carlo", "sketch", "index", "score"]),
+        backend=st.sampled_from(ESTIMATOR_BACKENDS),
         simulations=st.integers(min_value=1, max_value=10_000),
         theta=st.integers(min_value=1, max_value=100_000),
         annotate=st.booleans(),
@@ -212,9 +212,17 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=r"unknown field\(s\) 'scal'.*scale"):
             GraphSpec.from_dict({"dataset": "nethept", "scal": 2})
 
-    def test_unknown_backend_lists_aliases(self):
-        with pytest.raises(SpecError, match="monte-carlo, sketch, index, score"):
-            EstimatorSpec(backend="bogus")
+    @pytest.mark.parametrize(
+        "backend",
+        # "index" and the former aliases are no longer spellings of a backend.
+        ["bogus", "index", "mc", "montecarlo", "ris", "rr-sketch", "serving",
+         "score-engine"],
+    )
+    def test_unknown_backend_lists_the_backends(self, backend):
+        with pytest.raises(
+            SpecError, match=r"available: monte-carlo, sketch, score$"
+        ):
+            EstimatorSpec(backend=backend)
 
     def test_unknown_algorithm_and_model(self):
         with pytest.raises(SpecError, match="unknown algorithm"):
@@ -243,9 +251,9 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=r"seed_counts\[1\].*exceeds"):
             _small_spec(evaluation=EvalSpec(seed_counts=[1, 10]))
 
-    def test_artifact_only_for_index_backend(self):
-        with pytest.raises(SpecError, match="only meaningful for the 'index'"):
-            EstimatorSpec(backend="sketch", artifact="x.npz")
+    def test_artifact_only_for_sketch_backend(self):
+        with pytest.raises(SpecError, match="only meaningful for the 'sketch'"):
+            EstimatorSpec(backend="monte-carlo", artifact="x.npz")
 
     def test_invalid_label_type(self):
         with pytest.raises(SpecError, match=r"seeds\[1\].*labels"):
@@ -310,7 +318,7 @@ class TestCapabilities:
         with pytest.raises(ConfigurationError, match="monte-carlo"):
             build_estimator("sketch", nethept_compiled, "oi-ic")
         with pytest.raises(ConfigurationError, match="objective 'opinion'"):
-            build_estimator("index", nethept_compiled, "ic", objective="opinion")
+            build_estimator("sketch", nethept_compiled, "ic", objective="opinion")
 
     def test_estimator_requires_model_unless_artifact(self, nethept_compiled):
         with pytest.raises(ConfigurationError, match="requires a diffusion model"):
@@ -355,7 +363,7 @@ class TestCapabilities:
 
     def test_capability_table_shape(self):
         table = estimator_capabilities()
-        assert set(table) == {"monte-carlo", "sketch", "index", "score"}
+        assert tuple(table) == ESTIMATOR_BACKENDS == ("monte-carlo", "sketch", "score")
         assert table["score"]["sigma_comparable"] is False
 
     def test_run_experiment_runs_ris_algorithms_on_base_models(self):
@@ -375,7 +383,7 @@ class TestCapabilities:
     ):
         index = InfluenceIndex.build(nethept_compiled, "ic", 500, engine_seed=0)
         artifact = index.save(tmp_path / "ic.npz")
-        spec = EstimatorSpec(backend="index", artifact=str(artifact))
+        spec = EstimatorSpec(backend="sketch", artifact=str(artifact))
         with pytest.raises(ConfigurationError, match="sampled under model 'ic'"):
             build_estimator(spec, nethept_compiled, "wc")
         # Without a requested model the artifact's own model is authoritative.
@@ -407,7 +415,7 @@ class TestCapabilities:
 
 
 class TestBackendEquivalence:
-    def test_mc_sketch_index_agree_within_3_sigma(self, nethept_compiled):
+    def test_mc_and_sketch_agree_within_3_sigma(self, nethept_compiled):
         seeds = repro.get_algorithm("high-degree").select(nethept_compiled, 5).seeds
         simulations, theta = 4000, 40_000
         n = nethept_compiled.number_of_nodes
@@ -416,35 +424,23 @@ class TestBackendEquivalence:
             nethept_compiled, "wc", simulations=simulations, seed=3
         )
         sketch = SketchEstimator(nethept_compiled, "wc", theta=theta, seed=4)
-        index = IndexEstimator(nethept_compiled, "wc", theta=theta, seed=5)
 
         estimate = mc.engine.estimate(seeds)
         se_mc = estimate.spread_std / math.sqrt(simulations)
         values = {
             "monte-carlo": mc.estimate(seeds),
             "sketch": sketch.estimate(seeds),
-            "index": index.estimate(seeds),
         }
-        for backend in ("sketch", "index"):
-            p = (values[backend] + len(seeds)) / n
-            se_ris = n * math.sqrt(max(p * (1 - p), 1e-12) / theta)
-            tolerance = 3.0 * math.sqrt(se_mc**2 + se_ris**2)
-            assert abs(values[backend] - values["monte-carlo"]) < tolerance, (
-                backend, values, tolerance,
-            )
-
-    def test_sketch_and_index_identical_for_same_seed(self, nethept_compiled):
-        seeds = [0, 1, 2]
-        sketch = SketchEstimator(nethept_compiled, "wc", theta=5000, seed=9)
-        index = IndexEstimator(nethept_compiled, "wc", theta=5000, seed=9)
-        assert sketch.estimate(seeds) == pytest.approx(index.estimate(seeds))
-        assert sketch.sweep(seeds, [0, 1, 3]) == pytest.approx(
-            index.sweep(seeds, [0, 1, 3])
+        p = (values["sketch"] + len(seeds)) / n
+        se_ris = n * math.sqrt(max(p * (1 - p), 1e-12) / theta)
+        tolerance = 3.0 * math.sqrt(se_mc**2 + se_ris**2)
+        assert abs(values["sketch"] - values["monte-carlo"]) < tolerance, (
+            values, tolerance,
         )
 
     def test_same_spec_different_backends_one_protocol(self, nethept_compiled):
         # The acceptance check: one ExperimentSpec, executed against the
-        # Monte-Carlo, sketch and index backends, returns consistent spreads
+        # Monte-Carlo and sketch backends, returns consistent spreads
         # and identical seeds, all through the SpreadEstimator protocol.
         base = _small_spec(
             algorithm=AlgorithmSpec(name="tim+", options={"epsilon": 0.4,
@@ -453,9 +449,8 @@ class TestBackendEquivalence:
         ).to_dict()
         results = {}
         for backend, config in {
-            "monte-carlo": {"backend": "mc", "simulations": 3000},
+            "monte-carlo": {"backend": "monte-carlo", "simulations": 3000},
             "sketch": {"backend": "sketch", "theta": 30_000},
-            "index": {"backend": "index", "theta": 30_000},
         }.items():
             spec = ExperimentSpec.from_dict(
                 {**base, "evaluation": {"estimator": config}}
@@ -474,6 +469,20 @@ class TestBackendEquivalence:
         values = [r.value for r in results.values()]
         assert max(values) - min(values) < 0.2 * max(values) + 5.0
 
+    @pytest.mark.parametrize("method", ["estimate", "details", "sweep"])
+    @pytest.mark.parametrize("backend", ESTIMATOR_BACKENDS)
+    def test_unknown_seed_raises_configuration_error(
+        self, nethept_compiled, backend, method
+    ):
+        estimator = build_estimator(
+            EstimatorSpec(backend=backend, simulations=10, theta=200),
+            nethept_compiled,
+            "wc",
+        )
+        args = (["no-such-node"], [1]) if method == "sweep" else (["no-such-node"],)
+        with pytest.raises(ConfigurationError, match="'no-such-node' is not a node"):
+            getattr(estimator, method)(*args)
+
     def test_score_backend_is_flagged_heuristic(self, nethept_compiled):
         spec = ExperimentSpec.from_dict(
             {**_small_spec().to_dict(), "evaluation": {"estimator": "score"}}
@@ -481,6 +490,61 @@ class TestBackendEquivalence:
         result = run_experiment(spec)
         assert result.provenance["estimator"]["sigma_comparable"] is False
         assert result.spreads == {"score": pytest.approx(result.value)}
+
+
+# ------------------------------------------------- the one RR-sketch backend
+
+
+@pytest.mark.parametrize("model", ["ic", "wc", "lt"])
+class TestSketchIndexInvariants:
+    """An in-memory sketch estimator is the index a build would have made.
+
+    ``sample_into`` draws 4 * block_size tokens per call and ``grow`` draws
+    block_size, so the small block size makes the two chunkings differ.
+    """
+
+    THETA, BLOCK, SEED = 1000, 64, 11
+
+    def _estimator(self, graph, model) -> SketchEstimator:
+        return SketchEstimator(
+            graph, model, theta=self.THETA, block_size=self.BLOCK, seed=self.SEED
+        )
+
+    def _build(self, graph, model, theta) -> InfluenceIndex:
+        return InfluenceIndex.build(
+            graph, model, theta, engine_seed=self.SEED, block_size=self.BLOCK
+        )
+
+    def test_collection_equals_index_build(self, nethept_compiled, model):
+        estimator = self._estimator(nethept_compiled, model)
+        built = self._build(nethept_compiled, model, self.THETA)
+        assert estimator.index.collection == built.collection
+
+    def test_grown_collection_equals_fresh_build(self, nethept_compiled, model):
+        estimator = self._estimator(nethept_compiled, model)
+        estimator.index.grow(2500)
+        fresh = self._build(nethept_compiled, model, 2500)
+        assert estimator.index.collection == fresh.collection
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_artifact_serves_the_same_sweep(
+        self, nethept_compiled, model, mmap, tmp_path
+    ):
+        in_memory = self._estimator(nethept_compiled, model)
+        artifact = str(in_memory.index.save(tmp_path / f"{model}.npz"))
+        loaded = build_estimator(
+            EstimatorSpec(backend="sketch", artifact=artifact, mmap=mmap),
+            nethept_compiled,
+            model,
+        )
+        seeds = repro.get_algorithm("high-degree").select(nethept_compiled, 5).seeds
+        counts = [0, 1, 3, 5]
+        assert loaded.sweep(seeds, counts) == in_memory.sweep(seeds, counts)
+        assert loaded.details(seeds) == in_memory.details(seeds)
+        expected = {
+            **in_memory.describe(), "artifact": artifact, "memory_mapped": mmap,
+        }
+        assert loaded.describe() == expected
 
 
 # ---------------------------------------------------------- regression vs old
@@ -511,10 +575,10 @@ class TestRegressionAgainstOldEntryPoints:
         engine = MonteCarloEngine(nethept_compiled, "wc", simulations=300, seed=6)
         assert result.value == pytest.approx(engine.estimate(seeds).spread)
 
-    def test_index_estimator_matches_influence_index(self, nethept_compiled):
+    def test_sketch_estimator_matches_influence_index(self, nethept_compiled):
         seeds = [0, 1, 2]
         index = InfluenceIndex.build(nethept_compiled, "wc", 5000, engine_seed=2)
-        estimator = IndexEstimator(nethept_compiled, "wc", theta=5000, seed=2)
+        estimator = SketchEstimator(nethept_compiled, "wc", theta=5000, seed=2)
         raw = index.estimate_spread(seeds)
         assert estimator.estimate(seeds) == pytest.approx(max(raw - 3, 0.0))
 
@@ -722,7 +786,7 @@ class TestUnifiedCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == RESULT_SCHEMA
         assert payload["query"] == "select"
-        assert payload["backend"] == "index"
+        assert payload["backend"] == "sketch"
         assert payload["theta"] == 1000
         assert payload["memory_mapped"] is True
         assert payload["estimated_spread"] > 0

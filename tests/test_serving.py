@@ -476,12 +476,12 @@ class TestInfluenceIndex:
             )
         assert curve[1] <= curve[4] <= curve[8]
 
-    def test_index_estimator_sweep_from_artifact(self, built_index, wc_graph, tmp_path):
-        from repro.api import IndexEstimator
+    def test_sketch_estimator_sweep_from_artifact(self, built_index, wc_graph, tmp_path):
+        from repro.api import SketchEstimator
 
         seeds = built_index.select(6).seeds
         artifact = built_index.save(tmp_path / "warm.npz")
-        estimator = IndexEstimator(wc_graph, "ic", artifact=str(artifact))
+        estimator = SketchEstimator(wc_graph, "ic", artifact=str(artifact))
         curve = estimator.sweep(seeds, [0, 2, 6])
         assert curve[0] == 0.0
         assert curve[2] == pytest.approx(

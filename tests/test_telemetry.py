@@ -445,7 +445,7 @@ class TestRunExperimentTelemetry:
             budget=5,
             seed=3,
             evaluation=repro.EvalSpec(
-                estimator=repro.EstimatorSpec(backend="mc", simulations=20)
+                estimator=repro.EstimatorSpec(backend="monte-carlo", simulations=20)
             ),
         )
         result = repro.run_experiment(spec)
@@ -470,7 +470,7 @@ class TestRunExperimentTelemetry:
             seeds=[0, 1],
             seed=11,
             evaluation=repro.EvalSpec(
-                estimator=repro.EstimatorSpec(backend="mc", simulations=20)
+                estimator=repro.EstimatorSpec(backend="monte-carlo", simulations=20)
             ),
         )
         first = repro.run_experiment(spec).telemetry["spans"]
