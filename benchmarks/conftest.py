@@ -1,33 +1,24 @@
 """Pytest fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables or figures on the
-synthetic stand-in datasets.  Graphs are generated once per process and
-cached (see ``helpers.py``); sizes, seed counts and simulation budgets are
-deliberately small so the whole suite runs on a laptop in minutes
-(EXPERIMENTS.md maps them back to the paper's full-scale settings).
+Every benchmark times, or measures the memory of, the workload of one of
+the paper's tables or figures on the synthetic stand-in datasets.  Graphs
+are generated once per process and cached (see ``helpers.py``); sizes, seed
+counts and simulation budgets are deliberately small so the whole suite runs
+on a laptop in minutes (EXPERIMENTS.md maps them back to the paper's
+full-scale settings).
 
 The ``reporter`` fixture prints the regenerated rows/series directly to the
 terminal (bypassing pytest's capture) so running
 
     pytest benchmarks/ --benchmark-only
 
-shows the same tables/series the paper reports alongside pytest-benchmark's
+shows the same tables the paper reports alongside pytest-benchmark's
 timing table.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import pytest
-
-from helpers import load_bench_graph
-
-
-@pytest.fixture(scope="session")
-def bench_graphs() -> Callable:
-    """Factory fixture returning cached benchmark graphs."""
-    return load_bench_graph
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark suite (graph cache, sizing constants).
+"""Shared helpers for the benchmark suite (graph cache, one-shot timing).
 
 Kept separate from ``conftest.py`` so benchmark modules can import the helpers
 directly (``from helpers import ...``) while pytest loads ``conftest.py`` as a
@@ -15,15 +15,6 @@ from repro.opinion.annotate import annotate_graph
 #: Scale applied to every registry dataset in the benchmark suite.
 BENCH_SCALE = 0.4
 
-#: Monte-Carlo simulations used when evaluating seed quality.
-BENCH_SIMULATIONS = 150
-
-#: Seed counts used for the "vs #seeds" sweeps (the paper sweeps to 100-200).
-SWEEP_SEED_COUNTS = (0, 5, 10, 20)
-
-#: Largest budget used when timing a single selection.
-BENCH_BUDGET = 20
-
 _GRAPH_CACHE: Dict[tuple, object] = {}
 
 
@@ -37,71 +28,6 @@ def load_bench_graph(name: str, scale: float = BENCH_SCALE, annotated: bool = Fa
             annotate_graph(graph, opinion=opinion, interaction="uniform", seed=seed)
         _GRAPH_CACHE[key] = graph
     return _GRAPH_CACHE[key]
-
-
-def load_twitter_case_study(seed: int = 17):
-    """Cached synthetic Twitter case study (Sec. 4.1.1 pipeline).
-
-    Returns ``(corpus, topic_subgraphs, estimated_background)`` where the
-    estimated background graph carries opinions estimated from each user's
-    history on earlier topics and interactions estimated from past agreements
-    — i.e. the inputs the paper's Figs. 5a-5c feed to the models.
-    """
-    key = ("twitter-case-study", seed)
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-
-    from repro.datasets.tweets import generate_tweet_corpus
-    from repro.opinion.estimation import (
-        estimate_interactions_from_agreements,
-        estimate_opinion_from_history,
-    )
-    from repro.opinion.topics import TopicSubgraphBuilder
-
-    corpus = generate_tweet_corpus(
-        users=250,
-        topics=("#followfriday", "#healthcare", "#obama", "#iphone", "#worldcup"),
-        tweets_per_topic=150,
-        originators_per_topic=5,
-        seed=seed,
-    )
-    builder = TopicSubgraphBuilder(corpus.background_graph)
-    subgraphs = builder.build(corpus.tweets)
-
-    # Estimate parameters for the last topic from the history of earlier ones.
-    background = corpus.background_graph.copy()
-    history_topics = corpus.topics[:-1]
-    for user in background.nodes():
-        history = {t: corpus.true_opinions[t][user] for t in history_topics}
-        background.set_opinion(
-            user,
-            estimate_opinion_from_history(history, list(reversed(history_topics))),
-        )
-    edges = [(u, v) for u, v, _ in background.edges()]
-    interactions = estimate_interactions_from_agreements(corpus.true_opinions, edges)
-    for (u, v), value in interactions.items():
-        background.set_interaction(u, v, value)
-
-    result = (corpus, subgraphs, background)
-    _GRAPH_CACHE[key] = result
-    return result
-
-
-def load_churn_case_study(seed: int = 19, customers: int = 250):
-    """Cached synthetic PAKDD churn case study (Sec. 4.1.2 pipeline)."""
-    key = ("churn-case-study", seed, customers)
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
-
-    from repro.datasets.pakdd import generate_customer_records
-    from repro.opinion.churn import ChurnAnalysis
-
-    records = generate_customer_records(customers=customers, seed=seed)
-    analysis = ChurnAnalysis(similarity_threshold=0.85, max_neighbors=15, seed=seed)
-    graph = analysis.build_opinion_graph(records.attributes, records.churn_labels())
-    result = (records, graph)
-    _GRAPH_CACHE[key] = result
-    return result
 
 
 def one_shot(benchmark, function, *args, **kwargs):

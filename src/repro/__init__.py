@@ -13,7 +13,8 @@ The package provides:
   PageRank heuristics);
 * synthetic stand-ins for the paper's datasets and case studies (Table 2
   graphs, the Twitter topic pipeline, the PAKDD churn pipeline);
-* a benchmark harness regenerating every table and figure of the evaluation.
+* a selection harness that times and measures the memory of the
+  evaluation's scalability panels.
 
 Quickstart — the declarative experiment API::
 

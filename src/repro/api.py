@@ -186,6 +186,8 @@ class MonteCarloEstimator:
         self, seeds: Sequence[Node], seed_counts: Sequence[int]
     ) -> Dict[int, float]:
         counts = _check_prefix_counts(seeds, seed_counts)
+        # Resolve every label, not only those inside the swept prefixes.
+        self.engine._normalise_seeds(seeds)
         return {
             k: 0.0 if k == 0 else self.estimate(list(seeds)[:k]) for k in counts
         }
@@ -273,10 +275,11 @@ class SketchEstimator:
         self, seeds: Sequence[Node], seed_counts: Sequence[int]
     ) -> Dict[int, float]:
         counts = _check_prefix_counts(seeds, seed_counts)
-        seeds = list(seeds)
+        # Resolve the whole list once, so an unknown label outside the swept
+        # prefixes raises too; then one batched oracle call for the sweep.
+        indices = self.index._indices_for(seeds)
         nonzero = [k for k in counts if k > 0]
-        # One batched oracle call for the whole sweep.
-        raw = self.index.estimate_spreads([seeds[:k] for k in nonzero])
+        raw = self.index._estimate_spreads_indices([indices[:k] for k in nonzero])
         by_count = dict(zip(nonzero, raw))
         return {k: def3_spread(by_count.get(k, 0.0), k) for k in counts}
 
@@ -416,7 +419,8 @@ def build_estimator(
 
     Capability negotiation: the sketch backend can only sample
     under the opinion-oblivious ic/wc/lt models and only estimate the
-    ``spread`` objective; asking for more raises a
+    ``spread`` objective, and only the Monte-Carlo backend takes
+    ``workers > 1``; asking for more raises a
     :class:`ConfigurationError` naming the backends that *can* serve the
     request instead of silently coercing the model (the pre-redesign CLI
     bug class this API removes).
@@ -449,6 +453,12 @@ def build_estimator(
                 "opinion-aware models and objectives, or the 'score' backend "
                 "for a fast heuristic sweep"
             )
+    if backend != "monte-carlo" and spec.workers > 1:
+        raise ConfigurationError(
+            f"estimator backend {backend!r} runs serially and cannot use "
+            f"workers={spec.workers}; only the 'monte-carlo' backend spreads "
+            "its work across worker processes"
+        )
     if backend == "monte-carlo":
         return MonteCarloEstimator(
             graph,

@@ -7,7 +7,6 @@ Installed as ``repro-im`` (see ``pyproject.toml``) and also runnable as
 * ``select``     — run a seed-selection algorithm on a dataset or edge list.
 * ``evaluate``   — evaluate a given seed set under a diffusion model.
 * ``run``        — execute a declarative ``ExperimentSpec`` JSON file.
-* ``experiments``— list the per-figure/table experiment index.
 * ``index build``— sample RR sketches once and persist an influence index.
 * ``index query``— answer select/evaluate/sweep queries from a persisted
   index, warm (no resampling).
@@ -38,7 +37,6 @@ from repro.api import (
     jsonable as _jsonable,
     run_experiment,
 )
-from repro.bench.experiments import experiment_index_rows
 from repro.bench.reporting import format_table
 from repro.datasets.registry import available_datasets, dataset_spec, load_dataset
 from repro.diffusion.registry import available_models
@@ -149,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checkpoint must have been written by the exact same spec",
     )
     run_parser.add_argument("--json", action="store_true", help="emit JSON output")
-
-    subparsers.add_parser("experiments", help="list the paper experiment index")
 
     index_parser = subparsers.add_parser(
         "index", help="build or query a persistent influence index"
@@ -505,11 +501,6 @@ def _command_run(args: argparse.Namespace) -> int:
             )
         return EXIT_INTERRUPTED
     _print_result(result, args.json)
-    return 0
-
-
-def _command_experiments(_: argparse.Namespace) -> int:
-    print(format_table(experiment_index_rows(), title="Paper experiment index"))
     return 0
 
 
@@ -976,7 +967,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "select": _command_select,
         "evaluate": _command_evaluate,
         "run": _command_run,
-        "experiments": _command_experiments,
         "index": _command_index,
         "serve": _command_serve,
         "telemetry": _command_telemetry,

@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark harness, reporting helpers and the CLI."""
+"""Unit tests for the benchmark harness, table reporting and the CLI."""
 
 from __future__ import annotations
 
@@ -6,18 +6,8 @@ import json
 
 import pytest
 
-from repro.bench import (
-    EXPERIMENTS,
-    format_series_table,
-    format_table,
-    get_experiment,
-    measure_selection,
-    normalized_rmse_curve,
-    spread_deviation_percent,
-)
-from repro.bench.experiments import experiment_index_rows
+from repro.bench import format_table, measure_selection
 from repro.cli import build_parser, main
-from repro.exceptions import ConfigurationError
 
 
 class TestHarness:
@@ -49,59 +39,6 @@ class TestReporting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
 
-    def test_format_series_table(self):
-        series = {"alg1": {0: 0.0, 5: 2.0}, "alg2": {0: 0.0, 5: 3.0}}
-        text = format_series_table(series, value_label="spread")
-        lines = text.splitlines()
-        assert lines[0] == "spread vs #seeds"
-        assert "alg1" in lines[1] and "alg2" in lines[1]
-        assert lines[-1].split(" | ") == ["5", "2.00", "3.00"]
-        assert "(no series)" in format_series_table({})
-
-    def test_normalized_rmse_curve(self):
-        results = normalized_rmse_curve(
-            {"perfect": [1.0, 2.0], "biased": [2.0, 3.0]}, [1.0, 2.0]
-        )
-        assert results["perfect"] == pytest.approx(0.0)
-        assert results["biased"] > 0.0
-        with pytest.raises(ConfigurationError):
-            normalized_rmse_curve({"x": [1.0]}, [1.0, 2.0])
-        with pytest.raises(ConfigurationError):
-            normalized_rmse_curve({"x": [1.0]}, [])
-
-    def test_spread_deviation_percent(self):
-        assert spread_deviation_percent(95.0, 100.0) == pytest.approx(5.0)
-        assert spread_deviation_percent(0.0, 0.0) == 0.0
-        assert spread_deviation_percent(1.0, 0.0) == float("inf")
-
-
-class TestExperimentRegistry:
-    def test_every_figure_and_table_present(self):
-        identifiers = set(EXPERIMENTS)
-        for expected in ("table2", "fig2", "fig5a", "fig5b", "fig5c", "fig5d", "fig5e",
-                         "fig5f", "fig5g", "fig5h", "fig6a-c", "fig6d-e", "fig6f-h",
-                         "fig6i-j", "table3", "table4", "fig7a-c", "fig7d-e", "fig7f-i",
-                         "fig7j", "ablations"):
-            assert expected in identifiers
-
-    def test_every_experiment_names_a_bench_module(self, tmp_path):
-        import pathlib
-
-        repo_root = pathlib.Path(__file__).resolve().parents[1]
-        for spec in EXPERIMENTS.values():
-            assert (repo_root / spec.bench_module).exists(), spec.bench_module
-
-    def test_get_experiment(self):
-        spec = get_experiment("Fig5F")
-        assert spec.paper_reference == "Figure 5(f)"
-        with pytest.raises(ConfigurationError):
-            get_experiment("fig99")
-
-    def test_experiment_index_rows(self):
-        rows = experiment_index_rows()
-        assert len(rows) == len(EXPERIMENTS)
-        assert all({"id", "paper", "description", "bench"} <= set(r) for r in rows)
-
 
 class TestCLI:
     def test_parser_requires_command(self):
@@ -113,10 +50,6 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "nethept" in output
         assert "friendster" in output
-
-    def test_experiments_command(self, capsys):
-        assert main(["experiments"]) == 0
-        assert "Figure 5(f)" in capsys.readouterr().out
 
     def test_select_command_json(self, capsys):
         code = main([

@@ -99,13 +99,22 @@ class TestRegistry:
         assert graph.number_of_edges > 0
         assert graph.name == dataset_spec(name).name
 
-    def test_density_ordering_matches_paper(self):
-        """Denser paper datasets should produce denser stand-ins."""
-        sparse = load_dataset("nethept", scale=0.3, seed=2)
-        dense = load_dataset("hepph", scale=0.3, seed=2)
+    @pytest.mark.parametrize("dense_name, sparse_name", [("hepph", "nethept"),
+                                                         ("orkut", "youtube")])
+    def test_density_ordering_matches_paper(self, dense_name, sparse_name):
+        """Denser paper datasets should produce denser stand-ins (Table 2)."""
+        sparse = load_dataset(sparse_name, scale=0.3, seed=2)
+        dense = load_dataset(dense_name, scale=0.3, seed=2)
         sparse_degree = sparse.number_of_edges / sparse.number_of_nodes
         dense_degree = dense.number_of_edges / dense.number_of_nodes
         assert dense_degree > sparse_degree
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
+    def test_effective_diameter_stays_small(self, name):
+        """Table 2's stand-ins, at scale 0.4 and graph seed 7, keep a 90%
+        effective diameter of at most 12, as the paper's graphs do."""
+        graph = load_dataset(name, scale=0.4, seed=7)
+        assert compute_stats(graph, seed=0).effective_diameter <= 12
 
     def test_graphs_are_mostly_connected(self):
         graph = load_dataset("dblp", scale=0.2, seed=4)

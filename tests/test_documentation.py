@@ -1,8 +1,9 @@
 """Documentation-consistency tests.
 
-The README's quickstart snippet and the experiment index in DESIGN.md /
-EXPERIMENTS.md are the first things a new user touches; these tests keep them
-executable and in sync with the code.
+The README's quickstart snippet and the experiment index in EXPERIMENTS.md
+are the first things a new user touches; these tests keep them executable
+and in sync with the code and with the paper-claim cases of
+``test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import shlex
 import pytest
 
 import repro.api
-from repro.bench.experiments import EXPERIMENTS
 from repro.cli import build_parser
 from repro.specs import ESTIMATOR_BACKENDS
+from test_paper_claims import CASES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -51,15 +52,27 @@ class TestReadme:
             assert (REPO_ROOT / "examples" / match).exists(), match
 
 
-class TestDesignAndExperiments:
-    def test_design_md_lists_every_bench_module(self):
-        design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        for spec in EXPERIMENTS.values():
-            module_name = spec.bench_module.split("/")[-1]
-            assert module_name in design or spec.bench_module in design, spec.identifier
+def _claim_cases(markdown: str) -> set[str]:
+    """Case ids named as ``test_paper_claims.py::<id>``."""
+    return set(re.findall(r"test_paper_claims\.py::([\w-]+)", markdown))
 
-    def test_experiments_md_covers_every_table_and_figure(self):
-        experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+
+class TestDesignAndExperiments:
+    @pytest.fixture(scope="class")
+    def experiments(self) -> str:
+        return (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+
+    def test_every_paper_claim_case_is_documented(self, experiments):
+        missing = sorted({case.id for case in CASES} - _claim_cases(experiments))
+        assert not missing, f"EXPERIMENTS.md does not name cases {missing}"
+
+    def test_documented_paper_claim_cases_exist(self, experiments):
+        named = _claim_cases(experiments)
+        assert named, "EXPERIMENTS.md names no paper-claim case"
+        unknown = sorted(named - {case.id for case in CASES})
+        assert not unknown, f"EXPERIMENTS.md names missing cases {unknown}"
+
+    def test_experiments_md_covers_every_table_and_figure(self, experiments):
         for fragment in ("Table 2", "Table 3", "Table 4", "Figure 2", "5(a)", "5(b)",
                          "5(c)", "5(d)", "5(e)", "5(f)", "5(g)", "5(h)", "6(a)",
                          "6(d)", "6(f)", "6(i)", "7(a)", "7(d)", "7(f)", "7(j)"):

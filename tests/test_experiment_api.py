@@ -469,17 +469,26 @@ class TestBackendEquivalence:
         values = [r.value for r in results.values()]
         assert max(values) - min(values) < 0.2 * max(values) + 5.0
 
-    @pytest.mark.parametrize("method", ["estimate", "details", "sweep"])
+    @pytest.mark.parametrize(
+        "method, args",
+        [
+            ("estimate", (["no-such-node"],)),
+            ("details", (["no-such-node"],)),
+            ("sweep", (["no-such-node"], [1])),
+            # The unknown label lies outside every requested prefix.
+            ("sweep", ([0, "no-such-node"], [0, 1])),
+        ],
+        ids=["estimate", "details", "sweep", "sweep-outside-prefix"],
+    )
     @pytest.mark.parametrize("backend", ESTIMATOR_BACKENDS)
     def test_unknown_seed_raises_configuration_error(
-        self, nethept_compiled, backend, method
+        self, nethept_compiled, backend, method, args
     ):
         estimator = build_estimator(
             EstimatorSpec(backend=backend, simulations=10, theta=200),
             nethept_compiled,
             "wc",
         )
-        args = (["no-such-node"], [1]) if method == "sweep" else (["no-such-node"],)
         with pytest.raises(ConfigurationError, match="'no-such-node' is not a node"):
             getattr(estimator, method)(*args)
 

@@ -53,7 +53,12 @@ def test_spec_payload_matches_golden(spec_path):
     assert _stable_payload(spec_path) == GOLDEN[spec_path.name]
 
 
-@pytest.mark.parametrize("spec_path", SPECS, ids=lambda path: path.name)
+#: Only the Monte-Carlo backend spreads work across worker processes.
+MONTE_CARLO_SPECS = [p for p in SPECS if GOLDEN[p.name]["backend"] == "monte-carlo"]
+SERIAL_SPECS = [p for p in SPECS if GOLDEN[p.name]["backend"] != "monte-carlo"]
+
+
+@pytest.mark.parametrize("spec_path", MONTE_CARLO_SPECS, ids=lambda path: path.name)
 def test_spec_payload_is_independent_of_worker_count(spec_path):
     golden = GOLDEN[spec_path.name]
     payload = _stable_payload(spec_path, workers=2)
@@ -62,6 +67,12 @@ def test_spec_payload_is_independent_of_worker_count(spec_path):
     assert echoed["workers"] == 2
     echoed["workers"] = golden["provenance"]["spec"]["evaluation"]["estimator"]["workers"]
     assert payload == golden
+
+
+@pytest.mark.parametrize("spec_path", SERIAL_SPECS, ids=lambda path: path.name)
+def test_serial_backend_refuses_workers(spec_path):
+    with pytest.raises(repro.ConfigurationError, match="'monte-carlo'"):
+        _stable_payload(spec_path, workers=2)
 
 
 _RUN_EVERY_SPEC = (
