@@ -58,7 +58,7 @@ from repro.specs import (
 
 #: Exit code for a build/run stopped cooperatively by SIGINT/SIGTERM after
 #: flushing its checkpoint — distinct from success (0) and ReproError (2)
-#: so schedulers and the chaos harness can tell "resumable interrupt" apart
+#: so schedulers and test harnesses can tell "resumable interrupt" apart
 #: from "failed".  130 matches the shell convention for SIGINT termination.
 EXIT_INTERRUPTED = 130
 
@@ -249,23 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--capacity", type=int, default=8,
         help="maximum resident indexes before LRU eviction",
-    )
-    serve_parser.add_argument(
-        "--deadline-ms", type=float, default=None,
-        help="default per-request deadline in milliseconds; a request that "
-        "cannot finish in budget fails fast with DeadlineExceeded (or "
-        "degrades, see --degraded-ok) instead of hanging",
-    )
-    serve_parser.add_argument(
-        "--max-queue", type=int, default=None,
-        help="admission limit: with more than this many requests in flight, "
-        "new requests are shed with ServiceOverloadedError",
-    )
-    serve_parser.add_argument(
-        "--degraded-ok", action="store_true",
-        help="answer from the cheap degree-heuristic / cached-spread "
-        "fallback (marked degraded:true with a reason) when an index is "
-        "unavailable, instead of erroring",
     )
     serve_parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -686,14 +669,10 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     Requests: ``{"op": "select", "k": 10}``, ``{"op": "evaluate",
     "seeds": [..]}``, ``{"op": "sweep", "counts": [..]}``, ``{"op":
-    "reload", "artifact": "path"}`` (hot-swap a re-persisted artifact),
-    ``{"op": "stats"}``, ``{"op": "ping"}`` and ``{"op": "shutdown"}``.
-    Any request may carry ``"model"`` to override the CLI default, and
-    ``"deadline_ms"`` / ``"degraded_ok"`` to override the serve-level
-    fault-tolerance flags.  Responses carry ``"ok"`` plus either the
-    result fields or an ``"error"`` message, so a client never has to
-    parse log text; degraded answers additionally carry ``"degraded":
-    true`` and a ``"degraded_reason"``.
+    "stats"}``, ``{"op": "ping"}`` and ``{"op": "shutdown"}``.  Any
+    request may carry ``"model"`` to override the CLI default.  Responses
+    carry ``"ok"`` plus either the result fields or an ``"error"``
+    message, so a client never has to parse log text.
 
     The wire protocol is intentionally smaller than the ``repro/run-result@1``
     payload: the service coalesces concurrent evaluates into batched
@@ -711,8 +690,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         default_theta=args.theta,
         engine_seed=args.engine_seed,
-        max_queue=args.max_queue,
-        default_deadline_ms=args.deadline_ms,
     )
     default_model = args.model
     for artifact in args.artifact:
@@ -723,12 +700,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         default_model = loaded.model
     metrics_server = None
     if args.metrics_port is not None:
-        # collect=service.stats refreshes the breaker/inflight gauges under
-        # the service lock right before each scrape renders them.
         metrics_server = MetricsServer(
-            [service.telemetry, default_registry()],
-            port=args.metrics_port,
-            collect=service.stats,
+            [service.telemetry, default_registry()], port=args.metrics_port
         )
         metrics_server.start()
         print(
@@ -737,7 +710,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     try:
-        _serve_loop(args, graph, service, default_model, _metrics_snapshot)
+        _serve_loop(graph, service, default_model, _metrics_snapshot)
     finally:
         if metrics_server is not None:
             metrics_server.close()
@@ -745,7 +718,6 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_loop(
-    args: argparse.Namespace,
     graph,
     service: InfluenceService,
     default_model: str,
@@ -765,10 +737,6 @@ def _serve_loop(
                 raise ConfigurationError("request must be a JSON object")
             op = request.get("op")
             model = request.get("model", default_model)
-            deadline_ms = request.get("deadline_ms")
-            if deadline_ms is not None:
-                deadline_ms = float(deadline_ms)
-            degraded_ok = bool(request.get("degraded_ok", args.degraded_ok))
             if op == "ping":
                 response = {"ok": True, "op": "ping"}
             elif op == "stats":
@@ -781,25 +749,14 @@ def _serve_loop(
                     ),
                 }
             elif op == "select":
-                selection = service.select(
-                    graph,
-                    model,
-                    int(request["k"]),
-                    deadline_ms=deadline_ms,
-                    degraded_ok=degraded_ok,
-                )
+                selection = service.select(graph, model, int(request["k"]))
                 response = {
                     "ok": True,
                     "op": "select",
                     "seeds": [str(s) for s in selection.seeds],
                     "estimated_spread": round(selection.estimated_spread, 3),
                     "theta": selection.theta,
-                    "degraded": bool(selection.extras.get("degraded", False)),
                 }
-                if response["degraded"]:
-                    response["degraded_reason"] = selection.extras.get(
-                        "degraded_reason"
-                    )
             elif op == "evaluate":
                 seeds = request["seeds"]
                 if isinstance(seeds, str):
@@ -808,46 +765,20 @@ def _serve_loop(
                     # Our own select responses carry seeds as JSON strings;
                     # coerce element-wise so they round-trip into evaluate.
                     seeds = [_coerce_seed(s) for s in seeds]
-                spread = service.evaluate(
-                    graph,
-                    model,
-                    seeds,
-                    deadline_ms=deadline_ms,
-                    degraded_ok=degraded_ok,
-                )
+                spread = service.evaluate(graph, model, seeds)
                 response = {
                     "ok": True,
                     "op": "evaluate",
                     "estimated_spread": round(spread, 3),
-                    "degraded": bool(getattr(spread, "degraded", False)),
                 }
-                if response["degraded"]:
-                    response["degraded_reason"] = spread.reason
             elif op == "sweep":
                 curve = service.sweep(
-                    graph,
-                    model,
-                    [int(k) for k in request["counts"]],
-                    deadline_ms=deadline_ms,
-                    degraded_ok=degraded_ok,
+                    graph, model, [int(k) for k in request["counts"]]
                 )
                 response = {
                     "ok": True,
                     "op": "sweep",
                     "curve": {str(k): round(v, 3) for k, v in curve.items()},
-                    "degraded": bool(getattr(curve, "degraded", False)),
-                }
-                if response["degraded"]:
-                    response["degraded_reason"] = curve.reason
-            elif op == "reload":
-                swapped = service.hot_swap(str(request["artifact"]), graph)
-                default_model = swapped.model
-                response = {
-                    "ok": True,
-                    "op": "reload",
-                    "model": swapped.model,
-                    "theta": swapped.theta,
-                    "fingerprint": swapped.fingerprint[:12],
                 }
             elif op == "shutdown":
                 print(json.dumps({"ok": True, "op": "shutdown"}), flush=True)

@@ -5,7 +5,7 @@
 framework — registration, ``# repro: noqa[RULE]`` suppressions and the
 JSON/human reporters — lives in :mod:`repro.devtools.framework`.
 :mod:`repro.devtools.lockcheck` holds the declared serving-layer lock
-hierarchy plus the runtime monitor the chaos suite runs under
+hierarchy plus the runtime monitor the serving tests run under
 (``REPRO_LOCKCHECK=1``), which checks lock order across call chains.
 
 This package is import-light on purpose: it depends only on the

@@ -1,10 +1,10 @@
-"""Runtime lock-order checker for the five-lock serving layer.
+"""Runtime lock-order checker for the two-lock serving layer.
 
 The static rule (``REP007``) can only see ``with`` statements nested in
-one function; real inversions hide across call chains ("service method
-takes the index lock, index method calls back into a breaker") and only
-show up under concurrency.  This module wraps the serving layer's lock
-primitives so a chaos-suite run records the *acquisition DAG* — a
+one function; real inversions hide across call chains ("index method
+takes the index lock, then calls a helper that takes the service lock")
+and only show up under concurrency.  This module wraps the serving
+layer's lock primitives so a test run records the *acquisition DAG* — a
 directed edge ``A -> B`` whenever a thread acquires ``B`` while holding
 ``A`` — and fails if the recorded edges contradict the declared
 hierarchy or form a cycle.
@@ -17,16 +17,13 @@ Level                   Lock
 ======================  =======================================================
 ``service``             ``InfluenceService._lock`` / ``_eval_cond`` (same lock)
 ``index``               ``InfluenceIndex._lock``
-``breaker``             ``CircuitBreaker._lock``
-``fault-plan``          ``FaultPlan._lock``
-``fault-install``       ``repro.serving.faults._install_lock``
 ======================  =======================================================
 
 Usage (this is what the ``REPRO_LOCKCHECK=1`` conftest fixture does)::
 
     monitor = LockOrderMonitor()
     with instrument_serving(monitor):
-        ...  # run the chaos suite
+        ...  # run the serving tests
     monitor.check()   # raises LockOrderError on inversion or cycle
 """
 
@@ -48,25 +45,19 @@ __all__ = [
 
 #: Declared acquisition order, outermost lock first.  A thread holding a
 #: lock may only acquire locks *later* in this tuple.
-LOCK_HIERARCHY: Tuple[str, ...] = (
-    "service",
-    "index",
-    "breaker",
-    "fault-plan",
-    "fault-install",
-)
+LOCK_HIERARCHY: Tuple[str, ...] = ("service", "index")
 
 _RANK: Dict[str, int] = {name: rank for rank, name in enumerate(LOCK_HIERARCHY)}
 
-#: Static-analysis view of the same hierarchy: (owning class or None for
-#: module-level, attribute name) -> (rank, level name).  Used by REP007.
+#: Static-analysis view of the same hierarchy: (owning class, attribute
+#: name) -> (rank, level name).  Used by REP007.  An owner of ``None``
+#: ranks the attribute when it is reached through any name but ``self``;
+#: only ``_eval_cond`` is unique to one class, so only it is ranked that way.
 STATIC_LOCK_MAP: Dict[Tuple[Optional[str], str], Tuple[int, str]] = {
     ("InfluenceService", "_lock"): (_RANK["service"], "service"),
     ("InfluenceService", "_eval_cond"): (_RANK["service"], "service"),
     ("InfluenceIndex", "_lock"): (_RANK["index"], "index"),
-    ("CircuitBreaker", "_lock"): (_RANK["breaker"], "breaker"),
-    ("FaultPlan", "_lock"): (_RANK["fault-plan"], "fault-plan"),
-    (None, "_install_lock"): (_RANK["fault-install"], "fault-install"),
+    (None, "_eval_cond"): (_RANK["service"], "service"),
 }
 
 
@@ -75,7 +66,7 @@ class LockOrderMonitor:
 
     Thread-safe; one monitor instance observes every instrumented lock in
     a run.  Edges are aggregated by *level name*, not lock instance, so a
-    service with many breakers still yields a five-node graph.
+    service with many indexes still yields a two-node graph.
     """
 
     def __init__(self) -> None:
@@ -298,8 +289,6 @@ class _ThreadingProxy:
 _MODULE_LEVELS = {
     "repro.serving.service": "service",
     "repro.serving.index": "index",
-    "repro.serving.resilience": "breaker",
-    "repro.serving.faults": "fault-plan",
 }
 
 
@@ -308,9 +297,7 @@ def instrument_serving(monitor: LockOrderMonitor) -> Iterator[LockOrderMonitor]:
     """Patch the serving layer so new locks report to ``monitor``.
 
     Objects constructed *inside* the context get instrumented locks;
-    pre-existing objects are untouched.  The module-level
-    ``faults._install_lock`` (created at import time) is swapped for a
-    wrapped lock directly and restored on exit.
+    pre-existing objects are untouched.
     """
     import importlib
 
@@ -320,16 +307,10 @@ def instrument_serving(monitor: LockOrderMonitor) -> Iterator[LockOrderMonitor]:
     saved_threading = {
         name: module.threading for name, module in modules.items()
     }
-    faults = modules["repro.serving.faults"]
-    saved_install_lock = faults._install_lock
     try:
         for name, module in modules.items():
             module.threading = _ThreadingProxy(_MODULE_LEVELS[name], monitor)
-        faults._install_lock = InstrumentedLock(
-            threading.Lock(), "fault-install", monitor
-        )
         yield monitor
     finally:
         for name, module in modules.items():
             module.threading = saved_threading[name]
-        faults._install_lock = saved_install_lock

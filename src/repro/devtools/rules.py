@@ -144,9 +144,9 @@ class RngDisciplineRule(Rule):
 class NoWallClockRule(Rule):
     """Deterministic modules never read the wall clock.
 
-    Replayability of chaos runs and token streams requires monotonic or
-    injectable clocks (``time.monotonic``/``time.perf_counter`` or a
-    ``clock=`` parameter, as :mod:`repro.serving.resilience` does).
+    Replayability of token streams requires monotonic or injectable
+    clocks (``time.monotonic``/``time.perf_counter`` or a ``clock=``
+    parameter).
     ``time.time`` and ``datetime.now`` silently couple results to the
     machine's clock and break bit-for-bit replay.
     """
@@ -295,7 +295,7 @@ class NoSwallowedExceptRule(Rule):
     A handler catching ``Exception``/``BaseException`` (or everything)
     may only do bookkeeping on the way out: its body must contain a
     ``raise``.  Handlers that swallow broad exceptions hide real bugs —
-    the fault-injection suite only works because injected faults surface.
+    the crash and leader-death tests only work because failures surface.
     Deliberate swallows (e.g. a coalescing leader routing the error to
     every parked waiter) carry a ``# repro: noqa[REP004]`` naming the
     invariant they uphold instead.
@@ -534,7 +534,7 @@ class LockOrderRule(Rule):
     function — and the runtime checker
     (:class:`repro.devtools.lockcheck.LockOrderMonitor`) covers
     acquisitions that cross function and thread boundaries during the
-    chaos suite.
+    serving tests.
     """
 
     code = "REP007"
@@ -602,16 +602,12 @@ class LockOrderRule(Rule):
     def _lock_rank(
         expr: ast.expr, class_name: Optional[str]
     ) -> Optional[Tuple[int, str]]:
-        if isinstance(expr, ast.Name):
-            key = (None, expr.id)
-        elif isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-            owner = class_name if expr.value.id == "self" else None
-            key = (owner, expr.attr)
-            if owner is None:
-                return None
-        else:
+        if not (
+            isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+        ):
             return None
-        return STATIC_LOCK_MAP.get(key)
+        owner = class_name if expr.value.id == "self" else None
+        return STATIC_LOCK_MAP.get((owner, expr.attr))
 
 
 @register

@@ -110,74 +110,16 @@ class IndexArtifactError(ServingError):
 class ArtifactCorruptError(IndexArtifactError):
     """Raised when an artifact's payload fails its sha256 checksum.
 
-    Distinct from the parent so the serving layer can quarantine the file
-    (rename it ``.corrupt``) and transparently rebuild, while a merely
-    *malformed* file (wrong format, foreign schema) is reported as-is.
-    ``metadata`` carries the provenance record when it was still readable —
-    quarantine-and-rebuild uses it to recover the model and theta.
+    Distinct from the parent so a caller can tell bit-rot in a well-formed
+    file from a merely *malformed* file (wrong format, foreign schema).
     """
 
-    def __init__(self, path: object, detail: str, metadata: object = None) -> None:
+    def __init__(self, path: object, detail: str) -> None:
         super().__init__(
-            f"artifact {path} is corrupt: {detail}; quarantine it (rename to "
-            f"*.corrupt) and rebuild with `repro index build`"
+            f"artifact {path} is corrupt: {detail}; restore it from a backup "
+            f"or rebuild it with `repro index build`"
         )
         self.path = path
-        self.metadata = metadata
-
-
-class DeadlineExceeded(ServingError):
-    """Raised when a request's absolute time budget expires mid-flight.
-
-    ``stage`` names the pipeline step that observed the expiry (``admission``,
-    ``build``, ``sample``, ``select``, ``evaluate``...), so a caller can tell
-    an overloaded build queue from a slow query.
-    """
-
-    def __init__(self, stage: str, budget_seconds: float, overrun_seconds: float) -> None:
-        super().__init__(
-            f"deadline of {budget_seconds * 1000.0:.0f}ms exceeded by "
-            f"{overrun_seconds * 1000.0:.0f}ms at stage {stage!r}"
-        )
-        self.stage = stage
-        self.budget_seconds = budget_seconds
-        self.overrun_seconds = overrun_seconds
-
-
-class CircuitOpenError(ServingError):
-    """Raised when a circuit breaker rejects work for a failing index.
-
-    Repeated build/load failures trip the breaker; while it is open the
-    service fails fast (or degrades, if the caller opted in) instead of
-    hammering a backend that just failed.  The breaker half-opens on a timer
-    and lets one probe through.
-    """
-
-    def __init__(self, subject: str, retry_after_seconds: float) -> None:
-        super().__init__(
-            f"circuit breaker for {subject} is open; retry in "
-            f"~{max(retry_after_seconds, 0.0):.1f}s or request a degraded answer"
-        )
-        self.subject = subject
-        self.retry_after_seconds = retry_after_seconds
-
-
-class ServiceOverloadedError(ServingError):
-    """Raised when admission control sheds a request (queue over the limit).
-
-    Shedding is deliberate backpressure, not a failure of the shed request:
-    the caller should retry later or route elsewhere.  Degraded answers are
-    *not* substituted for shed requests — an overloaded service must get
-    cheaper, not busier.
-    """
-
-    def __init__(self, inflight: int, max_queue: int) -> None:
-        super().__init__(
-            f"service is at its admission limit ({inflight} in flight, "
-            f"max_queue={max_queue}); request shed — retry with backoff"
-        )
-        self.inflight = inflight
-        self.max_queue = max_queue
 
 
 class IndexMismatchError(ServingError):

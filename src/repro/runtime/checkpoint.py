@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 import numpy as np
 
 from repro.exceptions import CheckpointError, ReproError
-from repro.serving import faults
 from repro.telemetry.registry import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
@@ -93,19 +92,10 @@ def _json_default(value: object) -> object:
 
 
 def _atomic_write_json(path: pathlib.Path, payload: Dict[str, object]) -> None:
-    """Crash-safe JSON write: exclusive temp + fsync + rename.
-
-    The ``runtime.checkpoint`` fault site fires per write; a ``corrupt``
-    rule makes this function persist garbage *through the same atomic
-    rename* — modelling a torn page or bad disk — which resume must detect
-    and discard.
-    """
-    action = faults.trigger(faults.SITE_RUNTIME_CHECKPOINT, context=str(path))
+    """Crash-safe JSON write: exclusive temp + fsync + rename."""
     encoded = json.dumps(
         payload, sort_keys=True, indent=2, default=_json_default
     ).encode("utf-8")
-    if action == faults.CORRUPT:
-        encoded = encoded[: max(1, len(encoded) // 2)] + b"\x00garbage"
     for attempt in range(100):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
         try:

@@ -29,13 +29,6 @@ engine's pre-drawn ``(seed, count)`` block plans both satisfy it — so a
 block re-executed by another worker, a respawn, or the in-process fallback
 is bit-for-bit identical to its first execution, and results are handed
 back in block order regardless of scheduling.
-
-Fault injection (:mod:`repro.serving.faults`) is wired into the worker
-loop: ``runtime.worker`` fires before each block (``kill`` hard-exits the
-process) and ``runtime.heartbeat`` can ``hang`` the worker silently.
-Initial workers inherit the runtime rules of the plan installed in the
-parent; respawned replacements run clean — a real segfault does not
-deterministically recur, and a respawn loop must terminate.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import multiprocessing.process
-import os
 import threading
 import time
 from collections import deque
@@ -55,8 +47,6 @@ from repro.exceptions import (
     TaskFailedError,
     WorkerCrashError,
 )
-from repro.serving import faults
-from repro.serving.resilience import Deadline
 from repro.telemetry.registry import default_registry
 
 __all__ = [
@@ -78,9 +68,6 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 #: Total worker deaths a pool absorbs before escalating.
 DEFAULT_MAX_RESPAWNS = 3
 
-#: Exit code a ``kill`` fault uses — mirrors a SIGKILL/OOM termination.
-_KILL_EXIT_CODE = 137
-
 #: How long the parent blocks in ``connection.wait`` per supervision tick.
 _POLL_SECONDS = 0.05
 
@@ -92,22 +79,11 @@ def _worker_main(
     init_fn: Optional[Callable[..., None]],
     init_args: tuple,
     heartbeat_interval: float,
-    fault_rules: Sequence[faults.FaultRule],
-    fault_seed: int,
 ) -> None:
     """Worker process body: init once, then serve blocks until shutdown.
 
-    Runs module-level so spawn-start platforms can import it.  The fault
-    plan is rebuilt per worker (plans hold locks and are not picklable);
-    seeding it with ``fault_seed + slot`` keeps per-worker probability
-    coins independent while staying replayable.
+    Runs module-level so spawn-start platforms can import it.
     """
-    if fault_rules:
-        faults.install(faults.FaultPlan(list(fault_rules), seed=fault_seed + slot))
-    else:
-        # A fork-started worker inherits the parent's installed plan; the
-        # parent's non-runtime sites must not fire again in workers.
-        faults.uninstall()
     if init_fn is not None:
         init_fn(*init_args)
     send_lock = threading.Lock()
@@ -132,21 +108,6 @@ def _worker_main(
             if message is None:
                 return
             task_id, payload = message
-            action = faults.trigger(
-                faults.SITE_RUNTIME_WORKER, context=f"slot {slot} task {task_id}"
-            )
-            if action == faults.KILL:
-                os._exit(_KILL_EXIT_CODE)
-            action = faults.trigger(
-                faults.SITE_RUNTIME_HEARTBEAT, context=f"slot {slot} task {task_id}"
-            )
-            if action == faults.HANG:
-                # Silent wedge: stop heartbeats AND the serving loop, without
-                # exiting — exactly the failure the liveness timeout exists
-                # for.  The supervisor SIGKILLs us.
-                stop_beats.set()
-                while True:
-                    time.sleep(3600.0)
             try:
                 result = task_fn(payload)
             except BaseException as error:  # repro: noqa[REP004] — the
@@ -322,26 +283,13 @@ class SupervisedPool:
 
     # ------------------------------------------------------------- spawning
 
-    def _runtime_fault_rules(self) -> List[faults.FaultRule]:
-        plan = faults.active_plan()
-        if plan is None:
-            return []
-        return [r for r in plan.rules if r.site.startswith("runtime.")]
-
-    def _fault_seed(self) -> int:
-        plan = faults.active_plan()
-        return plan.seed if plan is not None else 0
-
-    def _spawn(self, slot: int, *, initial: bool) -> _WorkerHandle:
+    def _spawn(self, slot: int) -> _WorkerHandle:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         interval = (
             self.heartbeat_interval
             if self.heartbeat_interval is not None
             else DEFAULT_HEARTBEAT_INTERVAL
         )
-        # Only first-generation workers get the chaos rules: a respawned
-        # replacement running the same kill schedule would die forever.
-        rules = self._runtime_fault_rules() if initial else []
         process = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -351,8 +299,6 @@ class SupervisedPool:
                 self.init_fn,
                 self.init_args,
                 interval,
-                rules,
-                self._fault_seed(),
             ),
             name=f"repro-{self.name}-{slot}",
             daemon=True,
@@ -365,7 +311,7 @@ class SupervisedPool:
         if self._handles or self._fallback_active:
             return
         self._handles = [
-            self._spawn(slot, initial=True) for slot in range(self.workers)
+            self._spawn(slot) for slot in range(self.workers)
         ]
         self._set_workers_alive(len(self._handles))
 
@@ -389,8 +335,7 @@ class SupervisedPool:
         self,
         payloads: Sequence[Any],
         *,
-        deadline: Optional[Deadline] = None,
-        deadline_stage: str = "runtime",
+        stage: str = "runtime",
         stop: Optional[Callable[[], bool]] = None,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> Optional[List[Any]]:
@@ -400,10 +345,10 @@ class SupervisedPool:
         callback receives ``(index, result)`` strictly in index order —
         completions arriving out of order are buffered — so a caller can
         append blocks to a collection (and checkpoint a prefix) exactly as
-        a serial loop would, and ``run`` returns ``None``.  ``deadline``
-        is checked every supervision tick; ``stop`` (a zero-arg callable)
-        requests a cooperative halt that raises
-        :class:`~repro.exceptions.ExecutionInterrupted`.
+        a serial loop would, and ``run`` returns ``None``.  ``stop`` (a
+        zero-arg callable) is polled every supervision tick and requests a
+        cooperative halt that raises
+        :class:`~repro.exceptions.ExecutionInterrupted` naming ``stage``.
         """
         payloads = list(payloads)
         total = len(payloads)
@@ -475,7 +420,7 @@ class SupervisedPool:
                     "repro_runtime_respawns_total",
                     "Replacement workers spawned after a death.",
                 )
-                self._handles.append(self._spawn(handle.slot, initial=False))
+                self._handles.append(self._spawn(handle.slot))
             elif not self._handles:
                 if not self.fallback:
                     raise WorkerCrashError(self.name, self.stats.crashes, budget)
@@ -490,9 +435,7 @@ class SupervisedPool:
         try:
             while done < total:
                 if stop is not None and stop():
-                    raise ExecutionInterrupted(deadline_stage, done)
-                if deadline is not None:
-                    deadline.check(deadline_stage)
+                    raise ExecutionInterrupted(stage, done)
                 if self._fallback_active:
                     while pending:
                         index = pending.popleft()
@@ -553,7 +496,7 @@ class SupervisedPool:
             )
             return results
         except BaseException:
-            # Any abnormal exit (deadline, interrupt, task failure) must
+            # Any abnormal exit (interrupt, task failure) must
             # not leave workers running a stale generation of tasks.  The
             # pool itself stays usable: the next run() spawns fresh workers.
             self._shutdown_workers()

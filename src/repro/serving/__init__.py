@@ -1,4 +1,4 @@
-"""Persistent influence index + concurrent, fault-tolerant serving layer.
+"""Persistent influence index + concurrent serving layer.
 
 Every CLI call used to re-sample RR sketches or re-run Monte-Carlo blocks
 from scratch.  This package persists the expensive part — the RR-sketch
@@ -7,17 +7,13 @@ collection — and serves many queries over the materialized artifact:
 * :mod:`repro.serving.artifact` — single-file ``.npz`` artifact store with
   provenance metadata (model, engine seed, theta, graph content
   fingerprint, library version, payload sha256) and memory-mapped reload;
-  corrupt payloads are detected on load and quarantined as ``*.corrupt``.
+  a corrupt payload fails its checksum on load.
 * :class:`~repro.serving.index.InfluenceIndex` — warm ``select(k)``,
   k-sweep spread curves and seed-set spread estimates over a stored
   collection, plus bit-for-bit deterministic incremental theta growth.
 * :class:`~repro.serving.service.InfluenceService` — a thread-safe
   front-end keyed by ``(graph fingerprint, model)`` with LRU eviction,
-  request coalescing, deadlines, admission control with load shedding,
-  per-index circuit breakers, degraded answers and artifact hot swap.
-* :mod:`repro.serving.resilience` — the deadline / retry / breaker
-  primitives, and :mod:`repro.serving.faults` — the deterministic
-  fault-injection harness used by the chaos tests and benchmark.
+  build-once on concurrent first requests and request coalescing.
 """
 
 from repro.serving.artifact import (
@@ -27,38 +23,26 @@ from repro.serving.artifact import (
     build_metadata,
     load_index_artifact,
     payload_checksum,
-    quarantine_artifact,
     save_index_artifact,
 )
-from repro.serving.faults import FaultPlan, FaultRule, fault_injection
 from repro.serving.index import IndexSelection, InfluenceIndex
-from repro.serving.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.serving.service import (
     EvaluateOutcome,
     InfluenceService,
     MutableGraphWarning,
-    SweepOutcome,
 )
 
 __all__ = [
     "ARTIFACT_FORMAT",
     "ARTIFACT_VERSION",
-    "CircuitBreaker",
-    "Deadline",
     "EvaluateOutcome",
-    "FaultPlan",
-    "FaultRule",
     "IndexArtifact",
     "IndexSelection",
     "InfluenceIndex",
     "InfluenceService",
     "MutableGraphWarning",
-    "RetryPolicy",
-    "SweepOutcome",
     "build_metadata",
-    "fault_injection",
     "load_index_artifact",
     "payload_checksum",
-    "quarantine_artifact",
     "save_index_artifact",
 ]

@@ -35,7 +35,6 @@ to an ordinary in-memory ``np.load``.
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import io
 import json
@@ -50,7 +49,6 @@ import numpy as np
 
 import repro
 from repro.exceptions import ArtifactCorruptError, IndexArtifactError
-from repro.serving import faults
 from repro.sketches.collection import RRSetCollection
 
 ARTIFACT_FORMAT = "repro-influence-index"
@@ -94,57 +92,6 @@ def payload_checksum(arrays: Dict[str, np.ndarray]) -> str:
         )
         digest.update(array.data)
     return digest.hexdigest()
-
-
-def quarantine_artifact(path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """Rename a corrupt artifact out of the way (``<name>.corrupt[.N]``).
-
-    The file is preserved for post-mortem, never deleted; the original path
-    becomes free for a rebuilt artifact.  Returns the quarantine path.
-
-    Concurrency-safe: the quarantine name is *reserved* with ``os.link``
-    (atomic, fails ``EEXIST``) before the original is unlinked, so two
-    processes quarantining at once — or a racer creating ``.corrupt.N``
-    between a name probe and a rename — can never clobber each other's
-    post-mortem evidence the way a check-then-``os.replace`` loop could.
-    """
-    path = pathlib.Path(path)
-    for counter in range(10_000):
-        suffix = ".corrupt" if counter == 0 else f".corrupt.{counter}"
-        target = path.with_name(path.name + suffix)
-        try:
-            os.link(path, target)
-        except FileExistsError:
-            continue
-        except OSError as error:
-            if error.errno in (errno.EPERM, errno.EOPNOTSUPP, errno.EMLINK):
-                # Filesystem without hardlinks: degrade to a plain rename.
-                # The reservation guarantee is lost, but quarantine still
-                # works — and ``os.replace`` keeps the old all-or-nothing
-                # behaviour within one process.
-                try:
-                    os.replace(path, target)
-                except OSError as fallback_error:
-                    raise IndexArtifactError(
-                        f"could not quarantine corrupt artifact {path}: "
-                        f"{fallback_error}"
-                    )
-                return target
-            raise IndexArtifactError(
-                f"could not quarantine corrupt artifact {path}: {error}"
-            )
-        try:
-            os.unlink(path)
-        except OSError as error:
-            raise IndexArtifactError(
-                f"could not remove quarantined artifact {path} (its evidence "
-                f"copy is at {target}): {error}"
-            )
-        return target
-    raise IndexArtifactError(
-        f"could not quarantine corrupt artifact {path}: 10000 quarantine "
-        "names are already taken — clean up the *.corrupt files"
-    )
 
 
 @dataclass
@@ -231,8 +178,8 @@ def save_index_artifact(
         "node_sets": np.ascontiguousarray(node_sets),
     }
     # The checksum goes into the provenance record itself (not a sidecar
-    # file), so a bit-flipped payload is detected on load and the file can
-    # be quarantined instead of serving plausible-but-wrong spreads.
+    # file), so a bit-flipped payload is detected on load instead of
+    # serving plausible-but-wrong spreads.
     metadata = dict(metadata)
     metadata["payload_sha256"] = payload_checksum(payload)
     meta_json = np.frombuffer(
@@ -400,15 +347,12 @@ def load_index_artifact(
     When the provenance record carries a ``payload_sha256`` (every artifact
     written since the checksum was introduced does) the payload is re-hashed
     and compared; a mismatch raises
-    :class:`~repro.exceptions.ArtifactCorruptError` so the serving layer can
-    quarantine the file and rebuild.  Verification reads the whole payload —
+    :class:`~repro.exceptions.ArtifactCorruptError`, whose message says how
+    to restore or rebuild the file.  Verification reads the whole payload —
     pass ``verify_checksum=False`` to keep a memory-mapped open fully lazy
     when the file is trusted (e.g. just written by this process).
     """
     path = pathlib.Path(path)
-    # Fault-injection site: a chaos plan may raise a transient OSError
-    # (dead disk) or sleep (slow disk) here, before any real IO happens.
-    faults.trigger(faults.SITE_ARTIFACT_READ, context=str(path))
     if not path.exists():
         raise IndexArtifactError(f"artifact {path} does not exist")
     try:
@@ -470,18 +414,11 @@ def load_index_artifact(
     stored_digest = metadata.get("payload_sha256")
     if verify_checksum and stored_digest is not None:
         actual_digest = payload_checksum(arrays)
-        # Fault-injection site: a "corrupt" rule simulates bit-rot in the
-        # payload without destroying the file on disk.
-        if faults.trigger(
-            faults.SITE_ARTIFACT_PAYLOAD, context=str(path)
-        ) == faults.CORRUPT:
-            actual_digest = "<injected-corruption>"
         if actual_digest != stored_digest:
             raise ArtifactCorruptError(
                 path,
                 f"payload sha256 {actual_digest[:12]}… does not match the "
                 f"recorded {str(stored_digest)[:12]}…",
-                metadata=metadata,
             )
 
     members, indptr = arrays["members"], arrays["indptr"]

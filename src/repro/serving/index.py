@@ -40,21 +40,18 @@ import numpy as np
 from repro.exceptions import (
     BudgetError,
     ConfigurationError,
-    DeadlineExceeded,
     ExecutionInterrupted,
     IndexMismatchError,
     ServingError,
 )
 from repro.graphs.digraph import CompiledGraph, DiGraph, Node
 from repro.graphs.fingerprint import graph_fingerprint
-from repro.serving import faults
 from repro.serving.artifact import (
     IndexArtifact,
     build_metadata,
     load_index_artifact,
     save_index_artifact,
 )
-from repro.serving.resilience import Deadline
 from repro.sketches.collection import RRSetCollection
 from repro.utils.rng import ensure_rng
 from repro.sketches.coverage import greedy_max_coverage, pad_with_unselected
@@ -74,6 +71,7 @@ class IndexSelection:
     covered_fraction: float
     estimated_spread: float
     theta: int
+    # Always empty; kept only because benchmarks/harness/workloads.py reads it.
     extras: Dict[str, object] = field(default_factory=dict)
 
 
@@ -151,7 +149,6 @@ class InfluenceIndex:
         *,
         engine_seed: int = 0,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        deadline: Optional[Deadline] = None,
         workers: int = 1,
         checkpoint=None,
         stop=None,
@@ -160,11 +157,8 @@ class InfluenceIndex:
 
         ``engine_seed`` must be an integer (not a live generator) because it
         is persisted with the artifact and replayed by :meth:`grow`.
-        A ``deadline`` bounds the sampling loop: expiry between blocks
-        raises :class:`~repro.exceptions.DeadlineExceeded` (with no
-        ``checkpoint`` the partial index is discarded — the token stream
-        makes a re-build identical).  ``workers``, ``checkpoint`` and
-        ``stop`` are forwarded to :meth:`grow`.
+        ``workers``, ``checkpoint`` and ``stop`` are forwarded to
+        :meth:`grow`.
         """
         if not isinstance(engine_seed, (int, np.integer)):
             raise ConfigurationError(
@@ -183,11 +177,7 @@ class InfluenceIndex:
         )
         if theta:
             index.grow(
-                theta,
-                deadline=deadline,
-                workers=workers,
-                checkpoint=checkpoint,
-                stop=stop,
+                theta, workers=workers, checkpoint=checkpoint, stop=stop
             )
         return index
 
@@ -276,7 +266,6 @@ class InfluenceIndex:
         self,
         theta: int,
         *,
-        deadline: Optional[Deadline] = None,
         workers: int = 1,
         checkpoint=None,
         stop=None,
@@ -288,13 +277,6 @@ class InfluenceIndex:
         selection cache; re-persist with :meth:`save` to keep the artifact
         in sync.
 
-        A ``deadline`` is checked between sampler blocks — the natural
-        yield points of the grow loop — so a too-slow build raises
-        :class:`~repro.exceptions.DeadlineExceeded` within one block's work
-        instead of hanging the caller.  The appended blocks before expiry
-        are kept (the collection is simply shorter than requested), and a
-        later grow resumes the token stream exactly.
-
         ``workers > 1`` fans the sampler blocks out to a
         :class:`~repro.runtime.pool.SupervisedPool`: the engine generator
         is consumed *here*, in serial block order, and workers receive the
@@ -302,7 +284,7 @@ class InfluenceIndex:
         identical to the serial path whatever the worker count, scheduling
         order, or crash/replay history.  ``checkpoint`` (a
         :class:`~repro.runtime.checkpoint.BuildCheckpoint`) persists the
-        appended prefix periodically and on interrupt/deadline expiry;
+        appended prefix periodically and on interrupt;
         ``stop`` is a zero-arg predicate polled at block boundaries that
         requests a cooperative halt via
         :class:`~repro.exceptions.ExecutionInterrupted`.
@@ -354,8 +336,7 @@ class InfluenceIndex:
             # workload's setup RSS from 87.2 to 90.6 MB here (+4% over 4
             # paired runs on a 2-vCPU VM, against a 5% bound).  Chunking
             # never changes the sets, since each set's randomness comes
-            # from its own token.  Every block is a deadline check and a
-            # fault-injection site.
+            # from its own token.
             try:
                 with span(
                     "index_grow",
@@ -366,8 +347,7 @@ class InfluenceIndex:
                 ):
                     if workers > 1:
                         self._grow_parallel(
-                            sampler, rng, theta, workers, deadline, stop,
-                            append_block,
+                            sampler, rng, theta, workers, stop, append_block
                         )
                     else:
                         while self.collection.num_sets < theta:
@@ -375,25 +355,15 @@ class InfluenceIndex:
                                 raise ExecutionInterrupted(
                                     "sample", self.collection.num_sets
                                 )
-                            if deadline is not None:
-                                deadline.check("sample")
-                            faults.trigger(
-                                faults.SITE_BUILD,
-                                context=(
-                                    f"{self.model} "
-                                    f"theta={self.collection.num_sets}"
-                                ),
-                            )
                             block = min(
                                 self.block_size,
                                 theta - self.collection.num_sets,
                             )
                             members, indptr, _ = sampler.sample(rng, block)
                             append_block(members, indptr)
-            except (ExecutionInterrupted, DeadlineExceeded):
+            except ExecutionInterrupted:
                 # The appended prefix is a valid partial build; persist it
-                # so an interrupted/overdue build is resumable instead of
-                # wasted.
+                # so an interrupted build is resumable instead of wasted.
                 if checkpoint is not None:
                     checkpoint.save(self, theta)
                 self._selection_cache.clear()
@@ -410,7 +380,6 @@ class InfluenceIndex:
         rng: np.random.Generator,
         theta: int,
         workers: int,
-        deadline: Optional[Deadline],
         stop,
         append_block,
     ) -> None:
@@ -439,10 +408,6 @@ class InfluenceIndex:
 
         def on_result(index: int, result) -> None:
             members, indptr, _ = result
-            faults.trigger(
-                faults.SITE_BUILD,
-                context=f"{self.model} theta={self.collection.num_sets}",
-            )
             append_block(members, indptr)
 
         shared = share_graph(self.graph)
@@ -454,29 +419,19 @@ class InfluenceIndex:
             name="index-grow",
         )
         try:
-            pool.run(
-                payloads,
-                deadline=deadline,
-                deadline_stage="sample",
-                stop=stop,
-                on_result=on_result,
-            )
+            pool.run(payloads, stage="sample", stop=stop, on_result=on_result)
         finally:
             pool.close()
             shared.cleanup()
 
     # ----------------------------------------------------------------- queries
 
-    def select(
-        self, budget: int, *, deadline: Optional[Deadline] = None
-    ) -> IndexSelection:
+    def select(self, budget: int) -> IndexSelection:
         """Warm seed selection: greedy max coverage over the stored sets.
 
         The cover pass costs O(k · n + members of the covered sets): one
         ``argmax`` over the per-node gain counters and one ``np.bincount``
-        decrement per pick, a few milliseconds on a 50k-set index.  The
-        ``deadline`` is checked on entry (after the cheap cache probe), so
-        an already-expired budget never starts the pass.
+        decrement per pick, a few milliseconds on a 50k-set index.
         """
         if budget < 0:
             raise ConfigurationError(f"budget must be non-negative, got {budget}")
@@ -493,8 +448,6 @@ class InfluenceIndex:
                         "select() answers served from the per-budget cache.",
                     ).inc()
                 return cached
-            if deadline is not None:
-                deadline.check("select")
             with span("index_select", model=self.model, budget=int(budget)):
                 covering, covered_fraction = greedy_max_coverage(
                     self.collection, budget
@@ -540,10 +493,7 @@ class InfluenceIndex:
         )
 
     def _estimate_spreads_indices(
-        self,
-        index_sets: Sequence[Sequence[int]],
-        *,
-        deadline: Optional[Deadline] = None,
+        self, index_sets: Sequence[Sequence[int]]
     ) -> List[float]:
         """Batched oracle over compiled node indices, serialised vs growth.
 
@@ -551,8 +501,6 @@ class InfluenceIndex:
         same lock :meth:`grow` mutates the collection under.
         """
         with self._lock:
-            if deadline is not None:
-                deadline.check("evaluate")
             registry = default_registry()
             if registry is not None:
                 self._counter(

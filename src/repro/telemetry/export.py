@@ -25,7 +25,7 @@ import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.telemetry.registry import (
@@ -194,10 +194,6 @@ class MetricsServer:
     host / port:
         Bind address; ``port=0`` picks an ephemeral port, readable from
         :attr:`port` after construction.
-    collect:
-        Optional callback invoked before each scrape — the serving layer
-        passes ``service.stats`` so sampled gauges (breaker states, queue
-        depth) are fresh at scrape time.
     """
 
     def __init__(
@@ -206,12 +202,10 @@ class MetricsServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        collect: Optional[Callable[[], object]] = None,
     ) -> None:
         if port < 0 or port > 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {port}")
         self._registries = tuple(registries)
-        self._collect = collect
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -245,13 +239,9 @@ class MetricsServer:
         )
 
     def scrape(self) -> str:
-        if self._collect is not None:
-            self._collect()
         return render_prometheus(*self._registries)
 
     def scrape_json(self) -> str:
-        if self._collect is not None:
-            self._collect()
         return render_json(*self._registries)
 
     def start(self) -> "MetricsServer":

@@ -3,7 +3,7 @@
 A :class:`MetricsRegistry` owns a flat namespace of metric *families*.  A
 family is a named :class:`Counter`, :class:`Gauge` or :class:`Histogram`;
 with ``labelnames`` it fans out into labeled children
-(``requests.labels(op="evaluate", outcome="degraded").inc()``), without
+(``requests.labels(op="evaluate", outcome="ok").inc()``), without
 them the family itself carries the single sample.  Registration is
 get-or-create and idempotent, so instrumentation sites can fetch handles
 lazily without coordinating; re-registering a name with a different type
@@ -15,11 +15,10 @@ every series this package emits is recognisable in a shared Prometheus.
 
 **The process-global default registry.**  Engine-level instrumentation
 (samplers, Monte Carlo blocks, score rescoring) records to the registry
-returned by :func:`default_registry`.  The same trick as
-``repro.serving.faults``: the hook is one module attribute read, and
-``set_default_registry(None)`` disables collection entirely — instrumented
-hot loops guard on the ``None`` and pay a single attribute read when
-telemetry is off.  Tests isolate themselves with :func:`use_registry`.
+returned by :func:`default_registry`.  The hook is one module attribute
+read, and ``set_default_registry(None)`` disables collection entirely —
+instrumented hot loops guard on the ``None`` and pay a single attribute
+read when telemetry is off.  Tests isolate themselves with :func:`use_registry`.
 
 Histograms keep fixed log-spaced latency buckets *plus* an exact running
 ``count``/``sum``, so p50/p95/p99 are derivable (to bucket resolution)
@@ -122,7 +121,7 @@ class CounterChild(_Child):
 
 
 class GaugeChild(_Child):
-    """A sample that can go up and down (queue depth, breaker state)."""
+    """A sample that can go up and down (live workers, queue depth)."""
 
     __slots__ = ("_value",)
 
@@ -499,7 +498,7 @@ class MetricsRegistry:
 
 # ------------------------------------------------------- process-global hook
 #
-# Same shape as repro.serving.faults: instrumented code does
+# Instrumented code does
 #
 #     registry = default_registry()
 #     if registry is not None:

@@ -8,15 +8,14 @@ ring buffer; :func:`span` is the module-level instrumentation hook::
 
 When no recorder is installed the hook returns a shared no-op span after
 a single module attribute read — the same idle-cost contract as
-``repro.serving.faults.trigger`` — so library hot paths stay free to
-instrument unconditionally.
+:func:`repro.telemetry.registry.default_registry` — so library hot paths
+stay free to instrument unconditionally.
 
 **Determinism.**  Span IDs are minted from a SplitMix64 counter stream
 seeded by the recorder (:func:`repro.utils.rng.splitmix64`, the generator
-the RR sampler and the fault planner use), so two runs of the same
-workload produce identical IDs and parent links.  Timings come from an
-injectable monotonic clock (REP002: never the wall clock), which chaos
-tests replace with virtual time.
+the RR sampler uses), so two runs of the same workload produce identical
+IDs and parent links.  Timings come from an injectable monotonic clock
+(REP002: never the wall clock), which tests replace with virtual time.
 
 Parent links are tracked per thread: a span opened while another span is
 active on the same thread records that span as its parent, giving each

@@ -1,15 +1,13 @@
 """Fixture: serving locks acquired against the hierarchy (REP007 fires)."""
 import threading
 
-_install_lock = threading.Lock()
 
-
-class CircuitBreaker:
+class InfluenceIndex:
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
-    def record(self):
-        # fault-install (innermost) held while taking the breaker lock.
-        with _install_lock:
-            with self._lock:
+    def report(self, service):
+        # index (innermost) held while taking the service's condition.
+        with self._lock:
+            with service._eval_cond:
                 pass

@@ -1,17 +1,21 @@
 """Fixture: serving locks in declared order (REP007 must stay quiet)."""
 import threading
 
-_install_lock = threading.Lock()
+
+class InfluenceService:
+    def __init__(self):
+        self._lock = threading.RLock()
+        self._eval_cond = threading.Condition(self._lock)
+
+    def serve(self):
+        with self._eval_cond:
+            with self._lock:
+                pass
 
 
 class InfluenceIndex:
     def __init__(self):
         self._lock = threading.RLock()
-
-    def grow(self):
-        with self._lock:
-            with _install_lock:
-                pass
 
     def reentrant(self):
         with self._lock:

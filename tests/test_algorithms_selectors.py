@@ -127,6 +127,24 @@ class TestRegistryContract:
         second = cheap_selector(name, seed=5).select(twelve_node_graph, 4)
         assert first.seeds == second.seeds
 
+    def test_different_seed_changes_the_selection(self, twelve_node_graph, name):
+        if not algorithm_info(name).seedable:
+            pytest.skip(f"{name} is deterministic and takes no seed")
+        first = cheap_selector(name, seed=5).select(twelve_node_graph, 4)
+        second = cheap_selector(name, seed=6).select(twelve_node_graph, 4)
+        assert first.seeds != second.seeds
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name in available_algorithms() if not algorithm_info(name).seedable],
+)
+def test_unseeded_selector_refuses_a_seed(name):
+    # The registry's ``seedable`` flag is honest: a deterministic selector
+    # takes no seed, so a seed sweep cannot silently leave it unchanged.
+    with pytest.raises(TypeError):
+        get_algorithm(name, seed=5)
+
 
 class TestStructuralBaselines:
     def test_high_degree_picks_hub(self):

@@ -194,8 +194,8 @@ MALFORMED_CALLS = [
     ("InfluenceService.select",
      lambda graph, index, tmp: InfluenceService(default_theta=200).select(
          graph, "ic", -1)),
-    ("InfluenceService.hot_swap",
-     lambda graph, index, tmp: InfluenceService().hot_swap(
+    ("InfluenceService.load_artifact",
+     lambda graph, index, tmp: InfluenceService().load_artifact(
          tmp / "missing.npz", graph)),
     ("InfluenceIndex.estimate_spread",
      lambda graph, index, tmp: index.estimate_spread(["no-such-node"])),

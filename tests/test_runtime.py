@@ -2,27 +2,26 @@
 
 Covers the SupervisedPool supervision paths (crash replay, liveness
 kills, respawn budget, in-process fallback), the bit-for-bit determinism
-of parallel index growth under chaos, checkpoint/resume identity for
-builds and experiment runs, cooperative interrupts, and the CLI's
+of parallel index growth after a worker death, checkpoint/resume identity
+for builds and experiment runs, cooperative interrupts, and the CLI's
 kill-then-resume contract (exercised cross-process with real signals).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
-    DeadlineExceeded,
     ExecutionInterrupted,
     TaskFailedError,
     WorkerCrashError,
@@ -35,10 +34,8 @@ from repro.runtime import (
     SupervisedPool,
 )
 from repro.runtime.interrupt import raise_on_sigterm
-from repro.serving import InfluenceIndex, payload_checksum, quarantine_artifact
-from repro.serving import faults
-from repro.serving.faults import FaultPlan, FaultRule, fault_injection
-from repro.serving.resilience import Deadline
+from repro.serving import InfluenceIndex, payload_checksum
+from repro.sketches.sampler import sampler_worker_run
 from repro.specs import (
     AlgorithmSpec,
     EstimatorSpec,
@@ -47,8 +44,6 @@ from repro.specs import (
     GraphSpec,
     ModelSpec,
 )
-
-FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -64,6 +59,52 @@ def _fail_on_three(payload):
     if payload == 3:
         raise ValueError("three is right out")
     return payload
+
+
+# Worker-fault doubles.  The pool forks on Linux, so a module attribute
+# monkeypatched in the parent reaches every worker it starts.
+
+#: A path only the first faulting worker can create, or ``None`` to make
+#: every worker fault on its first block.
+_FAULT_MARKER = None
+
+
+def _fault_here() -> bool:
+    """Whether this process should fault now; never in the parent itself,
+    which is where the in-process fallback runs blocks."""
+    if multiprocessing.parent_process() is None:
+        return False
+    if _FAULT_MARKER is None:
+        return True
+    try:
+        os.close(os.open(_FAULT_MARKER, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _square_or_exit(payload):
+    if _fault_here():
+        os._exit(137)  # dies the way an OOM kill would
+    return payload * payload
+
+
+def _square_or_freeze(payload):
+    if _fault_here():
+        os.kill(os.getpid(), signal.SIGSTOP)  # no heartbeat, no result
+    return payload * payload
+
+
+def _sample_or_exit(tokens):
+    if _fault_here():
+        os._exit(137)
+    return sampler_worker_run(tokens)
+
+
+def _fault_once(monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        sys.modules[__name__], "_FAULT_MARKER", str(tmp_path / "faulted")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +166,7 @@ class TestSupervisedPool:
     def test_stop_predicate_raises_execution_interrupted(self):
         with SupervisedPool(_square, workers=1) as pool:
             with pytest.raises(ExecutionInterrupted, match="--resume"):
-                pool.run([1, 2, 3], stop=lambda: True, deadline_stage="sample")
+                pool.run([1, 2, 3], stop=lambda: True, stage="sample")
 
     def test_task_failure_is_reported_not_retried_and_pool_survives(self):
         with SupervisedPool(_fail_on_three, workers=2) as pool:
@@ -134,54 +175,39 @@ class TestSupervisedPool:
             # The pool stays usable: the next run spawns fresh workers.
             assert pool.run([0, 1, 2]) == [0, 1, 2]
 
-    def test_kill_fault_costs_one_replayed_block(self, monkeypatch):
+    def test_worker_death_costs_one_replayed_block(self, monkeypatch, tmp_path):
         _fast_supervision(monkeypatch)
-        plan = FaultPlan(
-            [FaultRule(faults.SITE_RUNTIME_WORKER, "kill", times=1)],
-            seed=FAULT_SEED,
-        )
-        with fault_injection(plan):
-            with SupervisedPool(_square, workers=2) as pool:
-                assert pool.run(list(range(10))) == [i * i for i in range(10)]
-                assert pool.stats.crashes >= 1
-                assert pool.stats.blocks_replayed >= 1
-                assert pool.stats.respawns >= 1
+        _fault_once(monkeypatch, tmp_path)
+        with SupervisedPool(_square_or_exit, workers=2) as pool:
+            assert pool.run(list(range(10))) == [i * i for i in range(10)]
+            assert pool.stats.crashes == 1
+            assert pool.stats.blocks_replayed == 1
+            assert pool.stats.respawns == 1
 
-    def test_hung_worker_is_liveness_killed(self, monkeypatch):
+    def test_hung_worker_is_liveness_killed(self, monkeypatch, tmp_path):
         _fast_supervision(monkeypatch)
-        plan = FaultPlan(
-            [FaultRule(faults.SITE_RUNTIME_HEARTBEAT, "hang", times=1)],
-            seed=FAULT_SEED,
-        )
-        with fault_injection(plan):
-            with SupervisedPool(_square, workers=2) as pool:
-                assert pool.run(list(range(6))) == [i * i for i in range(6)]
-                assert pool.stats.crashes >= 1
+        _fault_once(monkeypatch, tmp_path)
+        with SupervisedPool(_square_or_freeze, workers=2) as pool:
+            assert pool.run(list(range(6))) == [i * i for i in range(6)]
+            assert pool.stats.crashes == 1
+            assert pool.stats.blocks_replayed == 1
 
     def test_exhausted_budget_degrades_to_in_process_fallback(self, monkeypatch):
         _fast_supervision(monkeypatch)
         # Every first-generation worker dies on its first block and the
         # respawn budget is zero, so the pool must finish the work inline.
-        plan = FaultPlan(
-            [FaultRule(faults.SITE_RUNTIME_WORKER, "kill")], seed=FAULT_SEED
-        )
-        with fault_injection(plan):
-            with SupervisedPool(_square, workers=2, max_respawns=0) as pool:
-                assert pool.run(list(range(6))) == [i * i for i in range(6)]
-                assert pool.stats.fallback_blocks == 6
-                assert pool.stats.respawns == 0
+        with SupervisedPool(_square_or_exit, workers=2, max_respawns=0) as pool:
+            assert pool.run(list(range(6))) == [i * i for i in range(6)]
+            assert pool.stats.fallback_blocks == 6
+            assert pool.stats.respawns == 0
 
     def test_fallback_disabled_raises_worker_crash_error(self, monkeypatch):
         _fast_supervision(monkeypatch)
-        plan = FaultPlan(
-            [FaultRule(faults.SITE_RUNTIME_WORKER, "kill")], seed=FAULT_SEED
-        )
-        with fault_injection(plan):
-            with SupervisedPool(
-                _square, workers=2, max_respawns=0, fallback=False
-            ) as pool:
-                with pytest.raises(WorkerCrashError):
-                    pool.run(list(range(6)))
+        with SupervisedPool(
+            _square_or_exit, workers=2, max_respawns=0, fallback=False
+        ) as pool:
+            with pytest.raises(WorkerCrashError):
+                pool.run(list(range(6)))
 
 
 # ------------------------------------------------- parallel grow determinism
@@ -197,25 +223,20 @@ class TestParallelGrowDeterminism:
         assert parallel.collection == serial_index.collection
         assert parallel.select(5).seeds == serial_index.select(5).seeds
 
-    def test_parallel_build_under_chaos_is_bit_identical(
-        self, wc_graph, serial_index, monkeypatch
+    def test_parallel_build_after_a_worker_death_is_bit_identical(
+        self, wc_graph, serial_index, monkeypatch, tmp_path
     ):
+        import repro.sketches.sampler as sampler_mod
+
         _fast_supervision(monkeypatch)
-        plan = FaultPlan(
-            [
-                FaultRule(faults.SITE_RUNTIME_WORKER, "kill", times=1),
-                FaultRule(
-                    faults.SITE_RUNTIME_HEARTBEAT, "hang", times=1, after=3
-                ),
-            ],
-            seed=FAULT_SEED,
+        _fault_once(monkeypatch, tmp_path)
+        monkeypatch.setattr(sampler_mod, "sampler_worker_run", _sample_or_exit)
+        rebuilt = InfluenceIndex.build(
+            wc_graph, "ic", 1200, engine_seed=3, block_size=64, workers=2
         )
-        with fault_injection(plan):
-            chaotic = InfluenceIndex.build(
-                wc_graph, "ic", 1200, engine_seed=3, block_size=64, workers=2
-            )
-        assert chaotic.collection == serial_index.collection
-        assert chaotic.select(5).seeds == serial_index.select(5).seeds
+        assert (tmp_path / "faulted").exists()  # a worker really died
+        assert rebuilt.collection == serial_index.collection
+        assert rebuilt.select(5).seeds == serial_index.select(5).seeds
 
 
 # ------------------------------------------------------------ BuildCheckpoint
@@ -253,6 +274,30 @@ class TestBuildCheckpoint:
         assert partial is not None
         assert 0 < partial.theta < 1200
         partial.grow(1200)
+        assert partial.collection == serial_index.collection
+        assert partial.select(5).seeds == serial_index.select(5).seeds
+
+    def test_stop_mid_parallel_grow_resumes_exact_token_stream(
+        self, tmp_path, wc_graph, serial_index
+    ):
+        """A stop while worker *processes* are sampling leaves a checkpoint
+        whose resume replays the token stream exactly."""
+        output = tmp_path / "index.npz"
+        checkpoint = BuildCheckpoint(output, every=2)
+        index = InfluenceIndex.build(
+            wc_graph, "ic", 0, engine_seed=3, block_size=64
+        )
+        with pytest.raises(ExecutionInterrupted):
+            index.grow(
+                1200, workers=2, checkpoint=checkpoint,
+                stop=_StopAfter(320, index),
+            )
+        partial = checkpoint.resume(
+            wc_graph.compile(), model="ic", engine_seed=3, block_size=64
+        )
+        assert partial is not None
+        assert 0 < partial.theta < 1200
+        partial.grow(1200, workers=2)
         assert partial.collection == serial_index.collection
         assert partial.select(5).seeds == serial_index.select(5).seeds
 
@@ -297,7 +342,7 @@ class TestBuildCheckpoint:
             is None
         )
 
-    def test_injected_checkpoint_corruption_is_detected(
+    def test_torn_manifest_after_a_save_means_fresh_build(
         self, tmp_path, wc_graph
     ):
         output = tmp_path / "index.npz"
@@ -305,12 +350,11 @@ class TestBuildCheckpoint:
         index = InfluenceIndex.build(
             wc_graph, "ic", 128, engine_seed=3, block_size=64
         )
-        plan = FaultPlan(
-            [FaultRule(faults.SITE_RUNTIME_CHECKPOINT, "corrupt", times=1)],
-            seed=FAULT_SEED,
+        checkpoint.save(index, 256)
+        manifest = checkpoint.manifest_path.read_bytes()
+        checkpoint.manifest_path.write_bytes(
+            manifest[: len(manifest) // 2] + b"\x00garbage"
         )
-        with fault_injection(plan):
-            checkpoint.save(index, 256)
         # The torn manifest is discarded, not trusted and not fatal.
         assert (
             checkpoint.resume(
@@ -334,53 +378,6 @@ class TestBuildCheckpoint:
     def test_cadence_must_be_positive(self, tmp_path):
         with pytest.raises(CheckpointError, match="cadence"):
             BuildCheckpoint(tmp_path / "x.npz", every=0)
-
-
-class _SteppingClock:
-    """A deterministic clock advancing a fixed step per read."""
-
-    def __init__(self, step: float) -> None:
-        self.step = step
-        self.calls = 0
-
-    def __call__(self) -> float:
-        self.calls += 1
-        return self.calls * self.step
-
-
-class TestDeadlineMidGrow:
-    def test_deadline_mid_parallel_grow_resumes_exact_token_stream(
-        self, tmp_path, wc_graph, serial_index
-    ):
-        """A deadline expiring while worker *processes* are sampling leaves
-        a checkpoint whose resume replays the token stream exactly."""
-        output = tmp_path / "index.npz"
-        checkpoint = BuildCheckpoint(output, every=2)
-        compiled = wc_graph.compile()
-        index = InfluenceIndex.build(
-            wc_graph, "ic", 0, engine_seed=3, block_size=64
-        )
-        # Expires after a handful of supervision ticks, whatever the
-        # wall-clock speed of the machine; any completed prefix (possibly
-        # empty) must resume to the identical full build.
-        deadline = Deadline(1.0, clock=_SteppingClock(0.12))
-        with pytest.raises(DeadlineExceeded):
-            index.grow(1200, deadline=deadline, workers=2, checkpoint=checkpoint)
-        assert checkpoint.exists()
-        partial = checkpoint.resume(
-            compiled, model="ic", engine_seed=3, block_size=64
-        )
-        resumed = (
-            partial
-            if partial is not None
-            else InfluenceIndex.build(
-                wc_graph, "ic", 0, engine_seed=3, block_size=64
-            )
-        )
-        assert resumed.theta < 1200
-        resumed.grow(1200, workers=2)
-        assert resumed.collection == serial_index.collection
-        assert resumed.select(5).seeds == serial_index.select(5).seeds
 
 
 # -------------------------------------------------------------- RunCheckpoint
@@ -469,24 +466,6 @@ class TestInterrupts:
             with raise_on_sigterm():
                 os.kill(os.getpid(), signal.SIGTERM)
                 _wait_for(lambda: False, timeout=2.0)
-
-
-# ------------------------------------------------------------------ quarantine
-
-
-class TestQuarantine:
-    def test_repeated_quarantines_preserve_every_evidence_copy(self, tmp_path):
-        artifact = tmp_path / "index.npz"
-        artifact.write_bytes(b"first-corruption")
-        first = quarantine_artifact(artifact)
-        assert first.read_bytes() == b"first-corruption"
-        assert not artifact.exists()
-        artifact.write_bytes(b"second-corruption")
-        second = quarantine_artifact(artifact)
-        assert second != first
-        assert first.read_bytes() == b"first-corruption"
-        assert second.read_bytes() == b"second-corruption"
-        assert not artifact.exists()
 
 
 # ------------------------------------------------------------------ CLI chaos

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.exceptions import (
+    ArtifactCorruptError,
     ConfigurationError,
     IndexArtifactError,
     IndexMismatchError,
@@ -19,9 +21,12 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.graphs.generators import erdos_renyi_graph
 from repro.serving import (
+    EvaluateOutcome,
     InfluenceIndex,
     InfluenceService,
+    MutableGraphWarning,
     load_index_artifact,
+    payload_checksum,
     save_index_artifact,
 )
 from repro.sketches import BatchRRSampler, RRSetCollection
@@ -424,6 +429,146 @@ class TestArtifactStore:
 # -------------------------------------------------------------------- indexes
 
 
+class TestArtifactIntegrity:
+    @staticmethod
+    def _arrays_of(artifact):
+        return {
+            "members": artifact.members,
+            "indptr": artifact.indptr,
+            "node_indptr": artifact.node_indptr,
+            "node_sets": artifact.node_sets,
+        }
+
+    @classmethod
+    def _rewrite(cls, path, mutate_arrays=None, mutate_metadata=None):
+        """Rewrite the artifact at ``path`` with its arrays and/or metadata
+        edited in place, keeping everything else (including the recorded
+        checksum) as saved."""
+        artifact = load_index_artifact(path, mmap=False)
+        arrays = {k: np.array(v) for k, v in cls._arrays_of(artifact).items()}
+        metadata = dict(artifact.metadata)
+        if mutate_arrays is not None:
+            mutate_arrays(arrays)
+        if mutate_metadata is not None:
+            mutate_metadata(metadata)
+        meta_json = np.frombuffer(
+            json.dumps(metadata, sort_keys=True).encode("utf-8"),
+            dtype=np.uint8,
+        )
+        with open(path, "wb") as handle:
+            np.savez(handle, meta_json=meta_json, **arrays)
+
+    def test_checksum_roundtrip_and_stability(self, built_index, tmp_path):
+        path = built_index.save(tmp_path / "index.npz")
+        mapped = load_index_artifact(path, mmap=True)
+        eager = load_index_artifact(path, mmap=False)
+        # The canonical encoding makes the digest independent of whether the
+        # arrays came back memory-mapped or eagerly loaded.
+        assert mapped.metadata["payload_sha256"] == payload_checksum(
+            self._arrays_of(mapped)
+        )
+        assert eager.metadata["payload_sha256"] == payload_checksum(
+            self._arrays_of(eager)
+        )
+
+    def test_truncated_file_wrapped_with_remediation(self, built_index, tmp_path):
+        path = built_index.save(tmp_path / "index.npz")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(IndexArtifactError, match="rebuild"):
+            load_index_artifact(path)
+
+    def test_garbage_file_wrapped(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"this is not a zip archive at all")
+        with pytest.raises(IndexArtifactError, match="rebuild"):
+            load_index_artifact(path)
+
+    def test_flipped_payload_byte_reaches_the_caller(
+        self, wc_compiled, built_index, tmp_path
+    ):
+        # Rewrite the artifact with one array element changed but the
+        # original recorded checksum.
+        path = built_index.save(tmp_path / "index.npz")
+
+        def flip(arrays):
+            arrays["members"][0] ^= 1
+
+        self._rewrite(path, mutate_arrays=flip)
+        corrupt = path.read_bytes()
+        with pytest.raises(ArtifactCorruptError, match="rebuild it with"):
+            load_index_artifact(path)
+        # The service hands the same error to its caller, attaches nothing
+        # and leaves the file where it was.
+        service = InfluenceService()
+        with pytest.raises(ArtifactCorruptError, match="rebuild it with"):
+            service.load_artifact(path, wc_compiled)
+        assert len(service) == 0
+        assert path.read_bytes() == corrupt
+
+    @pytest.mark.parametrize(
+        "name", ["members", "indptr", "node_indptr", "node_sets"]
+    )
+    def test_flipped_element_of_any_array_is_detected(
+        self, built_index, tmp_path, name
+    ):
+        # The checksum runs before the structural checks, so even a flip
+        # that leaves the CSR well-formed is reported as corruption.
+        path = built_index.save(tmp_path / "index.npz")
+
+        def flip(arrays):
+            arrays[name][arrays[name].size // 2] ^= 1
+
+        self._rewrite(path, mutate_arrays=flip)
+        with pytest.raises(ArtifactCorruptError, match="does not match"):
+            load_index_artifact(path)
+        with pytest.raises(ArtifactCorruptError):
+            load_index_artifact(path, mmap=False)
+
+    def test_tampered_recorded_checksum_is_detected(self, built_index, tmp_path):
+        path = built_index.save(tmp_path / "index.npz")
+
+        def tamper(metadata):
+            metadata["payload_sha256"] = "0" * 64
+
+        self._rewrite(path, mutate_metadata=tamper)
+        with pytest.raises(ArtifactCorruptError, match="does not match"):
+            load_index_artifact(path)
+
+    def test_unverified_open_skips_only_the_checksum(self, built_index, tmp_path):
+        # verify_checksum=False trusts the payload hash but still runs the
+        # structural checks: a well-formed flip loads, a malformed one not.
+        path = built_index.save(tmp_path / "index.npz")
+
+        def flip(arrays):
+            members = arrays["members"]
+            members[0] = (int(members[0]) + 1) % built_index.graph.number_of_nodes
+
+        self._rewrite(path, mutate_arrays=flip)
+        loaded = load_index_artifact(path, verify_checksum=False)
+        assert int(loaded.members[0]) != int(built_index.collection.members[0])
+
+        def out_of_range(arrays):
+            arrays["members"][0] = built_index.graph.number_of_nodes
+
+        path = built_index.save(tmp_path / "malformed.npz")
+        self._rewrite(path, mutate_arrays=out_of_range)
+        with pytest.raises(IndexArtifactError, match="outside"):
+            load_index_artifact(path, verify_checksum=False)
+
+    @pytest.mark.parametrize(
+        "keep", [0.01, 0.25, 0.75, -1], ids=["head", "quarter", "three-quarters", "last-byte"]
+    )
+    def test_truncation_anywhere_is_wrapped(self, built_index, tmp_path, keep):
+        path = built_index.save(tmp_path / "index.npz")
+        raw = path.read_bytes()
+        cut = len(raw) - 1 if keep == -1 else int(len(raw) * keep)
+        path.write_bytes(raw[:cut])
+        for mmap in (True, False):
+            with pytest.raises(IndexArtifactError, match="rebuild"):
+                load_index_artifact(path, mmap=mmap)
+
+
 class TestInfluenceIndex:
     def test_select_matches_direct_cover(self, wc_graph, built_index):
         from repro.sketches.coverage import greedy_max_coverage, pad_with_unselected
@@ -639,6 +784,302 @@ class TestInfluenceService:
         with pytest.raises(ConfigurationError):
             InfluenceService(capacity=0)
 
+    def test_harness_view_of_the_service(self, wc_compiled):
+        """The names the index-serve benchmark workload reads stay put."""
+        assert float(EvaluateOutcome(1.0)) == 1.0
+        assert EvaluateOutcome(1.0).degraded is False
+        service = InfluenceService(capacity=1, default_theta=300)
+        answer = service.evaluate(wc_compiled, "ic", [0, 1])
+        assert isinstance(answer, EvaluateOutcome) and answer.degraded is False
+        assert json.loads(json.dumps({"spread": answer}))["spread"] == float(answer)
+        selection = service.select(wc_compiled, "ic", 3)
+        assert not selection.extras.get("degraded")
+        stats = service.stats()
+        assert stats["requests_shed"] == 0
+        assert stats["degraded_answers"] == 0
+        assert stats["evaluate_requests"] == 1
+        assert stats["evaluate_batches"] == 1
+        curve = service.sweep(wc_compiled, "ic", [1, 2])
+        assert isinstance(curve, dict) and set(curve) == {1, 2}
+
+    @pytest.mark.parametrize("where", ["oracle-pass", "serve-batch"])
+    def test_leader_death_reaches_every_parked_waiter_exactly_once(
+        self, wc_compiled, monkeypatch, where
+    ):
+        service = InfluenceService(default_theta=400)
+        index = service.get_index(wc_compiled, "ic")
+        original = index._estimate_spreads_indices
+        stalled = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def stall_then_die(index_sets):
+            # The first batch stalls until three followers are parked; the
+            # next batch (those three) dies mid-pass.
+            calls.append(len(index_sets))
+            if len(calls) == 1:
+                stalled.set()
+                assert release.wait(timeout=10.0)
+                return original(index_sets)
+            raise RuntimeError("leader died mid-batch")
+
+        if where == "oracle-pass":
+            monkeypatch.setattr(index, "_estimate_spreads_indices", stall_then_die)
+        else:
+            # The error escapes _serve_batch itself, past its own handler.
+            def serve_batch(index, batch):
+                spreads = stall_then_die([request.seeds for request in batch])
+                for request, spread in zip(batch, spreads):
+                    request.result, request.done = float(spread), True
+
+            monkeypatch.setattr(
+                InfluenceService, "_serve_batch", staticmethod(serve_batch)
+            )
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            leader = pool.submit(service.evaluate, wc_compiled, "ic", [0])
+            assert stalled.wait(timeout=10.0)
+            followers = [
+                pool.submit(service.evaluate, wc_compiled, "ic", [i + 1])
+                for i in range(3)
+            ]
+            for _ in range(2000):
+                with service._lock:
+                    queued = sum(len(v) for v in service._pending.values())
+                if queued == 3:
+                    break
+                threading.Event().wait(0.005)
+            assert queued == 3
+            release.set()
+            assert leader.result(timeout=10.0) > 0  # first batch unharmed
+            errors = []
+            for future in followers:
+                with pytest.raises(RuntimeError, match="mid-batch") as excinfo:
+                    future.result(timeout=10.0)
+                errors.append(excinfo.value)
+        # One failure, delivered to every parked waiter exactly once.
+        assert calls == [1, 3]
+        assert len({id(e) for e in errors}) == 1
+        # The failure is not sticky: leadership was released cleanly.
+        monkeypatch.undo()
+        assert service.evaluate(wc_compiled, "ic", [0]) > 0
+
+    def test_concurrent_eviction_with_inflight_evaluates(self, wc_compiled):
+        other = erdos_renyi_graph(60, 0.08, seed=11).compile()
+        service = InfluenceService(capacity=1, default_theta=200)
+        reference = float(service.evaluate(wc_compiled, "ic", [0, 1]))
+        stop = threading.Event()
+        failures = []
+
+        def hammer():
+            while not stop.is_set():
+                try:
+                    value = float(service.evaluate(wc_compiled, "ic", [0, 1]))
+                    if value != reference:
+                        failures.append(("wrong", value))
+                except Exception as error:  # noqa: BLE001
+                    failures.append(("error", error))
+
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in range(10):
+                # Each get_index for the other graph evicts the first one
+                # (capacity=1) while evaluates for it are in flight.
+                service.get_index(other, "ic")
+                service.get_index(wc_compiled, "ic")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        assert not failures
+        assert service.stats()["index_evictions"] >= 10
+
+    def test_mutable_graph_warns_exactly_once_per_service(self):
+        mutable = erdos_renyi_graph(30, 0.1, seed=2)
+        service = InfluenceService(default_theta=100)
+        with pytest.warns(MutableGraphWarning):
+            service.get_index(mutable, "ic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MutableGraphWarning)
+            service.get_index(mutable, "ic")  # second call: silent
+        with pytest.warns(MutableGraphWarning):
+            InfluenceService(default_theta=100).get_index(mutable, "ic")
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"capacity": -1}, {"default_theta": 0}, {"default_theta": -5}],
+        ids=["negative-capacity", "zero-theta", "negative-theta"],
+    )
+    def test_config_validation(self, options):
+        with pytest.raises(ConfigurationError):
+            InfluenceService(**options)
+
+    def test_sweep_matches_the_index_curve(self, wc_compiled):
+        service = InfluenceService(default_theta=600, engine_seed=3)
+        index = service.get_index(wc_compiled, "ic")
+        assert service.sweep(wc_compiled, "ic", [1, 3, 5]) == index.spread_curve(
+            [1, 3, 5]
+        )
+
+    def test_larger_theta_grows_the_resident_index_in_place(self, wc_compiled):
+        service = InfluenceService(default_theta=300, engine_seed=3)
+        index = service.get_index(wc_compiled, "ic")
+        assert index.theta == 300
+        assert service.select(wc_compiled, "ic", 3, theta=700).theta == 700
+        assert service.get_index(wc_compiled, "ic", theta=500) is index
+        assert index.theta == 700  # a smaller theta never shrinks it
+        assert service.stats()["index_builds"] == 1
+
+    def test_models_are_keyed_separately(self, wc_compiled):
+        service = InfluenceService(default_theta=300)
+        ic = service.get_index(wc_compiled, "ic")
+        wc = service.get_index(wc_compiled, "wc")
+        assert ic is not wc and (ic.model, wc.model) == ("ic", "wc")
+        assert service.stats()["index_builds"] == 2
+
+    def test_stats_lists_resident_indexes_in_lru_order(self):
+        service = InfluenceService(capacity=3, default_theta=100)
+        graphs = [erdos_renyi_graph(30, 0.1, seed=s).compile() for s in (1, 2, 3)]
+        for graph in graphs:
+            service.get_index(graph, "ic")
+        service.get_index(graphs[0], "ic")  # touch: now most recent
+        order = [row["fingerprint"] for row in service.stats()["resident_indexes"]]
+        expected = [graph_fingerprint(g)[:12] for g in (graphs[1], graphs[2], graphs[0])]
+        assert order == expected
+        # The next insert evicts graphs[1], the least recently used.
+        service.get_index(erdos_renyi_graph(30, 0.1, seed=4).compile(), "ic")
+        fingerprints = {row["fingerprint"] for row in service.stats()["resident_indexes"]}
+        assert graph_fingerprint(graphs[1])[:12] not in fingerprints
+
+    def test_load_artifact_replaces_the_resident_index(
+        self, wc_compiled, built_index, tmp_path
+    ):
+        path = built_index.save(tmp_path / "index.npz")
+        service = InfluenceService(capacity=1, default_theta=300, engine_seed=11)
+        old = service.get_index(wc_compiled, "ic")
+        loaded = service.load_artifact(path, wc_compiled)
+        assert service.get_index(wc_compiled, "ic") is loaded
+        assert loaded.theta == built_index.theta
+        stats = service.stats()
+        assert len(service) == 1 and stats["index_evictions"] == 0
+        # A caller still holding the replaced index keeps a working object.
+        assert old.estimate_spread([0, 1]) > 0
+
+    def test_failed_build_is_not_cached(self, wc_compiled, monkeypatch):
+        service = InfluenceService(default_theta=200)
+        original = InfluenceIndex.build
+        calls = []
+
+        def fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("build failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(InfluenceIndex, "build", fail_once)
+        with pytest.raises(RuntimeError, match="build failed"):
+            service.get_index(wc_compiled, "ic")
+        assert len(service) == 0 and not service._builds
+        assert service.stats()["index_builds"] == 0
+        index = service.get_index(wc_compiled, "ic")
+        assert service.get_index(wc_compiled, "ic") is index
+        assert len(calls) == 2 and service.stats()["index_builds"] == 1
+
+    def test_waiter_on_a_failed_build_builds_it_itself(
+        self, wc_compiled, monkeypatch
+    ):
+        service = InfluenceService(default_theta=200)
+        original = InfluenceIndex.build
+        building = threading.Event()
+        release = threading.Event()
+        calls = []
+
+        def stall_then_fail_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                building.set()
+                assert release.wait(timeout=10.0)
+                raise RuntimeError("build failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(InfluenceIndex, "build", stall_then_fail_once)
+        results = {}
+
+        def fetch(name):
+            try:
+                results[name] = service.get_index(wc_compiled, "ic")
+            except RuntimeError as error:
+                results[name] = error
+
+        # Daemon threads, so a caller stuck on a never-released build fails
+        # the joins below instead of hanging the test session.
+        first = threading.Thread(target=fetch, args=("first",), daemon=True)
+        first.start()
+        assert building.wait(timeout=10.0)
+        second = threading.Thread(target=fetch, args=("second",), daemon=True)
+        second.start()
+        # Give the second caller time to park on the pending build; the
+        # outcome is the same if it arrives after the failure instead.
+        threading.Event().wait(0.05)
+        release.set()
+        for thread in (first, second):
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert isinstance(results["first"], RuntimeError)
+        index = results["second"]
+        assert service.get_index(wc_compiled, "ic") is index
+        assert len(calls) == 2 and service.stats()["index_builds"] == 1
+
+    def test_unknown_seed_is_an_error_outcome(self, wc_compiled):
+        service = InfluenceService(default_theta=200)
+        with pytest.raises(ConfigurationError, match="not a node"):
+            service.evaluate(wc_compiled, "ic", [0, "no-such-node"])
+        requests = service.telemetry.counter(
+            "repro_serving_requests_total", labelnames=("op", "outcome")
+        )
+        assert requests.labels(op="evaluate", outcome="error").value == 1.0
+        assert requests.labels(op="evaluate", outcome="ok").value == 0.0
+        # The bad request never reached the coalescing queue.
+        assert service.stats()["evaluate_requests"] == 0
+        assert not service._pending and not service._leaders
+        assert service.evaluate(wc_compiled, "ic", [0]) > 0
+
+    def test_mixed_load_answers_every_request(self, wc_compiled):
+        service = InfluenceService(capacity=2, default_theta=800, engine_seed=3)
+        index = service.get_index(wc_compiled, "ic")
+        seed_sets = [[i, i + 1] for i in range(0, 40, 2)]
+        expected_spreads = index.estimate_spreads(seed_sets)
+        expected_seeds = index.select(4).seeds
+        expected_curve = index.spread_curve([1, 2, 4])
+
+        def request(i):
+            kind = i % 3
+            if kind == 0:
+                return "evaluate", i, service.evaluate(
+                    wc_compiled, "ic", seed_sets[i % len(seed_sets)]
+                )
+            if kind == 1:
+                return "select", i, service.select(wc_compiled, "ic", 4).seeds
+            return "sweep", i, service.sweep(wc_compiled, "ic", [1, 2, 4])
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            answers = list(pool.map(request, range(60)))
+        for kind, i, answer in answers:
+            if kind == "evaluate":
+                assert answer == pytest.approx(
+                    expected_spreads[i % len(seed_sets)]
+                )
+            elif kind == "select":
+                assert answer == expected_seeds
+            else:
+                assert answer == expected_curve
+        stats = service.stats()
+        assert stats["evaluate_requests"] == 20 and stats["select_requests"] == 20
+        assert stats["index_builds"] == 1
+        # Every leader retired and every queue drained.
+        assert not service._pending and not service._leaders
+
 
 # ------------------------------------------------------------------------ CLI
 
@@ -772,6 +1213,72 @@ class TestServingCLI:
         assert lines[3]["estimated_spread"] == lines[2]["estimated_spread"]
         stats_response = lines[6]
         assert stats_response["index_builds"] == 0  # artifact preloaded
+
+    @pytest.mark.parametrize(
+        "request_line, error",
+        [
+            ("{op: select", "Expecting property name"),
+            (json.dumps([1, 2]), "JSON object"),
+            (json.dumps({"op": "select"}), "'k'"),
+            (json.dumps({"op": "evaluate"}), "'seeds'"),
+            (json.dumps({"op": "evaluate", "seeds": ["no-such-node"]}), "not a node"),
+            (json.dumps({"op": "sweep", "counts": ["x"]}), "invalid literal"),
+            (json.dumps({"op": "reload"}), "unknown op 'reload'"),
+        ],
+        ids=[
+            "not-json", "not-an-object", "select-without-k",
+            "evaluate-without-seeds", "unknown-seed", "non-integer-counts",
+            "retired-reload-op",
+        ],
+    )
+    def test_serve_answers_a_bad_request_and_keeps_serving(
+        self, capsys, monkeypatch, request_line, error
+    ):
+        import io
+
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(request_line + "\n" + json.dumps({"op": "ping"}) + "\n"),
+        )
+        code = cli_main([
+            "serve", "--dataset", "nethept", "--scale", "0.1", "--seed", "1",
+            "--model", "wc", "--theta", "200",
+        ])
+        assert code == 0
+        lines = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert len(lines) == 2
+        assert lines[0]["ok"] is False and error in lines[0]["error"]
+        assert lines[1] == {"ok": True, "op": "ping"}
+
+    def test_serve_sweep_and_per_request_model(self, capsys, monkeypatch):
+        import io
+
+        requests = "\n".join([
+            json.dumps({"op": "sweep", "counts": [1, "3"]}),
+            json.dumps({"op": "select", "k": 2, "model": "ic"}),
+            json.dumps({"op": "stats"}),
+        ]) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(requests))
+        code = cli_main([
+            "serve", "--dataset", "nethept", "--scale", "0.1", "--seed", "1",
+            "--model", "wc", "--theta", "300",
+        ])
+        assert code == 0
+        sweep, select, stats = [
+            json.loads(line)
+            for line in capsys.readouterr().out.strip().splitlines()
+        ]
+        assert sweep["ok"] and set(sweep["curve"]) == {"1", "3"}
+        assert sweep["curve"]["3"] >= sweep["curve"]["1"]
+        assert select["ok"] and len(select["seeds"]) == 2
+        # One on-demand index per model: wc for the sweep, ic for the select.
+        assert stats["index_builds"] == 2
+        assert sorted(row["model"] for row in stats["resident_indexes"]) == [
+            "ic", "wc",
+        ]
 
     def test_serve_default_model_follows_preloaded_artifact(
         self, tmp_path, capsys, monkeypatch

@@ -354,8 +354,7 @@ class TestExporters:
 
     def test_metrics_server_serves_text_and_json(self):
         reg = _demo_registry()
-        collected = []
-        with MetricsServer([reg], collect=lambda: collected.append(1)) as server:
+        with MetricsServer([reg]) as server:
             base = f"http://127.0.0.1:{server.port}"
             with urllib.request.urlopen(f"{base}/metrics") as response:
                 text = response.read().decode("utf-8")
@@ -365,7 +364,6 @@ class TestExporters:
         assert text == GOLDEN_PROMETHEUS
         assert "version=0.0.4" in content_type
         assert parsed == snapshot(reg)
-        assert collected  # the pre-scrape hook ran
 
 
 # ----------------------------------------------------- instrumented serving
@@ -422,8 +420,10 @@ class TestInstrumentedService:
         service = repro.InfluenceService(default_theta=500)
         service.evaluate(small_graph, "ic", [0])
         stats = service.stats()
-        stats["breakers"]["tampered"] = {"state": "open"}
-        assert "tampered" not in service.stats()["breakers"]
+        stats["resident_indexes"][0]["theta"] = -1
+        stats["resident_indexes"].append({"model": "tampered"})
+        fresh = service.stats()["resident_indexes"]
+        assert len(fresh) == 1 and fresh[0]["theta"] == 500
 
     def test_prometheus_endpoint_sees_service_traffic(self, small_graph):
         service = repro.InfluenceService(default_theta=500)
