@@ -722,15 +722,14 @@ class TelemetryConventionsRule(Rule):
 class NoRawPoolsRule(Rule):
     """Worker processes are spawned only through :mod:`repro.runtime`.
 
-    A raw ``multiprocessing.Pool`` or ``ProcessPoolExecutor`` gives up
-    everything the supervised runtime guarantees: heartbeat liveness
-    checks, deterministic replay of a crashed worker's token block,
-    bounded respawns with in-process fallback, and checkpoint-aware
-    in-order result emission.  A worker killed by the OOM killer under a
-    raw pool silently hangs the build (or worse, drops a block), so all
-    process fan-out goes through :class:`repro.runtime.SupervisedPool`.
-    Thread pools are unaffected — this rule is about *process* workers,
-    which is where crash recovery and replay determinism live.
+    :class:`repro.runtime.SupervisedPool` wraps a
+    ``ProcessPoolExecutor`` with what a raw pool lacks: results in block
+    order (so checkpoints cover a prefix), a cooperative stop, and replay
+    of a dead worker's unfinished blocks in the parent.  A raw pool turns
+    an OOM-killed worker into a failed build (``BrokenProcessPool``), so
+    all process fan-out goes through the runtime.  Thread pools are
+    unaffected — this rule is about *process* workers, which is where
+    crash replay and worker-count determinism live.
     """
 
     code = "REP010"
@@ -768,8 +767,8 @@ class NoRawPoolsRule(Rule):
                 module,
                 node,
                 f"raw {resolved} — spawn workers through "
-                "repro.runtime.SupervisedPool so crashes are detected, "
-                "blocks are replayed deterministically and checkpoints work",
+                "repro.runtime.SupervisedPool so a crashed worker's blocks "
+                "are replayed deterministically and checkpoints work",
             )
 
     def _resolve(self, chain: str, origins: Dict[str, str]) -> Optional[str]:

@@ -277,8 +277,9 @@ class MonteCarloEngine:
 
         The supervised pool is created once per engine (shipping the graph
         and model to each worker a single time) and reused by every
-        subsequent estimate; a worker lost to a crash mid-estimate costs one
-        deterministically replayed block, not a wrong or hung estimate.
+        subsequent estimate; a worker lost to a crash mid-estimate costs
+        its unfinished blocks, replayed bit-identically in this process,
+        not a wrong or failed estimate.
         """
         pool = self._ensure_pool()
         payloads = [

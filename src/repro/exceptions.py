@@ -135,38 +135,19 @@ class IndexMismatchError(ServingError):
 class ExecutionError(ReproError, RuntimeError):
     """Raised by the supervised execution runtime (:mod:`repro.runtime`).
 
-    Covers the parallel build machinery: worker pools, crash supervision
-    and checkpoint/resume.  ``RuntimeError`` stays a base so callers that
+    Covers the parallel build machinery: worker pools, crash replay and
+    checkpoint/resume.  ``RuntimeError`` stays a base so callers that
     treat pool failures as generic runtime faults keep working.
     """
-
-
-class WorkerCrashError(ExecutionError):
-    """Raised when worker crashes exhaust the pool's respawn budget.
-
-    Only reachable when the in-process fallback is disabled — by default a
-    pool that cannot keep workers alive finishes the remaining blocks
-    inline instead of failing the build.
-    """
-
-    def __init__(self, name: str, crashes: int, budget: int) -> None:
-        super().__init__(
-            f"supervised pool {name!r} lost {crashes} worker(s), exhausting "
-            f"its respawn budget of {budget} with in-process fallback "
-            "disabled"
-        )
-        self.name = name
-        self.crashes = crashes
-        self.budget = budget
 
 
 class TaskFailedError(ExecutionError):
     """Raised when a task raises a real exception inside a worker.
 
-    Distinct from a worker *crash* (process death), which is retried via
-    deterministic replay: an in-task exception is itself deterministic —
-    the replay invariant guarantees a retry would raise it again — so the
-    pool surfaces it immediately instead of burning the respawn budget.
+    Distinct from a worker *crash* (process death), whose unfinished blocks
+    are replayed in the parent: an in-task exception is itself
+    deterministic — the replay invariant guarantees a retry would raise it
+    again — so the pool surfaces it immediately instead of replaying it.
     """
 
     def __init__(self, label: str, detail: str) -> None:

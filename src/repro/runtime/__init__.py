@@ -1,13 +1,11 @@
-"""Supervised parallel execution runtime: crash-safe pools and checkpoints.
+"""Parallel execution runtime: a crash-replaying pool and checkpoints.
 
 This package is the only place in the library allowed to create worker
 processes (lint rule REP010 enforces it).  It provides:
 
-* :class:`~repro.runtime.pool.SupervisedPool` — a process pool with
-  heartbeat liveness, deterministic block replay after crashes, bounded
-  respawns and an in-process fallback;
-* :class:`~repro.runtime.sharedgraph.SharedGraph` — mmap-backed CSR
-  sharing so N workers hold one physical copy of the graph;
+* :class:`~repro.runtime.pool.SupervisedPool` — a process pool over
+  deterministic task blocks that returns results in block order and
+  replays a dead worker's unfinished blocks in the parent;
 * :class:`~repro.runtime.checkpoint.BuildCheckpoint` /
   :class:`~repro.runtime.checkpoint.RunCheckpoint` — atomic
   checkpoint/resume for index builds and experiment runs;
@@ -24,29 +22,15 @@ from repro.runtime.checkpoint import (
     RunCheckpoint,
 )
 from repro.runtime.interrupt import InterruptGuard
-from repro.runtime.pool import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_HEARTBEAT_TIMEOUT,
-    DEFAULT_MAX_RESPAWNS,
-    PoolStats,
-    SupervisedPool,
-)
-from repro.runtime.sharedgraph import SHARED_ARRAYS, SharedGraph, share_graph
+from repro.runtime.pool import SupervisedPool
 
 __all__ = [
     "BUILD_CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "DEFAULT_CHECKPOINT_EVERY",
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_HEARTBEAT_TIMEOUT",
-    "DEFAULT_MAX_RESPAWNS",
     "RUN_CHECKPOINT_FORMAT",
-    "SHARED_ARRAYS",
     "BuildCheckpoint",
     "InterruptGuard",
-    "PoolStats",
     "RunCheckpoint",
-    "SharedGraph",
     "SupervisedPool",
-    "share_graph",
 ]

@@ -1,9 +1,9 @@
 """Checkpoint/resume for long builds and experiment runs.
 
-Two checkpoint shapes live here, both written with the same crash-safe
-discipline as the artifact store (temp file + fsync + ``os.replace``, so a
-kill at any instant leaves either the previous checkpoint or the new one —
-never a torn file):
+Two checkpoint shapes live here, both written through the same crash-safe
+writer as the artifact store (:func:`~repro.utils.atomic.atomic_write`:
+temp file + fsync + ``os.replace``, so a kill at any instant leaves either
+the previous checkpoint or the new one — never a torn file):
 
 * :class:`BuildCheckpoint` — block-granular progress of an
   ``InfluenceIndex`` build/grow.  It persists the partial RR collection as
@@ -23,9 +23,9 @@ wrote it.  A build manifest that disagrees with the requested build on
 graph fingerprint, model, engine seed, block size or numpy version raises
 :class:`~repro.exceptions.CheckpointError` (resuming would silently break
 replay identity); a run manifest with a foreign spec digest likewise.  An
-*unreadable* checkpoint — truncated JSON, corrupt artifact, injected
-``runtime.checkpoint`` garbage — is not an error: resume reports "nothing
-to resume" and the caller rebuilds from scratch, which is always correct.
+*unreadable* checkpoint — truncated JSON, a corrupt artifact — is not an
+error: resume reports "nothing to resume" and the caller rebuilds from
+scratch, which is always correct.
 
 The write order is artifact **then** manifest, and the artifact's own set
 count is authoritative — so a crash between the two writes merely leaves a
@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.exceptions import CheckpointError, ReproError
 from repro.telemetry.registry import default_registry
+from repro.utils.atomic import atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import-time only for annotations
     from repro.algorithms.base import SeedSelectionResult
@@ -68,15 +69,6 @@ __all__ = [
 ]
 
 
-def _count_checkpoint_write() -> None:
-    registry = default_registry()
-    if registry is not None:
-        registry.counter(
-            "repro_runtime_checkpoints_written_total",
-            "Checkpoint manifests persisted by build/run checkpointing.",
-        ).inc()
-
-
 def _json_default(value: object) -> object:
     """Encode the numpy scalars that leak into seeds/metadata payloads."""
     if isinstance(value, np.integer):
@@ -92,41 +84,17 @@ def _json_default(value: object) -> object:
 
 
 def _atomic_write_json(path: pathlib.Path, payload: Dict[str, object]) -> None:
-    """Crash-safe JSON write: exclusive temp + fsync + rename."""
+    """Crash-safe JSON write through :func:`~repro.utils.atomic.atomic_write`."""
     encoded = json.dumps(
         payload, sort_keys=True, indent=2, default=_json_default
     ).encode("utf-8")
-    for attempt in range(100):
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
-        try:
-            handle = os.open(
-                tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666
-            )
-        except FileExistsError:
-            continue
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(encoded)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        # Make the rename itself durable (same posture as the artifact
-        # store): fsync the directory, best effort on exotic filesystems.
-        with contextlib.suppress(OSError):
-            fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        _count_checkpoint_write()
-        return
-    raise CheckpointError(
-        f"could not create a temporary file next to {path} after 100 attempts"
-    )
+    atomic_write(path, lambda stream: stream.write(encoded), error=CheckpointError)
+    registry = default_registry()
+    if registry is not None:
+        registry.counter(
+            "repro_runtime_checkpoints_written_total",
+            "Checkpoint manifests persisted by build/run checkpointing.",
+        ).inc()
 
 
 def _read_manifest(path: pathlib.Path, expected_format: str) -> Optional[Dict[str, object]]:

@@ -34,11 +34,9 @@ to an ordinary in-memory ``np.load``.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
-import os
 import pathlib
 import struct
 import zipfile
@@ -50,6 +48,7 @@ import numpy as np
 import repro
 from repro.exceptions import ArtifactCorruptError, IndexArtifactError
 from repro.sketches.collection import RRSetCollection
+from repro.utils.atomic import atomic_write
 
 ARTIFACT_FORMAT = "repro-influence-index"
 ARTIFACT_VERSION = 1
@@ -192,58 +191,20 @@ def save_index_artifact(
     # memory-maps (the replaced inode stays valid while mapped).  Writing
     # through an open handle also stops np.savez appending ".npz" to the
     # requested name.
-    # The temp file is opened with mode 0666 so the kernel applies the
-    # process umask itself (mkstemp would pin 0600, leaving the artifact
-    # unreadable to a serving daemon under another user; probing the umask
-    # via os.umask is process-wide and thread-unsafe).
-    fd = tmp_name = None
-    for attempt in range(100):
-        candidate = f"{path}.{os.getpid()}.{attempt}.tmp"
-        try:
-            fd = os.open(
-                candidate, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666
-            )
-            tmp_name = candidate
-            break
-        except FileExistsError:
-            continue
-    if fd is None:
-        raise IndexArtifactError(
-            f"could not create a temporary file next to {path}"
-        )
     try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, meta_json=meta_json, **payload)
-            # Durability: flush + fsync *before* the rename.  os.replace is
-            # atomic for concurrent readers but says nothing about the
-            # order data and the rename reach the disk — a power loss after
-            # the rename could otherwise surface a zero-length
-            # "successfully written" artifact.
-            handle.flush()
-            os.fsync(handle.fileno())
-        try:
-            os.replace(tmp_name, path)
-        except PermissionError as error:
-            # POSIX keeps a replaced-but-mapped inode alive; Windows instead
-            # refuses to replace a file with active memory maps.
-            raise IndexArtifactError(
-                f"cannot atomically replace {path} while it is memory-mapped "
-                f"on this platform; save to a new path or reopen the index "
-                f"with mmap=False first ({error})"
-            )
-        # Make the rename itself durable: fsync the directory so the new
-        # directory entry survives a crash.  Best-effort — some platforms
-        # (Windows) refuse to open directories.
-        with contextlib.suppress(OSError):
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
+        atomic_write(
+            path,
+            lambda stream: np.savez(stream, meta_json=meta_json, **payload),
+            error=IndexArtifactError,
+        )
+    except PermissionError as error:
+        # POSIX keeps a replaced-but-mapped inode alive; Windows instead
+        # refuses to replace a file with active memory maps.
+        raise IndexArtifactError(
+            f"cannot write or atomically replace {path} ({error}); if it is "
+            f"memory-mapped on this platform, save to a new path or reopen "
+            f"the index with mmap=False first"
+        )
     return path
 
 

@@ -383,17 +383,17 @@ class InfluenceIndex:
         stop,
         append_block,
     ) -> None:
-        """Fan pre-drawn token blocks out to a supervised pool.
+        """Fan pre-drawn token blocks out to a
+        :class:`~repro.runtime.pool.SupervisedPool`.
 
         Tokens are drawn from ``rng`` here, block by block in serial order
         — the exact draws the serial loop would have made — and the pool's
         in-order result callback appends blocks in that same order, so
-        parallelism never touches the randomness stream.  Workers map the
-        graph's CSR from a scratch :class:`SharedGraph` dump rather than
-        inheriting or pickling it.
+        parallelism never touches the randomness stream.  The compiled
+        graph reaches the workers through the pool's ``init_args``, as in
+        :class:`~repro.diffusion.simulation.MonteCarloEngine`.
         """
         from repro.runtime.pool import SupervisedPool
-        from repro.runtime.sharedgraph import share_graph
         from repro.sketches.sampler import (
             sampler_worker_init,
             sampler_worker_run,
@@ -410,19 +410,14 @@ class InfluenceIndex:
             members, indptr, _ = result
             append_block(members, indptr)
 
-        shared = share_graph(self.graph)
-        pool = SupervisedPool(
+        with SupervisedPool(
             sampler_worker_run,
             workers=workers,
             init_fn=sampler_worker_init,
-            init_args=(shared, self.model),
+            init_args=(self.graph, self.model),
             name="index-grow",
-        )
-        try:
+        ) as pool:
             pool.run(payloads, stage="sample", stop=stop, on_result=on_result)
-        finally:
-            pool.close()
-            shared.cleanup()
 
     # ----------------------------------------------------------------- queries
 

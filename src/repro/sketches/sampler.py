@@ -220,17 +220,12 @@ def in_edge_probabilities(graph: CompiledGraph, model: str) -> np.ndarray:
 _WORKER_STATE: dict = {}
 
 
-def sampler_worker_init(graph, model: str) -> None:
-    """Build the worker-side sampler once per supervised worker process.
+def sampler_worker_init(graph: CompiledGraph, model: str) -> None:
+    """Build the sampler once per pool worker process.
 
-    ``graph`` is either a :class:`~repro.graphs.digraph.CompiledGraph` or a
-    picklable handle exposing ``load_compiled()`` (the runtime's mmap-backed
-    :class:`~repro.runtime.sharedgraph.SharedGraph`), so workers on spawn
-    platforms map the CSR arrays instead of copying them.
+    The pool passes ``graph`` as an initializer argument: forked workers
+    inherit it, spawned ones unpickle it once, never once per block.
     """
-    loader = getattr(graph, "load_compiled", None)
-    if loader is not None:
-        graph = loader()
     _WORKER_STATE["sampler"] = BatchRRSampler(graph, model)
 
 
@@ -433,10 +428,11 @@ class BatchRRSampler:
 
         At most ``slots`` sets are in flight at once (all of them when
         omitted); the result does not depend on ``slots``.  This is the
-        replay primitive behind the supervised runtime: a token fully
+        replay primitive behind the runtime's pool: a token fully
         determines its RR set (root and every uniform), so any process
-        sampling the same token block — first try, crash replay or
-        in-process fallback — produces bit-for-bit identical CSR arrays.
+        sampling the same token block — a worker, or the parent replaying
+        a crashed worker's block — produces bit-for-bit identical CSR
+        arrays.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size == 0 or self.n == 0:

@@ -161,3 +161,18 @@ def test_docs_name_only_existing_backends_and_estimators(doc):
     unknown = sorted(set(backends) - set(ESTIMATOR_BACKENDS))
     unknown += sorted(name for name in estimators if not hasattr(repro.api, name))
     assert not unknown, f"{doc} names retired backends or estimators: {unknown}"
+
+
+@pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
+def test_docs_name_only_registered_metrics(doc):
+    """A documented ``repro_*_total`` / ``repro_*_seconds`` metric must be
+    registered under that exact (quoted) name somewhere in ``src/``, so a
+    runbook cannot point at a counter that was deleted."""
+    text = (REPO_ROOT / doc).read_text(encoding="utf-8")
+    named = set(re.findall(r"\b(repro_\w+?_(?:total|seconds))\b", text))
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in (REPO_ROOT / "src").rglob("*.py")
+    )
+    missing = sorted(name for name in named if f'"{name}"' not in source)
+    assert not missing, f"{doc} names unregistered metrics: {missing}"

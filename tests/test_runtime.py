@@ -1,10 +1,11 @@
 """Tests for the supervised execution runtime.
 
-Covers the SupervisedPool supervision paths (crash replay, liveness
-kills, respawn budget, in-process fallback), the bit-for-bit determinism
-of parallel index growth after a worker death, checkpoint/resume identity
-for builds and experiment runs, cooperative interrupts, and the CLI's
-kill-then-resume contract (exercised cross-process with real signals).
+Covers the SupervisedPool contract (block order, stop, task failures,
+in-parent replay after a worker death), the bit-for-bit determinism of
+parallel index growth and Monte-Carlo estimates after a worker death,
+checkpoint/resume identity for builds and experiment runs, cooperative
+interrupts, and the CLI's kill-then-resume contract (exercised
+cross-process with real signals).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.exceptions import (
     ConfigurationError,
     ExecutionInterrupted,
     TaskFailedError,
-    WorkerCrashError,
 )
+from repro.diffusion.simulation import MonteCarloEngine, _simulate_batch_pooled
 from repro.graphs.generators import erdos_renyi_graph
 from repro.runtime import (
     BuildCheckpoint,
@@ -36,6 +37,7 @@ from repro.runtime import (
 from repro.runtime.interrupt import raise_on_sigterm
 from repro.serving import InfluenceIndex, payload_checksum
 from repro.sketches.sampler import sampler_worker_run
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.specs import (
     AlgorithmSpec,
     EstimatorSpec,
@@ -71,7 +73,7 @@ _FAULT_MARKER = None
 
 def _fault_here() -> bool:
     """Whether this process should fault now; never in the parent itself,
-    which is where the in-process fallback runs blocks."""
+    which is where crash replay runs blocks."""
     if multiprocessing.parent_process() is None:
         return False
     if _FAULT_MARKER is None:
@@ -89,16 +91,16 @@ def _square_or_exit(payload):
     return payload * payload
 
 
-def _square_or_freeze(payload):
-    if _fault_here():
-        os.kill(os.getpid(), signal.SIGSTOP)  # no heartbeat, no result
-    return payload * payload
-
-
 def _sample_or_exit(tokens):
     if _fault_here():
         os._exit(137)
     return sampler_worker_run(tokens)
+
+
+def _simulate_or_exit(payload):
+    if _fault_here():
+        os._exit(137)
+    return _simulate_batch_pooled(payload)
 
 
 def _fault_once(monkeypatch, tmp_path):
@@ -122,14 +124,6 @@ def serial_index(wc_graph):
     )
 
 
-def _fast_supervision(monkeypatch):
-    """Shrink the module-default supervision knobs so tests run quickly."""
-    import repro.runtime.pool as pool_mod
-
-    monkeypatch.setattr(pool_mod, "DEFAULT_HEARTBEAT_INTERVAL", 0.05)
-    monkeypatch.setattr(pool_mod, "DEFAULT_HEARTBEAT_TIMEOUT", 0.6)
-
-
 # ------------------------------------------------------------ SupervisedPool
 
 
@@ -137,8 +131,6 @@ class TestSupervisedPool:
     def test_results_come_back_in_payload_order(self):
         with SupervisedPool(_square, workers=2) as pool:
             assert pool.run(list(range(12))) == [i * i for i in range(12)]
-            assert pool.stats.blocks_completed == 12
-            assert pool.stats.crashes == 0
 
     def test_empty_payloads_is_a_noop(self):
         with SupervisedPool(_square, workers=1) as pool:
@@ -175,39 +167,16 @@ class TestSupervisedPool:
             # The pool stays usable: the next run spawns fresh workers.
             assert pool.run([0, 1, 2]) == [0, 1, 2]
 
-    def test_worker_death_costs_one_replayed_block(self, monkeypatch, tmp_path):
-        _fast_supervision(monkeypatch)
+    def test_worker_death_is_replayed_in_the_parent(self, monkeypatch, tmp_path):
         _fault_once(monkeypatch, tmp_path)
-        with SupervisedPool(_square_or_exit, workers=2) as pool:
-            assert pool.run(list(range(10))) == [i * i for i in range(10)]
-            assert pool.stats.crashes == 1
-            assert pool.stats.blocks_replayed == 1
-            assert pool.stats.respawns == 1
-
-    def test_hung_worker_is_liveness_killed(self, monkeypatch, tmp_path):
-        _fast_supervision(monkeypatch)
-        _fault_once(monkeypatch, tmp_path)
-        with SupervisedPool(_square_or_freeze, workers=2) as pool:
-            assert pool.run(list(range(6))) == [i * i for i in range(6)]
-            assert pool.stats.crashes == 1
-            assert pool.stats.blocks_replayed == 1
-
-    def test_exhausted_budget_degrades_to_in_process_fallback(self, monkeypatch):
-        _fast_supervision(monkeypatch)
-        # Every first-generation worker dies on its first block and the
-        # respawn budget is zero, so the pool must finish the work inline.
-        with SupervisedPool(_square_or_exit, workers=2, max_respawns=0) as pool:
-            assert pool.run(list(range(6))) == [i * i for i in range(6)]
-            assert pool.stats.fallback_blocks == 6
-            assert pool.stats.respawns == 0
-
-    def test_fallback_disabled_raises_worker_crash_error(self, monkeypatch):
-        _fast_supervision(monkeypatch)
-        with SupervisedPool(
-            _square_or_exit, workers=2, max_respawns=0, fallback=False
-        ) as pool:
-            with pytest.raises(WorkerCrashError):
-                pool.run(list(range(6)))
+        with use_registry(MetricsRegistry()) as registry:
+            with SupervisedPool(_square_or_exit, workers=2) as pool:
+                assert pool.run(list(range(10))) == [i * i for i in range(10)]
+                # The next run starts a fresh executor.
+                assert pool.run([4, 5]) == [16, 25]
+            replayed = registry.get("repro_runtime_blocks_replayed_total")
+        assert (tmp_path / "faulted").exists()  # a worker really died
+        assert replayed is not None and replayed.value >= 1
 
 
 # ------------------------------------------------- parallel grow determinism
@@ -228,7 +197,6 @@ class TestParallelGrowDeterminism:
     ):
         import repro.sketches.sampler as sampler_mod
 
-        _fast_supervision(monkeypatch)
         _fault_once(monkeypatch, tmp_path)
         monkeypatch.setattr(sampler_mod, "sampler_worker_run", _sample_or_exit)
         rebuilt = InfluenceIndex.build(
@@ -237,6 +205,30 @@ class TestParallelGrowDeterminism:
         assert (tmp_path / "faulted").exists()  # a worker really died
         assert rebuilt.collection == serial_index.collection
         assert rebuilt.select(5).seeds == serial_index.select(5).seeds
+
+
+class TestParallelMonteCarloReplay:
+    def test_estimate_after_a_worker_death_equals_serial(
+        self, wc_graph, monkeypatch, tmp_path
+    ):
+        import repro.diffusion.simulation as simulation_mod
+
+        seeds = [0, 5, 17]
+        serial = MonteCarloEngine(wc_graph, "ic", simulations=600, seed=11)
+        expected = serial.estimate(seeds)
+        _fault_once(monkeypatch, tmp_path)
+        monkeypatch.setattr(
+            simulation_mod, "_simulate_batch_pooled", _simulate_or_exit
+        )
+        engine = MonteCarloEngine(
+            wc_graph, "ic", simulations=600, seed=11, workers=2
+        )
+        try:
+            estimate = engine.estimate(seeds)
+        finally:
+            engine.close()
+        assert (tmp_path / "faulted").exists()  # a worker really died
+        assert estimate == expected
 
 
 # ------------------------------------------------------------ BuildCheckpoint

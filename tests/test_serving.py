@@ -271,13 +271,33 @@ class TestArtifactStore:
         import os
         import stat
 
+        from repro.runtime import BuildCheckpoint
+
+        checkpoint = BuildCheckpoint(tmp_path / "build.npz")
         previous = os.umask(0o022)
         try:
             path = built_index.save(tmp_path / "perm.npz")
+            checkpoint.save(built_index, 8000)
         finally:
             os.umask(previous)
-        mode = stat.S_IMODE(path.stat().st_mode)
-        assert mode == 0o644  # not the 0600 tempfile.mkstemp default
+        # Not the 0600 tempfile.mkstemp default, for either writer.
+        for written in (path, checkpoint.artifact_path, checkpoint.manifest_path):
+            assert stat.S_IMODE(written.stat().st_mode) == 0o644
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        from repro.utils.atomic import atomic_write
+
+        target = tmp_path / "manifest.json"
+        target.write_bytes(b"previous")
+
+        def half_then_fail(stream):
+            stream.write(b"torn")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(target, half_then_fail, error=IndexArtifactError)
+        assert target.read_bytes() == b"previous"
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_garbage_metadata_values_rejected(self, tmp_path):
         from repro.serving.artifact import build_metadata
