@@ -47,7 +47,6 @@ from repro.exceptions import (
     IndexMismatchError,
     LifecycleError,
     LintError,
-    LockOrderError,
     MissingAnnotationError,
     ReproError,
     RNGError,
@@ -133,7 +132,6 @@ __all__ = [
     "RNGError",
     "LifecycleError",
     "LintError",
-    "LockOrderError",
     "SketchError",
     "SketchIndexError",
     "MissingAnnotationError",

@@ -267,28 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     telemetry_parser.add_argument("--json", action="store_true")
 
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="run the project invariant linter (repro.devtools) over source "
-        "trees",
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint_parser.add_argument(
-        "--rules", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    lint_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule table and exit",
-    )
-    lint_parser.add_argument(
-        "--explain", default=None, metavar="CODE",
-        help="print the full explanation for one rule (e.g. REP007) and exit",
-    )
-    lint_parser.add_argument("--json", action="store_true")
     return parser
 
 
@@ -844,52 +822,6 @@ def _command_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    # Imported lazily: the devtools framework is stdlib-only, but keeping it
-    # out of module scope means `repro select` never pays for it at all.
-    import pathlib
-
-    from repro import devtools
-
-    if args.list_rules:
-        rules = devtools.all_rules()
-        if args.json:
-            print(json.dumps([
-                {"code": rule.code, "name": rule.name, "summary": rule.summary}
-                for rule in rules
-            ], indent=2))
-        else:
-            for rule in rules:
-                print(f"{rule.code}  {rule.name:22s} {rule.summary}")
-        return 0
-
-    if args.explain:
-        rule = devtools.get_rule(args.explain.strip())
-        doc = (type(rule).__doc__ or "").strip()
-        if args.json:
-            print(json.dumps({
-                "code": rule.code, "name": rule.name,
-                "summary": rule.summary, "explanation": doc,
-            }, indent=2))
-        else:
-            print(f"{rule.code}  {rule.name}\n{rule.summary}\n")
-            if doc:
-                print(doc)
-        return 0
-
-    rules = None
-    if args.rules:
-        rules = [
-            devtools.get_rule(code.strip())
-            for code in args.rules.split(",")
-            if code.strip()
-        ]
-    paths = [pathlib.Path(path) for path in args.paths]
-    report = devtools.run_lint(paths, root=pathlib.Path.cwd(), rules=rules)
-    print(devtools.render_json(report) if args.json else devtools.render_text(report))
-    return 0 if report.ok else 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -901,7 +833,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "index": _command_index,
         "serve": _command_serve,
         "telemetry": _command_telemetry,
-        "lint": _command_lint,
     }
     return handlers[args.command](args)
 

@@ -1,12 +1,9 @@
-"""Developer tooling: the invariant linter and the runtime lock checker.
+"""Developer tooling: the invariant linter.
 
-``repro lint`` (and the CI ``lint`` job) runs the per-file AST rules in
-:mod:`repro.devtools.rules` over ``src/`` and fails on any finding; the
-framework — registration, ``# repro: noqa[RULE]`` suppressions and the
-JSON/human reporters — lives in :mod:`repro.devtools.framework`.
-:mod:`repro.devtools.lockcheck` holds the declared serving-layer lock
-hierarchy plus the runtime monitor the serving tests run under
-(``REPRO_LOCKCHECK=1``), which checks lock order across call chains.
+Tier-1's ``test_src_is_lint_clean`` runs the per-file AST rules of
+:mod:`repro.devtools.rules` (the ``RULES`` tuple) over ``src/`` and fails
+on any finding; ``# repro: noqa[RULE]`` suppressions, the driver and
+the text reporter live in :mod:`repro.devtools.framework`.
 
 This package is import-light on purpose: it depends only on the
 standard library and :mod:`repro.exceptions`, so linting never drags in
@@ -18,33 +15,17 @@ from repro.devtools.framework import (
     LintReport,
     ModuleContext,
     Rule,
-    all_rules,
-    get_rule,
-    register,
-    render_json,
     render_text,
     run_lint,
 )
-from repro.devtools.lockcheck import (
-    LOCK_HIERARCHY,
-    InstrumentedLock,
-    LockOrderMonitor,
-    instrument_serving,
-)
+from repro.devtools.rules import RULES
 
 __all__ = [
     "Finding",
-    "InstrumentedLock",
-    "LOCK_HIERARCHY",
     "LintReport",
-    "LockOrderMonitor",
     "ModuleContext",
+    "RULES",
     "Rule",
-    "all_rules",
-    "get_rule",
-    "instrument_serving",
-    "register",
-    "render_json",
     "render_text",
     "run_lint",
 ]

@@ -1,35 +1,33 @@
-"""AST-based invariant linter: rule registry, suppressions, reporters.
+"""AST-based invariant linter: suppressions, driver and reporter.
 
 The library's headline guarantee — bit-for-bit deterministic seed sets
 across every backend — rests on a handful of project-wide invariants
 (all randomness flows through :mod:`repro.utils.rng` tokens, no wall
-clock in deterministic paths, one exception taxonomy, a declared lock
-hierarchy in the serving layer).  Tests exercise those invariants only
-on the paths they happen to cover; this module makes them machine
-checked on every file of ``src/``.
+clock in deterministic paths, one exception taxonomy).  Tests exercise
+those invariants only on the paths they happen to cover; this module
+makes them machine checked on every file of ``src/``.
 
 Pieces:
 
 * :class:`Rule` — one invariant, implemented as a visitor over a parsed
-  module; registered via :func:`register` under a stable ``REPxxx`` code.
+  module under a stable ``REPxxx`` code; the rules are the ``RULES``
+  tuple of :mod:`repro.devtools.rules`.
 * :class:`Finding` — one violation at a (path, line, column).
 * ``# repro: noqa[REP001]`` — per-line, per-rule suppression.  Bare
   ``# repro: noqa`` is deliberately not supported: every suppression
   names the rule it silences.
-* :func:`run_lint` + :func:`render_text`/:func:`render_json` — driver
-  and reporters for the ``repro lint`` CLI and the CI job.  Any finding
-  fails the run.
+* :func:`run_lint` + :func:`render_text` — driver and reporter for
+  tier-1's ``test_src_is_lint_clean``.  Any finding fails it.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import pathlib
 import re
 import tokenize
-from typing import Dict, Iterator, List, Optional, Sequence, Type
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.exceptions import LintError
 
@@ -38,11 +36,7 @@ __all__ = [
     "LintReport",
     "ModuleContext",
     "Rule",
-    "all_rules",
-    "get_rule",
     "iter_source_files",
-    "register",
-    "render_json",
     "render_text",
     "run_lint",
 ]
@@ -63,15 +57,6 @@ class Finding:
     column: int
     rule: str
     message: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
 
 class ModuleContext:
@@ -126,16 +111,11 @@ def _dotted_name(relpath: str) -> str:
 class Rule:
     """Base class for one lint rule.
 
-    Subclasses set ``code`` (stable ``REPxxx`` identifier), ``name`` (a
-    short kebab-case slug used in docs) and ``summary``, and implement
-    :meth:`check` yielding findings.  Registration is explicit via the
-    :func:`register` decorator so importing :mod:`repro.devtools.rules`
-    is what populates the registry.
+    Subclasses set ``code`` (a stable ``REPxxx`` identifier) and
+    implement :meth:`check` yielding findings.
     """
 
     code: str = ""
-    name: str = ""
-    summary: str = ""
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -150,42 +130,6 @@ class Rule:
             rule=self.code,
             message=message,
         )
-
-
-_REGISTRY: Dict[str, Type[Rule]] = {}
-
-
-def register(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding ``rule_class`` to the global registry."""
-    code = rule_class.code
-    if not _CODE_PATTERN.match(code):
-        raise LintError(f"rule code {code!r} does not match REPxxx")
-    if code in _REGISTRY and _REGISTRY[code] is not rule_class:
-        raise LintError(f"duplicate rule code {code!r}")
-    _REGISTRY[code] = rule_class
-    return rule_class
-
-
-def all_rules() -> List[Rule]:
-    """Instantiate every registered rule, in code order."""
-    _ensure_builtin_rules()
-    return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
-
-
-def get_rule(code: str) -> Rule:
-    _ensure_builtin_rules()
-    try:
-        return _REGISTRY[code]()
-    except KeyError:
-        raise LintError(
-            f"unknown rule {code!r}; known rules: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def _ensure_builtin_rules() -> None:
-    # Importing the rules module triggers its @register decorators exactly
-    # once; done lazily so framework <-> rules is not an import cycle.
-    from repro.devtools import rules as _rules  # noqa: F401
 
 
 def iter_source_files(paths: Sequence[pathlib.Path]) -> Iterator[pathlib.Path]:
@@ -259,10 +203,11 @@ def run_lint(
     paths: Sequence[pathlib.Path],
     *,
     root: Optional[pathlib.Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with every registered rule."""
-    active = list(rules) if rules is not None else all_rules()
+    """Lint every Python file under ``paths`` with every rule in ``RULES``."""
+    # Imported here: the rules module imports this one.
+    from repro.devtools.rules import RULES
+
     base = (root or pathlib.Path.cwd()).resolve()
     findings: List[Finding] = []
     suppressed = 0
@@ -275,7 +220,7 @@ def run_lint(
         source = path.read_text(encoding="utf-8")
         module = ModuleContext(path, relpath.replace("\\", "/"), source)
         noqa = _suppressed_lines(source, path)
-        for rule in active:
+        for rule in RULES:
             for finding in rule.check(module):
                 if finding.rule in noqa.get(finding.line, ()):
                     suppressed += 1
@@ -306,15 +251,3 @@ def render_text(report: LintReport) -> str:
     lines.append(summary + (" — OK" if report.ok else ""))
     return "\n".join(lines)
 
-
-def render_json(report: LintReport) -> str:
-    """JSON reporter for machine consumers (CI annotations, editors)."""
-    payload = {
-        "version": 1,
-        "ok": report.ok,
-        "files_checked": report.files_checked,
-        "suppressed": report.suppressed,
-        "counts_by_rule": report.counts_by_rule(),
-        "findings": [finding.to_dict() for finding in report.findings],
-    }
-    return json.dumps(payload, indent=2)

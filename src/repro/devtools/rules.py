@@ -1,10 +1,11 @@
-"""The project-specific lint rules enforced by ``repro lint``.
+"""The project-specific lint rules that tier-1 runs over ``src/``.
 
 Each rule guards one invariant the test suite can only check on the
 paths it happens to execute; see DESIGN.md ("Invariants and how they're
-enforced") for the rationale, suppression policy and lock hierarchy.
+enforced") for the rationale and suppression policy.
 
-Rule codes are stable and never reused:
+Rule codes are stable and never reused; the gap after REP006 is a
+retired static lock-order rule:
 
 ========  ======================  ==============================================
 Code      Name                    Invariant
@@ -15,7 +16,6 @@ REP003    exception-taxonomy      every raise uses the repro.exceptions hierarch
 REP004    no-swallowed-except     no bare/broad except that fails to re-raise
 REP005    csr-immutability        CompiledGraph CSR arrays mutate only in graphs/
 REP006    all-exports             __all__ present in packages, bound + complete
-REP007    lock-order              serving locks acquired in declared order
 REP008    no-print                library code never prints (CLI/bench excepted)
 REP009    telemetry-conventions   metric names are repro_-prefixed snake_case,
                                   registered via the registry (no raw dict tallies)
@@ -30,23 +30,17 @@ import ast
 import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.devtools.framework import (
-    Finding,
-    ModuleContext,
-    Rule,
-    register,
-)
-from repro.devtools.lockcheck import LOCK_HIERARCHY, STATIC_LOCK_MAP
+from repro.devtools.framework import Finding, ModuleContext, Rule
 
 __all__ = [
     "AllExportsRule",
     "CsrImmutabilityRule",
     "ExceptionTaxonomyRule",
-    "LockOrderRule",
     "NoPrintRule",
     "NoRawPoolsRule",
     "NoSwallowedExceptRule",
     "NoWallClockRule",
+    "RULES",
     "RngDisciplineRule",
     "TelemetryConventionsRule",
 ]
@@ -80,7 +74,6 @@ def _imported_names(tree: ast.Module) -> Dict[str, str]:
     return origins
 
 
-@register
 class RngDisciplineRule(Rule):
     """All randomness is created in :mod:`repro.utils.rng`, nowhere else.
 
@@ -94,8 +87,6 @@ class RngDisciplineRule(Rule):
     """
 
     code = "REP001"
-    name = "rng-discipline"
-    summary = "no np.random.* / random.* calls outside repro.utils.rng"
 
     ALLOWED_MODULES = ("repro.utils.rng",)
 
@@ -140,7 +131,6 @@ class RngDisciplineRule(Rule):
         return None
 
 
-@register
 class NoWallClockRule(Rule):
     """Deterministic modules never read the wall clock.
 
@@ -152,8 +142,6 @@ class NoWallClockRule(Rule):
     """
 
     code = "REP002"
-    name = "no-wall-clock"
-    summary = "no time.time()/datetime.now() — monotonic or injectable clocks only"
 
     BANNED_TIME = {"time", "time_ns", "ctime", "localtime", "gmtime", "strftime"}
     BANNED_DATETIME = {"now", "utcnow", "today", "fromtimestamp"}
@@ -197,7 +185,6 @@ class NoWallClockRule(Rule):
         return None
 
 
-@register
 class ExceptionTaxonomyRule(Rule):
     """Every ``raise`` uses the :mod:`repro.exceptions` hierarchy.
 
@@ -209,8 +196,6 @@ class ExceptionTaxonomyRule(Rule):
     """
 
     code = "REP003"
-    name = "exception-taxonomy"
-    summary = "raise repro.exceptions types, not builtin exceptions"
 
     BUILTIN_EXCEPTIONS = {
         "ArithmeticError",
@@ -288,7 +273,6 @@ class ExceptionTaxonomyRule(Rule):
         return None
 
 
-@register
 class NoSwallowedExceptRule(Rule):
     """No bare/broad ``except`` that fails to re-raise.
 
@@ -302,8 +286,6 @@ class NoSwallowedExceptRule(Rule):
     """
 
     code = "REP004"
-    name = "no-swallowed-except"
-    summary = "broad except handlers must re-raise (or carry a justification noqa)"
 
     BROAD = {"Exception", "BaseException"}
 
@@ -335,7 +317,6 @@ class NoSwallowedExceptRule(Rule):
         return None
 
 
-@register
 class CsrImmutabilityRule(Rule):
     """CompiledGraph CSR arrays are written only inside ``repro.graphs``.
 
@@ -347,8 +328,6 @@ class CsrImmutabilityRule(Rule):
     """
 
     code = "REP005"
-    name = "csr-immutability"
-    summary = "no writes to CompiledGraph CSR arrays outside repro.graphs"
 
     CSR_FIELDS = {
         "out_indptr",
@@ -396,7 +375,6 @@ class CsrImmutabilityRule(Rule):
         return None
 
 
-@register
 class AllExportsRule(Rule):
     """``__all__`` is present in packages, bound, and covers the public API.
 
@@ -409,8 +387,6 @@ class AllExportsRule(Rule):
     """
 
     code = "REP006"
-    name = "all-exports"
-    summary = "__all__ present in __init__.py, entries bound, re-exports listed"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         is_init = module.path.name == "__init__.py"
@@ -524,93 +500,6 @@ class AllExportsRule(Rule):
                         yield name, node
 
 
-@register
-class LockOrderRule(Rule):
-    """Serving-layer locks are acquired in the declared hierarchy order.
-
-    The hierarchy (outermost first) lives in
-    :data:`repro.devtools.lockcheck.LOCK_HIERARCHY`; this rule checks the
-    statically visible part — ``with`` statements nested inside one
-    function — and the runtime checker
-    (:class:`repro.devtools.lockcheck.LockOrderMonitor`) covers
-    acquisitions that cross function and thread boundaries during the
-    serving tests.
-    """
-
-    code = "REP007"
-    name = "lock-order"
-    summary = "nested lock acquisitions must follow the declared serving hierarchy"
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for function, class_name in self._functions(module.tree):
-            yield from self._check_function(module, function, class_name)
-
-    @staticmethod
-    def _functions(
-        tree: ast.Module,
-    ) -> Iterator[Tuple[ast.AST, Optional[str]]]:
-        class_of: Dict[ast.AST, Optional[str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                for child in node.body:
-                    class_of[child] = node.name
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node, class_of.get(node)
-
-    def _check_function(
-        self, module: ModuleContext, function: ast.AST, class_name: Optional[str]
-    ) -> Iterator[Finding]:
-        yield from self._walk_withs(module, function, class_name, [])
-
-    def _walk_withs(
-        self,
-        module: ModuleContext,
-        node: ast.AST,
-        class_name: Optional[str],
-        held: List[Tuple[int, str]],
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue  # fresh scope: a nested def is not a nested acquisition
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                acquired: List[Tuple[int, str]] = []
-                for item in child.items:
-                    rank = self._lock_rank(item.context_expr, class_name)
-                    if rank is None:
-                        continue
-                    level, label = rank
-                    for held_level, held_label in held + acquired:
-                        if level < held_level or (
-                            level == held_level and label != held_label
-                        ):
-                            yield self.finding(
-                                module,
-                                item.context_expr,
-                                f"acquires {label} while holding {held_label} — "
-                                "declared order is "
-                                + " -> ".join(LOCK_HIERARCHY),
-                            )
-                    acquired.append((level, label))
-                yield from self._walk_withs(
-                    module, child, class_name, held + acquired
-                )
-            else:
-                yield from self._walk_withs(module, child, class_name, held)
-
-    @staticmethod
-    def _lock_rank(
-        expr: ast.expr, class_name: Optional[str]
-    ) -> Optional[Tuple[int, str]]:
-        if not (
-            isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
-        ):
-            return None
-        owner = class_name if expr.value.id == "self" else None
-        return STATIC_LOCK_MAP.get((owner, expr.attr))
-
-
-@register
 class NoPrintRule(Rule):
     """Library code never prints; only the CLI and benches talk to stdout.
 
@@ -621,8 +510,6 @@ class NoPrintRule(Rule):
     """
 
     code = "REP008"
-    name = "no-print"
-    summary = "no print() outside repro.cli / repro.bench"
 
     ALLOWED_MODULES = ("repro.cli", "repro.bench")
 
@@ -643,7 +530,6 @@ class NoPrintRule(Rule):
                 )
 
 
-@register
 class TelemetryConventionsRule(Rule):
     """Telemetry metrics are named and registered the one blessed way.
 
@@ -658,15 +544,11 @@ class TelemetryConventionsRule(Rule):
     """
 
     code = "REP009"
-    name = "telemetry-conventions"
-    summary = (
-        "metric names repro_-prefixed snake_case; no raw dict counter tallies"
-    )
 
     #: Methods on a registry (or family constructors) whose first argument
     #: is a metric name.
-    REGISTRY_METHODS = ("counter", "gauge", "histogram")
-    FAMILY_CLASSES = ("Counter", "Gauge", "Histogram")
+    REGISTRY_METHODS = ("counter", "histogram")
+    FAMILY_CLASSES = ("Counter", "Histogram")
     #: Instance-dict names that signal a hand-rolled metrics store.
     RAW_COUNTER_ATTRS = ("_stats", "_counters", "_metrics")
     NAME_PATTERN = r"^repro_[a-z][a-z0-9_]*$"
@@ -718,7 +600,6 @@ class TelemetryConventionsRule(Rule):
         return None
 
 
-@register
 class NoRawPoolsRule(Rule):
     """Worker processes are spawned only through :mod:`repro.runtime`.
 
@@ -733,10 +614,6 @@ class NoRawPoolsRule(Rule):
     """
 
     code = "REP010"
-    name = "no-raw-pools"
-    summary = (
-        "no multiprocessing.Pool / ProcessPoolExecutor outside repro.runtime"
-    )
 
     ALLOWED_MODULES = ("repro.runtime",)
     BANNED_CALLS = {
@@ -781,7 +658,21 @@ class NoRawPoolsRule(Rule):
             return self.BANNED_CALLS[chain]
         # ``mp.Pool(...)`` under any import alias of multiprocessing —
         # except multiprocessing.dummy, whose Pool is a thread pool.
-        if chain.endswith(".Pool") and "dummy" not in chain:
+        if chain.endswith(".Pool") and "dummy" not in full:
             if origin is not None and origin.startswith("multiprocessing"):
                 return full
         return None
+
+
+#: Every rule tier-1 runs, in code order.
+RULES: Tuple[Rule, ...] = (
+    RngDisciplineRule(),
+    NoWallClockRule(),
+    ExceptionTaxonomyRule(),
+    NoSwallowedExceptRule(),
+    CsrImmutabilityRule(),
+    AllExportsRule(),
+    NoPrintRule(),
+    TelemetryConventionsRule(),
+    NoRawPoolsRule(),
+)

@@ -199,19 +199,9 @@ class SpecError(ConfigurationError):
 class LintError(ReproError, RuntimeError):
     """Raised by :mod:`repro.devtools` for unusable lint input.
 
-    Covers unparsable source, malformed ``# repro: noqa[...]`` comments,
-    missing lint targets and unknown rule codes — *not* rule violations,
-    which are reported as findings, never exceptions.
-    """
-
-
-class LockOrderError(ReproError, RuntimeError):
-    """Raised when the runtime lock checker records an ordering violation.
-
-    The serving layer declares a total acquisition order
-    (:data:`repro.devtools.lockcheck.LOCK_HIERARCHY`); an edge against
-    that order, or any cycle in the recorded acquisition graph, is a
-    latent deadlock even if the run itself did not hang.
+    Covers unparsable source, malformed ``# repro: noqa[...]`` comments
+    and missing lint targets — *not* rule violations, which are reported
+    as findings, never exceptions.
     """
 
 

@@ -7,7 +7,8 @@ crash replay.  A worker that dies (an OOM kill) breaks the executor; the
 pool keeps the blocks that finished, runs the rest in the parent (calling
 ``init_fn`` there once) and starts a fresh executor on the next ``run``.
 A task that *raises* is not replayed — it would raise again — and
-surfaces as :class:`~repro.exceptions.TaskFailedError`.
+surfaces as :class:`~repro.exceptions.TaskFailedError`.  A worker whose
+parent dies without closing the pool (a SIGKILL) exits on its own.
 
 **Replay invariant.**  A task's payload fully determines its result — the
 RR sampler's counter-based token blocks and the Monte-Carlo engine's
@@ -18,6 +19,9 @@ block is bit-for-bit identical to its first execution.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence
@@ -33,6 +37,26 @@ __all__ = ["SupervisedPool"]
 
 #: How long ``run`` waits for a completion before polling ``stop`` again.
 _POLL_SECONDS = 0.05
+
+#: How often a worker checks that the process that started it is alive.
+_ORPHAN_POLL_SECONDS = 0.25
+
+
+def _exit_when_orphaned(parent_pid: int) -> None:
+    while os.getppid() == parent_pid:
+        time.sleep(_ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
+def _worker_init(
+    parent_pid: int, init_fn: Optional[Callable[..., None]], init_args: tuple
+) -> None:
+    """Executor initializer: exit once orphaned, then run ``init_fn``."""
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent_pid,), daemon=True
+    ).start()
+    if init_fn is not None:
+        init_fn(*init_args)
 
 
 class SupervisedPool:
@@ -173,8 +197,8 @@ class SupervisedPool:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     mp_context=self._ctx,
-                    initializer=self.init_fn,
-                    initargs=self.init_args,
+                    initializer=_worker_init,
+                    initargs=(os.getpid(), self.init_fn, self.init_args),
                 )
             try:
                 for payload in payloads:

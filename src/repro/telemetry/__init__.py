@@ -2,10 +2,10 @@
 
 Three small modules:
 
-* :mod:`repro.telemetry.registry` — thread-safe :class:`Counter`,
-  :class:`Gauge` and :class:`Histogram` families behind a
-  :class:`MetricsRegistry`, plus the process-global default registry the
-  engines record into (swap/reset/scoped hooks for tests).
+* :mod:`repro.telemetry.registry` — thread-safe :class:`Counter` and
+  :class:`Histogram` families behind a :class:`MetricsRegistry`, plus the
+  process-global default registry the engines record into
+  (swap/reset/scoped hooks for tests).
 * :mod:`repro.telemetry.tracing` — :func:`span` context managers with
   monotonic timings, per-thread parent links and deterministic SplitMix64
   span IDs, collected by a :class:`TraceRecorder` ring buffer.
@@ -29,7 +29,6 @@ from repro.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     METRIC_NAME_PATTERN,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     default_registry,
@@ -51,7 +50,6 @@ from repro.telemetry.tracing import (
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "METRIC_NAME_PATTERN",
     "MetricsRegistry",

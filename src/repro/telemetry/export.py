@@ -30,7 +30,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.exceptions import ConfigurationError
 from repro.telemetry.registry import (
     CounterChild,
-    GaugeChild,
     HistogramChild,
     MetricFamily,
     MetricsRegistry,
@@ -97,7 +96,7 @@ def _render_family(family: MetricFamily, lines: List[str]) -> None:
             )
             lines.append(f"{family.name}_count{_label_string(pairs)} {child.count}")
         else:
-            assert isinstance(child, (CounterChild, GaugeChild))
+            assert isinstance(child, CounterChild)
             lines.append(
                 f"{family.name}{_label_string(pairs)} "
                 f"{_format_value(child.value)}"

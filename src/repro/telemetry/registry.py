@@ -1,7 +1,7 @@
-"""Thread-safe metrics primitives: counters, gauges and histograms.
+"""Thread-safe metrics primitives: counters and histograms.
 
 A :class:`MetricsRegistry` owns a flat namespace of metric *families*.  A
-family is a named :class:`Counter`, :class:`Gauge` or :class:`Histogram`;
+family is a named :class:`Counter` or :class:`Histogram`;
 with ``labelnames`` it fans out into labeled children
 (``requests.labels(op="evaluate", outcome="ok").inc()``), without
 them the family itself carries the single sample.  Registration is
@@ -38,7 +38,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "METRIC_NAME_PATTERN",
     "MetricsRegistry",
@@ -113,33 +112,6 @@ class CounterChild(_Child):
             )
         with self._lock:
             self._value += float(amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class GaugeChild(_Child):
-    """A sample that can go up and down (live workers, queue depth)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, lock: threading.Lock) -> None:
-        super().__init__(lock)
-        self._value = 0.0
-
-    def set(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: Union[int, float] = 1.0) -> None:
-        with self._lock:
-            self._value += float(amount)
-
-    def dec(self, amount: Union[int, float] = 1.0) -> None:
-        with self._lock:
-            self._value -= float(amount)
 
     @property
     def value(self) -> float:
@@ -285,36 +257,6 @@ class Counter(MetricFamily):
         return child.value
 
 
-class Gauge(MetricFamily):
-    """A metric family that can go up and down."""
-
-    kind = "gauge"
-
-    def _new_child(self) -> GaugeChild:
-        return GaugeChild(self._lock)
-
-    def set(self, value: Union[int, float]) -> None:
-        child = self._unlabeled()
-        assert isinstance(child, GaugeChild)
-        child.set(value)
-
-    def inc(self, amount: Union[int, float] = 1.0) -> None:
-        child = self._unlabeled()
-        assert isinstance(child, GaugeChild)
-        child.inc(amount)
-
-    def dec(self, amount: Union[int, float] = 1.0) -> None:
-        child = self._unlabeled()
-        assert isinstance(child, GaugeChild)
-        child.dec(amount)
-
-    @property
-    def value(self) -> float:
-        child = self._unlabeled()
-        assert isinstance(child, GaugeChild)
-        return child.value
-
-
 class Histogram(MetricFamily):
     """A bucketed metric family with exact count/sum per child."""
 
@@ -385,13 +327,6 @@ class MetricsRegistry:
     ) -> Counter:
         metric = self._get_or_create(Counter, name, documentation, labelnames)
         assert isinstance(metric, Counter)
-        return metric
-
-    def gauge(
-        self, name: str, documentation: str = "", labelnames: Sequence[str] = ()
-    ) -> Gauge:
-        metric = self._get_or_create(Gauge, name, documentation, labelnames)
-        assert isinstance(metric, Gauge)
         return metric
 
     def histogram(
@@ -473,7 +408,7 @@ class MetricsRegistry:
                         }
                     )
                 else:
-                    assert isinstance(child, (CounterChild, GaugeChild))
+                    assert isinstance(child, CounterChild)
                     samples.append({"labels": labels, "value": child.value})
             metrics[family.name] = {
                 "type": family.kind,

@@ -7,8 +7,6 @@ seeds.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.datasets import load_dataset
@@ -20,26 +18,6 @@ from repro.graphs import (
     random_tree,
 )
 from repro.opinion.annotate import annotate_graph
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _lock_order_checker():
-    """Run the whole session under the runtime lock-order monitor.
-
-    Opt-in via ``REPRO_LOCKCHECK=1`` (CI sets it on the chaos step).  Any
-    serving object constructed during the session then records its lock
-    acquisitions; an inversion or cycle against the declared hierarchy in
-    :mod:`repro.devtools.lockcheck` fails the run at teardown.
-    """
-    if os.environ.get("REPRO_LOCKCHECK") != "1":
-        yield
-        return
-    from repro.devtools.lockcheck import LockOrderMonitor, instrument_serving
-
-    monitor = LockOrderMonitor()
-    with instrument_serving(monitor):
-        yield
-    monitor.check()
 
 
 @pytest.fixture

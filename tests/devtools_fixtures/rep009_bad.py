@@ -11,7 +11,7 @@ class Worker:
 
     def observe(self):
         self.registry.counter("requests_total", "Missing the repro_ prefix.")
-        self.registry.gauge("repro_BadCase", "Upper case is not snake_case.")
+        self.registry.counter("repro_BadCase", "Upper case is not snake_case.")
         self.registry.histogram("repro__", "No metric body after the prefix.")
         Counter("service.requests", "Dots do not survive Prometheus parsing.")
         self._stats["requests"] += 1

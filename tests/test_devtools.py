@@ -1,4 +1,4 @@
-"""Tests for repro.devtools: lint framework, every rule, lockcheck.
+"""Tests for repro.devtools: lint framework and every rule.
 
 Each rule is exercised against a good/bad fixture pair under
 ``tests/devtools_fixtures/`` — the bad file must produce findings for
@@ -7,27 +7,12 @@ exactly its rule, the good file none.  ``src/`` itself must lint clean.
 
 from __future__ import annotations
 
-import json
 import pathlib
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cli import main as cli_main
-from repro.devtools import (
-    LOCK_HIERARCHY,
-    LockOrderMonitor,
-    InstrumentedLock,
-    all_rules,
-    get_rule,
-    instrument_serving,
-    render_json,
-    render_text,
-    run_lint,
-)
-from repro.devtools.lockcheck import STATIC_LOCK_MAP
-from repro.exceptions import LintError, LockOrderError
+from repro.devtools import RULES, render_text, run_lint
+from repro.exceptions import LintError
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = pathlib.Path(__file__).resolve().parent / "devtools_fixtures"
@@ -48,7 +33,6 @@ RULE_FIXTURES = [
     ("REP004", "rep004_bad.py", "rep004_good.py", 2),
     ("REP005", "rep005_bad.py", "rep005_good.py", 3),
     ("REP006", "rep006_bad.py", "rep006_good_pkg/__init__.py", 2),
-    ("REP007", "rep007_bad.py", "rep007_good.py", 1),
     ("REP008", "rep008_bad.py", "rep008_good.py", 1),
     ("REP009", "rep009_bad.py", "rep009_good.py", 5),
     ("REP010", "rep010_bad.py", "rep010_good.py", 3),
@@ -84,6 +68,239 @@ class TestRuleFixtures:
         assert finding.rule == "REP008"
 
 
+def lint_snippet(tmp_path, relpath: str, source: str):
+    """Lint ``source`` saved at ``relpath`` under a throwaway root.
+
+    ``relpath`` sets the module's dotted name (``src/repro/graphs/x.py``
+    is ``repro.graphs.x``), which the package-scoped rules read.
+    """
+    path = tmp_path / relpath
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return run_lint([path], root=tmp_path)
+
+
+#: (case id, path under the lint root, source, rule codes it must raise).
+#: The fixtures pin each rule's main shape; these pin import aliases,
+#: the allowed cases each docstring names, and the package scopes.
+RULE_EDGE_CASES = [
+    (
+        "rep001-seeded-default-rng",
+        "src/repro/x.py",
+        "import numpy as np\nrng = np.random.default_rng(7)\n",
+        ["REP001"],
+    ),
+    (
+        "rep001-stdlib-random-alias",
+        "src/repro/x.py",
+        "import random as r\nx = r.random()\n",
+        ["REP001"],
+    ),
+    (
+        "rep001-from-numpy-random-import",
+        "src/repro/x.py",
+        "from numpy.random import default_rng\nrng = default_rng()\n",
+        ["REP001"],
+    ),
+    (
+        "rep001-generator-annotation-ok",
+        "src/repro/x.py",
+        "import numpy as np\n\n\ndef f(rng: np.random.Generator) -> None:\n"
+        "    return None\n",
+        [],
+    ),
+    (
+        "rep001-allowed-in-utils-rng",
+        "src/repro/utils/rng.py",
+        "import numpy as np\nrng = np.random.default_rng(7)\n",
+        [],
+    ),
+    (
+        "rep002-datetime-now",
+        "src/repro/x.py",
+        "import datetime\nstamp = datetime.datetime.now()\n",
+        ["REP002"],
+    ),
+    (
+        "rep002-from-time-import-time",
+        "src/repro/x.py",
+        "from time import time\nstamp = time()\n",
+        ["REP002"],
+    ),
+    (
+        "rep002-monotonic-clocks-ok",
+        "src/repro/x.py",
+        "import time\na = time.monotonic()\nb = time.perf_counter()\n",
+        [],
+    ),
+    (
+        "rep003-bare-class-raise",
+        "src/repro/x.py",
+        "def f():\n    raise KeyError\n",
+        ["REP003"],
+    ),
+    (
+        "rep003-attribute-protocol-ok",
+        "src/repro/x.py",
+        "def __getattr__(name):\n    raise AttributeError(name)\n",
+        [],
+    ),
+    (
+        "rep003-not-implemented-ok",
+        "src/repro/x.py",
+        "def f():\n    raise NotImplementedError\n",
+        [],
+    ),
+    (
+        "rep003-reraise-caught-ok",
+        "src/repro/x.py",
+        "try:\n    pass\nexcept ValueError as error:\n    raise error\n",
+        [],
+    ),
+    (
+        "rep004-broad-inside-tuple",
+        "src/repro/x.py",
+        "try:\n    pass\nexcept (ValueError, Exception):\n    pass\n",
+        ["REP004"],
+    ),
+    (
+        "rep004-bare-except",
+        "src/repro/x.py",
+        "try:\n    pass\nexcept:\n    x = 1\n",
+        ["REP004"],
+    ),
+    (
+        "rep004-broad-reraise-ok",
+        "src/repro/x.py",
+        "try:\n    pass\nexcept Exception:\n    x = 1\n    raise\n",
+        [],
+    ),
+    (
+        "rep004-narrow-swallow-ok",
+        "src/repro/x.py",
+        "try:\n    pass\nexcept ValueError:\n    pass\n",
+        [],
+    ),
+    (
+        "rep005-augmented-element-store",
+        "src/repro/x.py",
+        "def f(graph):\n    graph.out_probability[0] += 1.0\n",
+        ["REP005"],
+    ),
+    (
+        "rep005-delete",
+        "src/repro/x.py",
+        "def f(graph):\n    del graph.in_indices\n",
+        ["REP005"],
+    ),
+    (
+        "rep005-allowed-in-graphs",
+        "src/repro/graphs/x.py",
+        "def f(graph):\n    graph.out_indptr = None\n",
+        [],
+    ),
+    (
+        "rep006-duplicate-entry",
+        "src/repro/x.py",
+        '__all__ = ["f", "f"]\n\n\ndef f():\n    return None\n',
+        ["REP006"],
+    ),
+    (
+        "rep006-unbound-entry",
+        "src/repro/x.py",
+        '__all__ = ["missing"]\n',
+        ["REP006"],
+    ),
+    (
+        "rep006-module-without-all-ok",
+        "src/repro/x.py",
+        "def f():\n    return None\n",
+        [],
+    ),
+    (
+        "rep006-private-reexport-ok",
+        "src/repro/pkg/__init__.py",
+        "from os import path as _path\n\n__all__ = []\n",
+        [],
+    ),
+    (
+        "rep008-allowed-in-cli",
+        "src/repro/cli.py",
+        'print("ok")\n',
+        [],
+    ),
+    (
+        "rep008-allowed-in-bench",
+        "src/repro/bench/x.py",
+        'print("ok")\n',
+        [],
+    ),
+    (
+        "rep009-bad-histogram-name",
+        "src/repro/x.py",
+        'def f(registry):\n    registry.histogram("Latency", "help")\n',
+        ["REP009"],
+    ),
+    (
+        "rep009-raw-counters-dict",
+        "src/repro/x.py",
+        'class A:\n    def f(self):\n        self._counters["x"] += 1\n',
+        ["REP009"],
+    ),
+    (
+        "rep009-foreign-counter-class-ok",
+        "src/repro/x.py",
+        'from collections import Counter\ntally = Counter("abc")\n',
+        [],
+    ),
+    (
+        "rep010-multiprocessing-alias",
+        "src/repro/x.py",
+        "import multiprocessing as mp\npool = mp.Pool(2)\n",
+        ["REP010"],
+    ),
+    (
+        "rep010-from-import-executor",
+        "src/repro/x.py",
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "pool = ProcessPoolExecutor()\n",
+        ["REP010"],
+    ),
+    (
+        "rep010-dummy-thread-pool-ok",
+        "src/repro/x.py",
+        "import multiprocessing.dummy as threads\npool = threads.Pool(2)\n",
+        [],
+    ),
+    (
+        "rep010-thread-pool-executor-ok",
+        "src/repro/x.py",
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "pool = ThreadPoolExecutor()\n",
+        [],
+    ),
+    (
+        "rep010-allowed-in-runtime",
+        "src/repro/runtime/x.py",
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "pool = ProcessPoolExecutor()\n",
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "relpath,source,expected",
+    [case[1:] for case in RULE_EDGE_CASES],
+    ids=[case[0] for case in RULE_EDGE_CASES],
+)
+def test_rule_edge_case(tmp_path, relpath, source, expected):
+    report = lint_snippet(tmp_path, relpath, source)
+    assert [finding.rule for finding in report.findings] == expected, render_text(
+        report
+    )
+
+
 class TestSuppression:
     def test_noqa_suppresses_named_rule_on_line(self):
         report = lint_one(FIXTURES / "suppressed.py")
@@ -96,6 +313,28 @@ class TestSuppression:
         path.write_text(source)
         report = lint_one(path)
         assert [finding.rule for finding in report.findings] == ["REP002"]
+
+    @pytest.mark.parametrize(
+        "code,bad,good,expected", RULE_FIXTURES, ids=[r[0] for r in RULE_FIXTURES]
+    )
+    def test_noqa_silences_every_rule(self, tmp_path, code, bad, good, expected):
+        lines = (FIXTURES / bad).read_text().splitlines()
+        for line in {finding.line for finding in lint_one(FIXTURES / bad).findings}:
+            lines[line - 1] += f"  # repro: noqa[{code}]"
+        path = tmp_path / pathlib.Path(bad).name
+        path.write_text("\n".join(lines) + "\n")
+        report = run_lint([path], root=tmp_path)
+        assert report.findings == [], render_text(report)
+        assert report.suppressed == expected
+
+    @pytest.mark.parametrize("code", ["REP011", "REP012", "REP013"])
+    def test_noqa_naming_a_retired_code_silences_nothing(self, tmp_path, code):
+        assert code not in {rule.code for rule in RULES}
+        path = tmp_path / "retired.py"
+        path.write_text(f"import time\nx = time.time()  # repro: noqa[{code}]\n")
+        report = run_lint([path], root=tmp_path)
+        assert [finding.rule for finding in report.findings] == ["REP002"]
+        assert report.suppressed == 0
 
     def test_malformed_noqa_is_an_error_not_a_silent_noop(self, tmp_path):
         path = tmp_path / "malformed.py"
@@ -113,22 +352,6 @@ class TestSuppression:
 
 
 class TestFramework:
-    def test_get_rule_unknown_code_raises(self):
-        with pytest.raises(LintError, match="unknown rule"):
-            get_rule("REP999")
-
-    def test_all_rules_cover_the_documented_set(self):
-        codes = [rule.code for rule in all_rules()]
-        assert codes == [f"REP{i:03d}" for i in range(1, 11)]
-
-    def test_rule_filtering(self):
-        report = run_lint(
-            [FIXTURES / "rep001_bad.py"],
-            root=REPO_ROOT,
-            rules=[get_rule("REP002")],
-        )
-        assert report.findings == []
-
     def test_missing_target_raises(self, tmp_path):
         with pytest.raises(LintError, match="does not exist"):
             run_lint([tmp_path / "nope"], root=REPO_ROOT)
@@ -147,223 +370,9 @@ def test_src_is_lint_clean():
 
 
 class TestReporters:
-    def test_json_reporter_schema(self):
-        report = lint_one(FIXTURES / "rep002_bad.py")
-        payload = json.loads(render_json(report))
-        assert payload["version"] == 1
-        assert payload["ok"] is False
-        assert payload["counts_by_rule"] == {"REP002": 2}
-        for finding in payload["findings"]:
-            assert set(finding) == {"path", "line", "column", "rule", "message"}
-
     def test_text_reporter_mentions_location_and_summary(self):
         report = lint_one(FIXTURES / "rep002_bad.py")
         text = render_text(report)
         assert "rep002_bad.py:7" in text
         assert "REP002" in text
         assert "checked 1 file(s)" in text
-
-
-class TestCli:
-    def test_lint_command_fails_on_bad_file(self, capsys):
-        code = cli_main(["lint", str(FIXTURES / "rep003_bad.py")])
-        assert code == 1
-        assert "REP003" in capsys.readouterr().out
-
-    def test_lint_command_passes_on_good_file(self, capsys):
-        code = cli_main(["lint", str(FIXTURES / "rep003_good.py")])
-        assert code == 0
-
-    def test_lint_json_output(self, capsys):
-        code = cli_main(["lint", str(FIXTURES / "rep008_bad.py"), "--json"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts_by_rule"] == {"REP008": 1}
-
-    def test_list_rules(self, capsys):
-        assert cli_main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for expected in ("REP001", "rng-discipline", "REP008"):
-            assert expected in out
-
-    def test_explain_prints_rule_documentation(self, capsys):
-        assert cli_main(["lint", "--explain", "REP007"]) == 0
-        out = capsys.readouterr().out
-        assert "lock-order" in out
-        assert "LOCK_HIERARCHY" in out
-
-    def test_rule_selection_flag(self, capsys):
-        code = cli_main(
-            ["lint", str(FIXTURES / "rep001_bad.py"), "--rules", "REP002"]
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize("code", [r[0] for r in RULE_FIXTURES])
-    def test_explain_covers_every_rule(self, code, capsys):
-        rule = get_rule(code)
-        doc = (type(rule).__doc__ or "").strip()
-        assert doc, f"{code} has no explanation"
-        assert cli_main(["lint", "--explain", code]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith(f"{code}  {rule.name}\n{rule.summary}\n")
-        assert doc in out
-
-    @pytest.mark.parametrize("code", ["REP011", "REP012", "REP013"])
-    def test_retired_rule_codes_are_unknown(self, code):
-        """Selecting a retired rule is an error, not a run of no rules."""
-        with pytest.raises(LintError, match="unknown rule"):
-            cli_main(["lint", str(FIXTURES / "rep001_good.py"), "--rules", code])
-
-    @pytest.mark.parametrize(
-        "flag",
-        [
-            "--scope=file",
-            "--callgraph=callgraph.json",
-            "--baseline=lint-baseline.json",
-            "--update-baseline",
-            "--diff-baseline",
-        ],
-    )
-    def test_retired_lint_flags_are_rejected(self, flag, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            cli_main(["lint", str(FIXTURES / "rep001_good.py"), flag])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------- lockcheck
-
-
-def make_locks(monitor):
-    """One instrumented lock per hierarchy level, in declared order."""
-    return [
-        InstrumentedLock(threading.RLock(), level, monitor)
-        for level in LOCK_HIERARCHY
-    ]
-
-
-class TestLockOrderMonitor:
-    def test_ordered_acquisitions_pass(self):
-        monitor = LockOrderMonitor()
-        service, index = make_locks(monitor)
-        with service:
-            with index:
-                pass
-        monitor.check()
-        assert monitor.acquisitions()["service"] == 1
-        assert ("service", "index") in monitor.edges()
-
-    def test_inverted_acquisition_is_a_violation(self):
-        monitor = LockOrderMonitor()
-        service, index, *_ = make_locks(monitor)
-        with index:
-            with service:
-                pass
-        with pytest.raises(LockOrderError, match="holding 'index'"):
-            monitor.check()
-
-    def test_cycle_between_unranked_locks_is_detected(self):
-        monitor = LockOrderMonitor()
-        a = InstrumentedLock(threading.RLock(), "custom-a", monitor)
-        b = InstrumentedLock(threading.RLock(), "custom-b", monitor)
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
-        with pytest.raises(LockOrderError, match="cycle"):
-            monitor.check()
-
-    def test_reentrant_acquisition_records_no_edge(self):
-        monitor = LockOrderMonitor()
-        _, index, *_ = make_locks(monitor)
-        with index:
-            with index:
-                pass
-        assert monitor.edges() == {}
-        monitor.check()
-
-    def test_condition_wait_keeps_thread_stack_truthful(self):
-        monitor = LockOrderMonitor()
-        service, index, *_ = make_locks(monitor)
-        condition = threading.Condition(service)
-        ready = threading.Event()
-        woken = threading.Event()
-
-        def waiter():
-            with condition:
-                ready.set()
-                condition.wait(timeout=5.0)
-            # After wait() returned and the with-block exited, this thread
-            # holds nothing: taking the index lock must record the edge
-            # from nothing (no service->index edge from this path alone).
-            with index:
-                pass
-            woken.set()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        assert ready.wait(timeout=5.0)
-        with condition:
-            condition.notify_all()
-        assert woken.wait(timeout=5.0)
-        thread.join(timeout=5.0)
-        monitor.check()
-
-    def test_violations_are_aggregated_with_counts(self):
-        monitor = LockOrderMonitor()
-        service, index, *_ = make_locks(monitor)
-        for _ in range(3):
-            with index:
-                with service:
-                    pass
-        (problem, *rest) = monitor.violations()
-        assert "3x" in problem and not rest
-
-
-class TestInstrumentedServing:
-    def test_concurrent_service_traffic_respects_hierarchy(self):
-        """Concurrent service traffic under instrumentation: no inversion.
-
-        ``tests/test_serving.py`` runs under the checker in CI via
-        ``REPRO_LOCKCHECK=1`` (see conftest); this in-suite version drives
-        the same build/evaluate/coalesce/grow paths at small scale.
-        """
-        from repro.graphs.generators import erdos_renyi_graph
-        from repro.serving import InfluenceService
-
-        compiled = erdos_renyi_graph(80, 0.06, seed=7).compile()
-        monitor = LockOrderMonitor()
-        with instrument_serving(monitor):
-            service = InfluenceService(default_theta=300)
-            index = service.get_index(compiled, "ic")
-            seeds = [list(index.select(3).seeds), [0, 1], [2, 3], [4, 5]]
-
-            def query(batch):
-                return [service.evaluate(compiled, "ic", s) for s in batch]
-
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(query, [seeds] * 4))
-        assert all(len(r) == len(seeds) for r in results)
-        monitor.check()
-        acquisitions = monitor.acquisitions()
-        assert acquisitions.get("service", 0) > 0
-        assert acquisitions.get("index", 0) > 0
-
-    def test_instrumentation_restores_module_state(self):
-        import repro.serving.index as index_module
-        import repro.serving.service as service_module
-
-        before = service_module.threading, index_module.threading
-        with instrument_serving(LockOrderMonitor()):
-            assert service_module.threading is not before[0]
-            assert index_module.threading is not before[1]
-        assert (service_module.threading, index_module.threading) == before
-
-
-def test_static_lock_map_is_consistent_with_hierarchy():
-    ranks = {name: rank for rank, name in enumerate(LOCK_HIERARCHY)}
-    for (owner, attr), (rank, level) in STATIC_LOCK_MAP.items():
-        assert ranks[level] == rank, (owner, attr)
-    assert set(level for _, level in STATIC_LOCK_MAP.values()) == set(LOCK_HIERARCHY)

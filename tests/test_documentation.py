@@ -16,6 +16,7 @@ import pytest
 
 import repro.api
 from repro.cli import build_parser
+from repro.devtools import RULES
 from repro.specs import ESTIMATOR_BACKENDS
 from test_paper_claims import CASES
 
@@ -176,3 +177,10 @@ def test_docs_name_only_registered_metrics(doc):
     )
     missing = sorted(name for name in named if f'"{name}"' not in source)
     assert not missing, f"{doc} names unregistered metrics: {missing}"
+
+
+def test_design_invariants_table_lists_exactly_the_lint_rules():
+    """DESIGN.md's invariants table names the codes of ``RULES``, no more."""
+    design = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    documented = re.findall(r"^\| (REP\d{3}) \|", design, flags=re.MULTILINE)
+    assert documented == [rule.code for rule in RULES]

@@ -179,6 +179,94 @@ class TestSupervisedPool:
         assert replayed is not None and replayed.value >= 1
 
 
+_ORPHAN_SCRIPT = """
+import json, os, sys, time
+from repro.runtime import SupervisedPool
+
+def worker_pid(_):
+    time.sleep(0.2)
+    return os.getpid()
+
+if __name__ == "__main__":
+    pool = SupervisedPool(worker_pid, workers=2)
+    print(json.dumps(sorted(set(pool.run(range(6))))), flush=True)
+    time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_workers_exit_when_their_parent_is_sigkilled(tmp_path):
+    script = tmp_path / "hold_pool.py"
+    script.write_text(_ORPHAN_SCRIPT)
+    process = subprocess.Popen(
+        [sys.executable, str(script)],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids = []
+    try:
+        pids = json.loads(process.stdout.readline())
+        assert len(pids) == 2 and process.pid not in pids
+        process.kill()
+        process.wait()
+        assert _wait_for(lambda: not any(map(_running, pids)), timeout=5.0), [
+            pid for pid in pids if _running(pid)
+        ]
+    finally:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _run_python(source: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", source],
+        env=_cli_env(),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+
+
+def test_worker_init_runs_init_fn_beside_a_daemon_watcher():
+    result = _run_python(
+        "import os, threading\n"
+        "from repro.runtime.pool import _worker_init\n"
+        "_worker_init(os.getppid(), print, ('ready', 7))\n"
+        "print([t.daemon for t in threading.enumerate()])\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["ready 7", "[False, True]"]
+
+
+def test_worker_exits_once_its_parent_pid_changes():
+    # A parent pid that is not the real parent reads as "the parent died
+    # and this process was re-parented"; the watcher ends the process.
+    started = time.monotonic()
+    result = _run_python(
+        "import os, time\n"
+        "from repro.runtime.pool import _worker_init\n"
+        "_worker_init(os.getppid() + 1, None, ())\n"
+        "time.sleep(20)\n"
+    )
+    assert result.returncode == 1, result.stderr
+    assert time.monotonic() - started < 15.0
+
+
 # ------------------------------------------------- parallel grow determinism
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -689,6 +691,75 @@ class TestInfluenceIndex:
 
 
 # -------------------------------------------------------------------- service
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _module_file(name):
+    """The source file of a ``repro.*`` module, or ``None``."""
+    base = SRC.joinpath(*name.split("."))
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _parse(name):
+    path = _module_file(name)
+    return path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _repro_imports(name):
+    """``repro.*`` modules the source of ``name`` imports, at any depth.
+
+    ``from pkg import x`` names ``pkg`` and, when ``x`` is a submodule,
+    ``pkg.x``.  The ``__init__`` files of the parent packages, which
+    Python also runs, are left out.
+    """
+    path, tree = _parse(name)
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                module = f"{anchor}.{module}" if module else anchor
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return {
+        module
+        for module in found
+        if module.split(".")[0] == "repro" and _module_file(module)
+    }
+
+
+def test_index_code_cannot_reach_the_service():
+    """The two serving locks can never be held in index -> service order.
+
+    ``InfluenceService`` holds its lock while it calls into an
+    ``InfluenceIndex``; the reverse nesting would need index code to call
+    the service, and no module ``repro.serving.index`` imports, directly
+    or not, can even name it.  So the two locks never form a cycle.
+    """
+    closure, frontier = set(), ["repro.serving.index"]
+    while frontier:
+        module = frontier.pop()
+        if module not in closure:
+            closure.add(module)
+            # The root package is the public facade over every layer;
+            # library modules import it only to read ``__version__``.
+            if module != "repro":
+                frontier.extend(_repro_imports(module))
+    assert "repro.sketches.sampler" in closure  # the walk follows imports
+    assert "repro.serving.service" not in closure, sorted(closure)
+    for module in sorted(closure - {"repro"}):
+        for node in ast.walk(_parse(module)[1]):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert name != "InfluenceService", (module, node.lineno)
 
 
 class TestInfluenceService:

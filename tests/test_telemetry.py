@@ -61,13 +61,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="only go up"):
             reg.counter("repro_test_total").inc(-1)
 
-    def test_gauge_moves_both_ways(self):
-        gauge = MetricsRegistry().gauge("repro_test_inflight")
-        gauge.set(5)
-        gauge.dec(2)
-        gauge.inc()
-        assert gauge.value == 4.0
-
     def test_histogram_buckets_sum_count_quantiles(self):
         reg = MetricsRegistry()
         histogram = reg.histogram(
@@ -129,7 +122,7 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("repro_test_total")
         with pytest.raises(ConfigurationError, match="already registered"):
-            reg.gauge("repro_test_total")
+            reg.histogram("repro_test_total")
 
     def test_labelnames_mismatch_is_rejected(self):
         reg = MetricsRegistry()
@@ -259,7 +252,6 @@ def _demo_registry() -> MetricsRegistry:
     )
     events.labels(kind='with "quotes" and \\ and\nnewline').inc(3)
     events.labels(kind="plain").inc()
-    reg.gauge("repro_demo_inflight", "In flight.").set(2)
     seconds = reg.histogram("repro_demo_seconds", "Latency.", buckets=(0.1, 1.0))
     for value in (0.05, 0.5, 5.0):
         seconds.observe(value)
@@ -271,9 +263,6 @@ GOLDEN_PROMETHEUS = """\
 # TYPE repro_demo_events_total counter
 repro_demo_events_total{kind="plain"} 1
 repro_demo_events_total{kind="with \\"quotes\\" and \\\\ and\\nnewline"} 3
-# HELP repro_demo_inflight In flight.
-# TYPE repro_demo_inflight gauge
-repro_demo_inflight 2
 # HELP repro_demo_seconds Latency.
 # TYPE repro_demo_seconds histogram
 repro_demo_seconds_bucket{le="0.1"} 1
