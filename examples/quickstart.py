@@ -13,7 +13,7 @@ JSON-round-trippable :class:`repro.ExperimentSpec`, execute it with
 :func:`repro.run_experiment`, and inspect the :class:`repro.RunResult`
 (seeds, objective value, k-sweep curve, full provenance).  The same spec is
 checked in at ``examples/specs/quickstart_meo.json`` and runs from the shell
-with ``repro-im run``.
+with ``repro run``.
 
 Run with::
 
@@ -92,7 +92,7 @@ def synthetic_dataset_example() -> None:
         ),
     )
     # Specs are data: they round-trip through JSON bit-for-bit, so the same
-    # experiment can be checked in and executed with `repro-im run`.
+    # experiment can be checked in and executed with `repro run`.
     assert repro.ExperimentSpec.from_json(spec.to_json()) == spec
 
     result = repro.run_experiment(spec)

@@ -33,7 +33,7 @@ Quickstart — the declarative experiment API::
     print(result.to_json())          # full provenance, repro/run-result@1
 
 Every spec round-trips through JSON, so the same experiment can be checked
-in as a file and executed with ``repro-im run``.
+in as a file and executed with ``repro run``.
 """
 
 from repro.exceptions import (
@@ -120,7 +120,7 @@ from repro.telemetry import (
     use_registry,
 )
 
-__version__ = "1.1.0"
+from repro._version import __version__
 
 __all__ = [
     "__version__",

@@ -1,0 +1,8 @@
+"""The library's version, in a leaf module that imports nothing.
+
+Library modules that record the version (artifacts, run provenance) read it
+from here, so none of them has to import the root package and with it every
+layer.
+"""
+
+__version__ = "1.1.0"

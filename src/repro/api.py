@@ -56,6 +56,7 @@ from typing import (
 
 import numpy as np
 
+from repro._version import __version__
 from repro.algorithms.base import SeedSelectionResult, SeedSelector
 from repro.algorithms.registry import (
     RIS_MODELS,
@@ -747,8 +748,6 @@ def _build_provenance(
     compiled: CompiledGraph,
     estimator: SpreadEstimator,
 ) -> Dict[str, object]:
-    import repro
-
     return {
         "graph_fingerprint": graph_fingerprint(compiled),
         "n": compiled.number_of_nodes,
@@ -757,7 +756,7 @@ def _build_provenance(
         "selection_seed": spec.seed,
         "penalty": spec.evaluation.penalty,
         "estimator": estimator.describe(),
-        "library_version": repro.__version__,
+        "library_version": __version__,
         "numpy_version": np.__version__,
         "spec": spec.to_dict(),
     }

@@ -1,6 +1,6 @@
 """Command-line interface: thin shims over the declarative experiment API.
 
-Installed as ``repro-im`` (see ``pyproject.toml``) and also runnable as
+Installed as ``repro`` (see ``pyproject.toml``) and also runnable as
 ``python -m repro.cli``.  Sub-commands:
 
 * ``datasets``   — list the synthetic dataset registry with Table 2 stats.
@@ -65,7 +65,7 @@ EXIT_INTERRUPTED = 130
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-im",
+        prog="repro",
         description="Opinion-aware influence maximization (EaSyIM / OSIM reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -450,7 +450,7 @@ def _command_run(args: argparse.Namespace) -> int:
         if checkpoint is not None:
             print(
                 "selection progress (if the stage completed) is checkpointed"
-                f" at {checkpoint}; resume with: repro-im run {args.spec}"
+                f" at {checkpoint}; resume with: repro run {args.spec}"
                 f" --checkpoint {checkpoint} --resume",
                 file=sys.stderr,
             )
@@ -518,7 +518,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
         if checkpoint is not None:
             print(
                 f"checkpoint saved at {checkpoint.manifest_path}; resume "
-                f"with: repro-im index build ... --output {args.output} "
+                f"with: repro index build ... --output {args.output} "
                 "--resume",
                 file=sys.stderr,
             )

@@ -11,6 +11,10 @@ Three families cover the qualitative shapes of the paper's Table 2 graphs:
 * *directed social* (socLiveJournal, Twitter) — directed follower networks
   with shrinking diameter → forest-fire generator densified to the target
   average degree.
+
+Each family grows plain ``(source, target)`` edge lists in generation order
+and returns them as an array-backed :class:`~repro.graphs.digraph.DiGraph`,
+so no edge-by-edge adjacency map is built before the graph is compiled.
 """
 
 from __future__ import annotations
@@ -18,10 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.digraph import DEFAULT_INFLUENCE_PROBABILITY, DiGraph
-from repro.graphs.generators import (
-    forest_fire_graph,
-    powerlaw_cluster_graph,
-)
+from repro.graphs.generators import forest_fire_edges, powerlaw_cluster_edges
 from repro.utils.rng import RandomState, ensure_rng
 
 
@@ -36,23 +37,43 @@ def _attachment_for_degree(target_avg_degree: float) -> int:
     return max(1, int(round(target_avg_degree / 2.0)))
 
 
+class _BidirectedEdges:
+    """The growing edge lists of a bidirected stand-in on nodes ``0..n-1``.
+
+    ``keys`` holds ``source * n + target`` of every edge, so membership is
+    one set lookup.
+    """
+
+    def __init__(self, n: int, sources: list[int], targets: list[int]) -> None:
+        self.n = n
+        self.sources = sources
+        self.targets = targets
+        self.keys = {s * n + t for s, t in zip(sources, targets)}
+
+    def link(self, u: int, v: int) -> None:
+        """Add ``u -> v`` and ``v -> u`` unless ``u == v`` or the edge exists."""
+        if u != v and u * self.n + v not in self.keys:
+            self.keys.update((u * self.n + v, v * self.n + u))
+            self.sources.extend((u, v))
+            self.targets.extend((v, u))
+
+    def graph(self, probability: float) -> DiGraph:
+        return DiGraph.from_edge_arrays(self.n, self.sources, self.targets, probability)
+
+
 def _densify(
-    graph: DiGraph, target_avg_degree: float, rng: np.random.Generator, probability: float
+    edges: _BidirectedEdges, target_avg_degree: float, rng: np.random.Generator
 ) -> None:
     """Add random bidirected edges until the average degree reaches the target."""
-    n = graph.number_of_nodes
+    n = edges.n
     target_edges = int(target_avg_degree * n)
-    nodes = list(graph.nodes())
     attempts = 0
     max_attempts = 20 * max(target_edges, 1)
-    while graph.number_of_edges < target_edges and attempts < max_attempts:
+    while len(edges.sources) < target_edges and attempts < max_attempts:
         attempts += 1
-        u = nodes[int(rng.integers(0, n))]
-        v = nodes[int(rng.integers(0, n))]
-        if u == v or graph.has_edge(u, v):
-            continue
-        graph.add_edge(u, v, probability=probability)
-        graph.add_edge(v, u, probability=probability)
+        u = int(rng.integers(0, n))
+        v = int(rng.integers(0, n))
+        edges.link(u, v)
 
 
 def make_citation_like_graph(
@@ -64,12 +85,11 @@ def make_citation_like_graph(
     """Collaboration-network stand-in (NetHEPT / HepPh / DBLP)."""
     rng = ensure_rng(seed)
     attachment = _attachment_for_degree(target_avg_degree)
-    graph = powerlaw_cluster_graph(
-        nodes, attachment=attachment, triangle_probability=0.6, seed=rng,
-        probability=probability,
+    edges = _BidirectedEdges(
+        nodes, *powerlaw_cluster_edges(nodes, attachment, triangle_probability=0.6, seed=rng)
     )
-    _densify(graph, target_avg_degree, rng, probability)
-    return graph
+    _densify(edges, target_avg_degree, rng)
+    return edges.graph(probability)
 
 
 def make_community_social_graph(
@@ -81,27 +101,31 @@ def make_community_social_graph(
     """Community-structured social-network stand-in (YouTube / Orkut / Friendster)."""
     rng = ensure_rng(seed)
     attachment = _attachment_for_degree(target_avg_degree * 0.8)
-    graph = powerlaw_cluster_graph(
-        nodes, attachment=attachment, triangle_probability=0.3, seed=rng,
-        probability=probability,
+    edges = _BidirectedEdges(
+        nodes, *powerlaw_cluster_edges(nodes, attachment, triangle_probability=0.3, seed=rng)
     )
     # Community overlay: partition nodes into sqrt(n)-sized groups and add a few
     # intra-community edges, which raises clustering and keeps diameter small.
-    n = graph.number_of_nodes
-    community_size = max(4, int(np.sqrt(n)))
-    nodes_list = list(graph.nodes())
+    community_size = max(4, int(np.sqrt(nodes)))
+    nodes_list = list(range(nodes))
     rng.shuffle(nodes_list)
-    for start in range(0, n, community_size):
+    for start in range(0, nodes, community_size):
         community = nodes_list[start:start + community_size]
         extra = max(1, len(community) // 2)
         for _ in range(extra):
             u = community[int(rng.integers(0, len(community)))]
             v = community[int(rng.integers(0, len(community)))]
-            if u != v and not graph.has_edge(u, v):
-                graph.add_edge(u, v, probability=probability)
-                graph.add_edge(v, u, probability=probability)
-    _densify(graph, target_avg_degree, rng, probability)
-    return graph
+            edges.link(u, v)
+    _densify(edges, target_avg_degree, rng)
+    return edges.graph(probability)
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in ``sorted_keys``: one binary search each."""
+    positions = np.searchsorted(sorted_keys, keys)
+    found = positions < sorted_keys.size
+    found[found] = sorted_keys[positions[found]] == keys[found]
+    return found
 
 
 def make_directed_social_graph(
@@ -112,24 +136,25 @@ def make_directed_social_graph(
 ) -> DiGraph:
     """Directed follower-network stand-in (socLiveJournal / Twitter)."""
     rng = ensure_rng(seed)
-    graph = forest_fire_graph(
-        nodes, forward_probability=0.3, backward_probability=0.2, seed=rng,
-        probability=probability,
+    n = nodes
+    fire_sources, fire_targets = forest_fire_edges(
+        n, forward_probability=0.3, backward_probability=0.2, seed=rng
     )
+    sources = np.array(fire_sources, dtype=np.int64)
+    targets = np.array(fire_targets, dtype=np.int64)
     # Forest fire alone is sparse; add preferential random directed edges up to
     # the target density.  Targets are sampled in batches proportionally to
     # their current in-degree, which preserves the heavy-tailed in-degree
     # distribution of follower networks while keeping generation fast.
-    n = graph.number_of_nodes
     target_edges = int(target_avg_degree * n)
-    nodes_list = list(graph.nodes())
-    in_degree_weight = np.array(
-        [graph.in_degree(v) + 1.0 for v in nodes_list], dtype=np.float64
-    )
+    in_degree_weight = np.bincount(targets, minlength=n) + 1.0
+    keys = np.sort(sources * n + targets)
+    added_sources, added_targets = [sources], [targets]
+    edge_count = sources.size
     max_batches = 200
     batch_size = max(256, target_edges // 50)
     for _ in range(max_batches):
-        if graph.number_of_edges >= target_edges:
+        if edge_count >= target_edges:
             break
         probabilities = in_degree_weight / in_degree_weight.sum()
         source_positions = rng.integers(0, n, size=batch_size)
@@ -137,15 +162,19 @@ def make_directed_social_graph(
         # A drawn pair is accepted when it is not a self-loop, not already an
         # edge, and the first draw of its pair in this batch; the first
         # accepted pairs up to the edge target are added, in draw order.
-        _, first = np.unique(source_positions * n + target_positions, return_index=True)
+        drawn = source_positions * n + target_positions
+        _, first = np.unique(drawn, return_index=True)
         first.sort()
-        drawn = zip(source_positions[first].tolist(), target_positions[first].tolist())
-        accepted = [
-            (s, t) for s, t in drawn
-            if s != t and not graph.has_edge(nodes_list[s], nodes_list[t])
-        ][:target_edges - graph.number_of_edges]
-        graph.add_edges_from(
-            ((nodes_list[s], nodes_list[t]) for s, t in accepted), probability=probability
+        fresh = (source_positions[first] != target_positions[first]) & ~_contains(
+            keys, drawn[first]
         )
-        np.add.at(in_degree_weight, np.array([t for _, t in accepted], dtype=np.int64), 1.0)
-    return graph
+        accepted = first[fresh][:target_edges - edge_count]
+        added_sources.append(source_positions[accepted])
+        added_targets.append(target_positions[accepted])
+        edge_count += accepted.size
+        new_keys = np.sort(drawn[accepted])
+        keys = np.insert(keys, np.searchsorted(keys, new_keys), new_keys)
+        np.add.at(in_degree_weight, target_positions[accepted], 1.0)
+    return DiGraph.from_edge_arrays(
+        n, np.concatenate(added_sources), np.concatenate(added_targets), probability
+    )

@@ -6,7 +6,10 @@ Two representations are provided:
   (opinion ``o``, activation threshold ``theta``) and per-edge attributes
   (influence probability ``p``, LT weight ``w``, interaction probability
   ``phi``).  This is the structure users build, annotate and pass to the
-  public API.
+  public API.  The synthetic generators build it from edge arrays
+  (:meth:`DiGraph.from_edge_arrays`): counting, bulk annotation and
+  compiling read the arrays, and any other use builds the adjacency maps
+  once.
 * :class:`CompiledGraph` — an immutable CSR (compressed sparse row) snapshot
   with numpy arrays for both out- and in-adjacency.  The Monte-Carlo
   simulation engine and the score-assignment algorithms operate on this view,
@@ -64,6 +67,27 @@ class EdgeData:
 
 
 @dataclass(slots=True)
+class _EdgeArrays:
+    """The array backing of a graph on nodes ``0..n-1``.
+
+    Edge ``i`` is ``sources[i] -> targets[i]``; the edges are kept in
+    insertion order, and ``opinions`` is ``None`` until annotated.
+    """
+
+    n: int
+    sources: np.ndarray
+    targets: np.ndarray
+    probability: np.ndarray
+    interaction: np.ndarray
+    weight: np.ndarray
+    opinions: Optional[np.ndarray] = None
+
+
+#: The adjacency-map state an array-backed graph builds on first use.
+_DICT_STATE = frozenset({"_succ", "_pred", "_node_data", "_edge_count"})
+
+
+@dataclass(slots=True)
 class NodeData:
     """Attributes attached to a node.
 
@@ -96,10 +120,54 @@ class DiGraph:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self._arrays: Optional[_EdgeArrays] = None
         self._succ: Dict[Node, Dict[Node, EdgeData]] = {}
         self._pred: Dict[Node, Dict[Node, EdgeData]] = {}
         self._node_data: Dict[Node, NodeData] = {}
         self._edge_count = 0
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        n: int,
+        sources: np.ndarray,
+        targets: np.ndarray,
+        probability: float = DEFAULT_INFLUENCE_PROBABILITY,
+        name: str = "",
+    ) -> "DiGraph":
+        """A graph on nodes ``0..n-1`` with the edges ``sources[i] -> targets[i]``.
+
+        The edges are in insertion order, each at most once and none a
+        self-loop.  The graph keeps the arrays: :meth:`compile`, the counts,
+        :meth:`nodes`, :meth:`has_opinions`, :meth:`set_opinions`,
+        :meth:`set_interactions` and :meth:`set_linear_threshold_weights`
+        read and write them.  Any other method first builds the adjacency
+        maps exactly as ``add_edge`` in array order would, then drops the
+        arrays.
+        """
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        _validate_edge_arrays(n, sources, targets)
+        graph = cls.__new__(cls)
+        graph.name = name
+        m = sources.size
+        graph._arrays = _EdgeArrays(
+            n=int(n),
+            sources=sources,
+            targets=targets,
+            probability=np.full(m, _validate_unit(probability, "probability")),
+            interaction=np.full(m, DEFAULT_INTERACTION_PROBABILITY),
+            weight=np.zeros(m),
+        )
+        return graph
+
+    def __getattr__(self, attr: str):
+        # Reached only for attributes the instance lacks: the adjacency
+        # maps of an array-backed graph, built on first use.
+        if attr in _DICT_STATE and self.__dict__.get("_arrays") is not None:
+            self._materialise()
+            return self.__dict__[attr]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {attr!r}")
 
     # ------------------------------------------------------------------ nodes
 
@@ -144,6 +212,8 @@ class DiGraph:
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over the nodes in insertion order."""
+        if self._arrays is not None:
+            return iter(range(self._arrays.n))
         return iter(self._succ)
 
     def node_data(self, node: Node) -> NodeData:
@@ -273,9 +343,30 @@ class DiGraph:
 
     def has_opinions(self) -> bool:
         """True when every node carries an opinion annotation."""
+        if self._arrays is not None:
+            return self._arrays.opinions is not None or self._arrays.n == 0
         return all(data.opinion is not None for data in self._node_data.values())
 
     # -------------------------------------------------- bulk parameterisation
+
+    def set_opinions(self, opinions: Sequence[float]) -> None:
+        """Set every node's opinion, in :meth:`nodes` order."""
+        values = _validate_bulk(opinions, self.number_of_nodes, -1.0, "opinion")
+        if self._arrays is not None:
+            self._arrays.opinions = values
+            return
+        for data, value in zip(self._node_data.values(), values.tolist()):
+            data.opinion = value
+
+    def set_interactions(self, interactions: Sequence[float]) -> None:
+        """Set every edge's interaction probability, in :meth:`edges` order."""
+        values = _validate_bulk(interactions, self.number_of_edges, 0.0, "interaction")
+        if self._arrays is not None:
+            # edges() lists each source's edges in insertion order.
+            self._arrays.interaction[np.argsort(self._arrays.sources, kind="stable")] = values
+            return
+        for (_, _, data), value in zip(self.edges(), values.tolist()):
+            data.interaction = value
 
     def set_uniform_probabilities(self, probability: float) -> None:
         """Assign the same IC probability ``p`` to every edge (paper: p=0.1)."""
@@ -290,6 +381,10 @@ class DiGraph:
 
     def set_linear_threshold_weights(self) -> None:
         """Assign ``w_(u,v) = 1 / in_degree(v)`` (conventional LT weights)."""
+        arrays = self._arrays
+        if arrays is not None:
+            arrays.weight = 1.0 / np.bincount(arrays.targets, minlength=arrays.n)[arrays.targets]
+            return
         for _, target, data in self.edges():
             data.weight = 1.0 / self.in_degree(target)
 
@@ -297,14 +392,18 @@ class DiGraph:
 
     @property
     def number_of_nodes(self) -> int:
+        if self._arrays is not None:
+            return self._arrays.n
         return len(self._succ)
 
     @property
     def number_of_edges(self) -> int:
+        if self._arrays is not None:
+            return len(self._arrays.sources)
         return self._edge_count
 
     def __len__(self) -> int:
-        return len(self._succ)
+        return self.number_of_nodes
 
     def __contains__(self, node: Node) -> bool:
         return node in self._succ
@@ -365,9 +464,41 @@ class DiGraph:
 
     def compile(self) -> "CompiledGraph":
         """Freeze the graph into a :class:`CompiledGraph` CSR snapshot."""
-        return CompiledGraph.from_digraph(self)
+        arrays = self._arrays
+        if arrays is None:
+            return CompiledGraph.from_digraph(self)
+        return CompiledGraph.from_edge_arrays(
+            range(arrays.n), arrays.sources, arrays.targets,
+            probability=arrays.probability,
+            interaction=arrays.interaction,
+            weight=arrays.weight,
+            opinions=np.zeros(arrays.n) if arrays.opinions is None else arrays.opinions,
+            thresholds=np.full(arrays.n, np.nan),
+        )
 
     # ------------------------------------------------------------- private
+
+    def _materialise(self) -> None:
+        """Build the adjacency maps from the edge arrays, then drop the arrays.
+
+        Edges are inserted in array order, so every map iterates as it would
+        after the same ``add_edge`` calls.
+        """
+        arrays = self._arrays
+        nodes = range(arrays.n)
+        opinions = [None] * arrays.n if arrays.opinions is None else arrays.opinions.tolist()
+        succ: Dict[Node, Dict[Node, EdgeData]] = {node: {} for node in nodes}
+        pred: Dict[Node, Dict[Node, EdgeData]] = {node: {} for node in nodes}
+        for source, target, probability, weight, interaction in zip(
+            arrays.sources.tolist(), arrays.targets.tolist(), arrays.probability.tolist(),
+            arrays.weight.tolist(), arrays.interaction.tolist(),
+        ):
+            succ[source][target] = pred[target][source] = EdgeData(probability, weight, interaction)
+        self._succ = succ
+        self._pred = pred
+        self._node_data = {node: NodeData(opinion) for node, opinion in zip(nodes, opinions)}
+        self._edge_count = len(arrays.sources)
+        self._arrays = None
 
     def _insert_edge(self, source: Node, target: Node, data: EdgeData) -> None:
         """Store a validated edge record, adding missing endpoints."""
@@ -467,56 +598,48 @@ class CompiledGraph:
     # ------------------------------------------------------------ factory
 
     @classmethod
-    def from_digraph(cls, graph: DiGraph) -> "CompiledGraph":
-        """Compile ``graph`` in bulk.
+    def from_edge_arrays(
+        cls,
+        labels: Sequence[Node],
+        sources: np.ndarray,
+        targets: np.ndarray,
+        probability: np.ndarray,
+        interaction: np.ndarray,
+        weight: np.ndarray,
+        opinions: np.ndarray,
+        thresholds: np.ndarray,
+    ) -> "CompiledGraph":
+        """Compile edges given as label positions, in insertion order.
 
-        One gather pass over the successor maps yields the out-CSR directly:
-        nodes in insertion order, each node's edges in insertion order.  The
-        in-CSR is the same edge list permuted by a stable argsort of the
-        targets, so each target's in-edges keep ascending out-position
-        order (the invariant :attr:`out_to_in_position` relies on).  Edge
-        fields are gathered one at a time to bound peak memory.
+        The out-CSR is the edge list permuted by a stable argsort of the
+        sources: nodes in label order, each node's edges in insertion order.
+        The in-CSR is the out-CSR permuted by a stable argsort of its
+        targets, so each target's in-edges keep ascending out-position order
+        (the invariant :attr:`out_to_in_position` relies on).  Every array
+        is copied, so later edits to the inputs do not reach the snapshot.
         """
-        succ = graph._succ
-        labels = list(succ)
+        labels = list(labels)
         index_of = {label: i for i, label in enumerate(labels)}
         n = len(labels)
+        sources = np.asarray(sources, dtype=np.int64)
+        order = np.argsort(sources, kind="stable")
 
         out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, succ.values()), dtype=np.int64, count=n),
-                  out=out_indptr[1:])
-        m = int(out_indptr[-1])
-        out_indices = np.fromiter(
-            map(index_of.__getitem__, chain.from_iterable(succ.values())),
-            dtype=np.int64, count=m,
-        )
-        records = list(chain.from_iterable(map(dict.values, succ.values())))
+        np.cumsum(np.bincount(sources, minlength=n), out=out_indptr[1:])
+        out_indices = np.asarray(targets, dtype=np.int64)[order]
 
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(out_indices, minlength=n), out=in_indptr[1:])
         permutation = np.argsort(out_indices, kind="stable")
-        in_indices = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(out_indptr)
-        )[permutation]
+        in_indices = sources[order][permutation]
 
-        def gather(field: str) -> Tuple[np.ndarray, np.ndarray]:
-            values = np.fromiter(map(attrgetter(field), records), dtype=np.float64, count=m)
-            return values, values[permutation]
+        def split(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            out = np.asarray(values, dtype=np.float64)[order]
+            return out, out[permutation]
 
-        out_probability, in_probability = gather("probability")
-        out_interaction, in_interaction = gather("interaction")
-        out_weight, in_weight = gather("weight")
-        del records, permutation
-
-        node_records = [graph._node_data[label] for label in labels]
-        opinions = np.fromiter(
-            (0.0 if data.opinion is None else data.opinion for data in node_records),
-            dtype=np.float64, count=n,
-        )
-        thresholds = np.fromiter(
-            (np.nan if data.threshold is None else data.threshold for data in node_records),
-            dtype=np.float64, count=n,
-        )
+        out_probability, in_probability = split(probability)
+        out_interaction, in_interaction = split(interaction)
+        out_weight, in_weight = split(weight)
 
         return cls(
             labels=labels,
@@ -531,8 +654,49 @@ class CompiledGraph:
             in_probability=in_probability,
             in_interaction=in_interaction,
             in_weight=in_weight,
-            opinions=opinions,
-            thresholds=thresholds,
+            opinions=np.array(opinions, dtype=np.float64),
+            thresholds=np.array(thresholds, dtype=np.float64),
+        )
+
+    @classmethod
+    def from_digraph(cls, graph: DiGraph) -> "CompiledGraph":
+        """Compile ``graph``: one gather pass, then :meth:`from_edge_arrays`.
+
+        The successor maps yield the edges already in out-CSR order (nodes
+        in insertion order, each node's edges in insertion order).
+        """
+        succ = graph._succ
+        labels = list(succ)
+        index_of = {label: i for i, label in enumerate(labels)}
+        n = len(labels)
+        degrees = np.fromiter(map(len, succ.values()), dtype=np.int64, count=n)
+        m = int(degrees.sum())
+        targets = np.fromiter(
+            map(index_of.__getitem__, chain.from_iterable(succ.values())),
+            dtype=np.int64, count=m,
+        )
+        records = list(chain.from_iterable(map(dict.values, succ.values())))
+
+        def gather(field: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(field), records), dtype=np.float64, count=m)
+
+        node_records = [graph._node_data[label] for label in labels]
+        return cls.from_edge_arrays(
+            labels,
+            np.repeat(np.arange(n, dtype=np.int64), degrees),
+            targets,
+            probability=gather("probability"),
+            interaction=gather("interaction"),
+            weight=gather("weight"),
+            opinions=np.fromiter(
+                (0.0 if data.opinion is None else data.opinion for data in node_records),
+                dtype=np.float64, count=n,
+            ),
+            thresholds=np.fromiter(
+                (np.nan if data.threshold is None else data.threshold
+                 for data in node_records),
+                dtype=np.float64, count=n,
+            ),
         )
 
     # ------------------------------------------------------------ queries
@@ -651,7 +815,7 @@ class CompiledGraph:
     def out_to_in_position(self) -> np.ndarray:
         """Map each out-CSR edge position to the same edge's in-CSR position.
 
-        Fast path: :meth:`from_digraph` lays out the in-CSR by a stable
+        Fast path: :meth:`from_edge_arrays` lays out the in-CSR by a stable
         argsort of the out targets, so within a target's in-slice the edges
         appear in ascending out-position order and the same argsort here
         reproduces the in-CSR layout.  The result is verified with one gather
@@ -706,3 +870,32 @@ def _validate_unit(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise GraphError(f"{name} must lie in [0, 1], got {value}")
     return value
+
+
+def _validate_bulk(values: Sequence[float], size: int, low: float, name: str) -> np.ndarray:
+    """``values`` as a fresh float64 array of ``size`` entries in ``[low, 1]``."""
+    array = np.array(values, dtype=np.float64)
+    if array.shape != (size,):
+        raise GraphError(f"expected {size} {name} values, got shape {array.shape}")
+    outside = ~((array >= low) & (array <= 1.0))
+    if outside.any():
+        bound = "[-1, 1]" if low < 0 else "[0, 1]"
+        raise GraphError(f"{name} must lie in {bound}, got {array[outside][0]}")
+    return array
+
+
+def _validate_edge_arrays(n: int, sources: np.ndarray, targets: np.ndarray) -> None:
+    """Raise unless the edges are distinct non-loop pairs of nodes ``0..n-1``."""
+    if sources.shape != targets.shape or sources.ndim != 1:
+        raise GraphError("sources and targets must be 1-d arrays of one length")
+    if sources.size and not (
+        min(sources.min(), targets.min()) >= 0 and max(sources.max(), targets.max()) < n
+    ):
+        raise GraphError(f"edge endpoints must lie in [0, {n})")
+    if np.any(sources == targets):
+        raise GraphError("self-loops are not supported")
+    # Sort and compare neighbours: np.unique hashes on recent numpy and is
+    # many times slower on int64 keys.
+    keys = np.sort(sources * n + targets)
+    if np.any(keys[1:] == keys[:-1]):
+        raise GraphError("an edge is listed more than once")

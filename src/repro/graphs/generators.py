@@ -7,7 +7,10 @@ fully deterministic for a fixed seed.
 
 Every generator returns a directed :class:`DiGraph`; generators that are
 conceptually undirected (Barabási–Albert, Watts–Strogatz, …) add arcs in both
-directions, matching the paper's treatment of undirected SNAP graphs.
+directions, matching the paper's treatment of undirected SNAP graphs.  The
+two that back the dataset stand-ins grow plain edge lists
+(:func:`powerlaw_cluster_edges`, :func:`forest_fire_edges`) and return
+array-backed graphs (:meth:`DiGraph.from_edge_arrays`).
 """
 
 from __future__ import annotations
@@ -250,6 +253,17 @@ def powerlaw_cluster_graph(
     closed with probability ``triangle_probability``.  The extra clustering
     better matches collaboration networks such as NetHEPT/HepPh/DBLP.
     """
+    sources, targets = powerlaw_cluster_edges(n, attachment, triangle_probability, seed)
+    return DiGraph.from_edge_arrays(
+        n, sources, targets, probability, name=f"powerlaw-cluster-{n}-{attachment}"
+    )
+
+
+def powerlaw_cluster_edges(
+    n: int, attachment: int, triangle_probability: float, seed: RandomState = None
+) -> tuple[list[int], list[int]]:
+    """The edges of :func:`powerlaw_cluster_graph`, as ``(sources, targets)``
+    lists in insertion order."""
     if not 0.0 <= triangle_probability <= 1.0:
         raise ConfigurationError(
             f"triangle_probability must lie in [0, 1], got {triangle_probability}"
@@ -259,37 +273,44 @@ def powerlaw_cluster_graph(
             f"need 1 <= attachment < n, got attachment={attachment}, n={n}"
         )
     rng = ensure_rng(seed)
-    graph = _empty(n, f"powerlaw-cluster-{n}-{attachment}")
+    successors: list[list[int]] = [[] for _ in range(n)]
+    sources: list[int] = []
+    targets: list[int] = []
+
+    def link(u: int, v: int) -> None:
+        successors[u].append(v)
+        successors[v].append(u)
+        sources.extend((u, v))
+        targets.extend((v, u))
+
     repeated_targets: list[int] = list(range(attachment))
     for u in range(attachment):
         for v in range(u + 1, attachment):
-            graph.add_edge(u, v, probability=probability)
-            graph.add_edge(v, u, probability=probability)
+            link(u, v)
     for new_node in range(attachment, n):
         # Draw-order list, set for membership only — see barabasi_albert.
-        targets: list[int] = []
-        targets_seen: set[int] = set()
-        last_target: Optional[int] = None
-        while len(targets) < attachment:
+        picks: list[int] = []
+        picks_seen: set[int] = set()
+        last_pick: Optional[int] = None
+        while len(picks) < attachment:
             close_triangle = (
-                last_target is not None
+                last_pick is not None
                 and rng.random() < triangle_probability
-                and graph.out_degree(last_target) > 0
+                and successors[last_pick]
             )
             if close_triangle:
-                neighbors = list(graph.successors(last_target))
+                neighbors = successors[last_pick]
                 pick = neighbors[int(rng.integers(0, len(neighbors)))]
             else:
                 pick = repeated_targets[int(rng.integers(0, len(repeated_targets)))]
-            if pick != new_node and pick not in targets_seen:
-                targets_seen.add(pick)
-                targets.append(pick)
-                last_target = pick
-        for target in targets:
-            graph.add_edge(new_node, target, probability=probability)
-            graph.add_edge(target, new_node, probability=probability)
+            if pick != new_node and pick not in picks_seen:
+                picks_seen.add(pick)
+                picks.append(pick)
+                last_pick = pick
+        for target in picks:
+            link(new_node, target)
             repeated_targets.extend((new_node, target))
-    return graph
+    return sources, targets
 
 
 def forest_fire_graph(
@@ -305,14 +326,29 @@ def forest_fire_graph(
     Twitter) because it produces shrinking-diameter, heavy-tailed directed
     topologies.
     """
+    sources, targets = forest_fire_edges(n, forward_probability, backward_probability, seed)
+    return DiGraph.from_edge_arrays(n, sources, targets, probability, name=f"forest-fire-{n}")
+
+
+def forest_fire_edges(
+    n: int,
+    forward_probability: float = 0.35,
+    backward_probability: float = 0.2,
+    seed: RandomState = None,
+) -> tuple[list[int], list[int]]:
+    """The edges of :func:`forest_fire_graph`, as ``(sources, targets)`` lists
+    in insertion order."""
     for name, value in (("forward_probability", forward_probability),
                         ("backward_probability", backward_probability)):
         if not 0.0 <= value < 1.0:
             raise ConfigurationError(f"{name} must lie in [0, 1), got {value}")
+    if n < 0:
+        raise ConfigurationError(f"number of nodes must be >= 0, got {n}")
     rng = ensure_rng(seed)
-    graph = _empty(n, f"forest-fire-{n}")
-    if n == 0:
-        return graph
+    successors: list[list[int]] = [[] for _ in range(n)]
+    predecessors: list[list[int]] = [[] for _ in range(n)]
+    sources: list[int] = []
+    targets: list[int] = []
     for new_node in range(1, n):
         ambassador = int(rng.integers(0, new_node))
         visited: set[int] = {new_node}
@@ -322,17 +358,20 @@ def forest_fire_graph(
             if current in visited:
                 continue
             visited.add(current)
-            graph.add_edge(new_node, current, probability=probability)
+            successors[new_node].append(current)
+            predecessors[current].append(new_node)
+            sources.append(new_node)
+            targets.append(current)
             # Geometric number of forward / backward links to spread to.
-            out_links = [v for v in graph.successors(current) if v not in visited]
-            in_links = [v for v in graph.predecessors(current) if v not in visited]
+            out_links = [v for v in successors[current] if v not in visited]
+            in_links = [v for v in predecessors[current] if v not in visited]
             n_forward = _geometric(rng, forward_probability)
             n_backward = _geometric(rng, backward_probability)
             rng.shuffle(out_links)
             rng.shuffle(in_links)
             frontier.extend(out_links[:n_forward])
             frontier.extend(in_links[:n_backward])
-    return graph
+    return sources, targets
 
 
 def stochastic_block_graph(

@@ -66,12 +66,9 @@ def annotate_opinions(
             raise ConfigurationError(
                 f"constant opinion must lie in [-1, 1], got {constant}"
             )
-        values = np.full(n, constant)
-    assigned: Dict[object, float] = {}
-    for node, value in zip(graph.nodes(), values):
-        graph.set_opinion(node, float(value))
-        assigned[node] = float(value)
-    return assigned
+        values = np.full(n, constant, dtype=np.float64)
+    graph.set_opinions(values)
+    return dict(zip(graph.nodes(), values.tolist()))
 
 
 def annotate_interactions(
@@ -105,15 +102,14 @@ def annotate_interactions(
             f"constant interaction must lie in [0, 1], got {constant}"
         )
     rng = ensure_rng(seed)
-    edges = [data for _, _, data in graph.edges()]
+    m = graph.number_of_edges
     if scheme == "constant":
-        values = [float(constant)] * len(edges)
+        values = np.full(m, constant, dtype=np.float64)
     else:
         low = 0.0 if scheme == "uniform" else 0.5
-        values = rng.uniform(low, 1.0, size=len(edges)).tolist()
-    for data, value in zip(edges, values):
-        data.interaction = value
-    return len(edges)
+        values = rng.uniform(low, 1.0, size=m)
+    graph.set_interactions(values)
+    return m
 
 
 def annotate_graph(

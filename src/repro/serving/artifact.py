@@ -45,7 +45,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-import repro
+from repro._version import __version__
 from repro.exceptions import ArtifactCorruptError, IndexArtifactError
 from repro.sketches.collection import RRSetCollection
 from repro.utils.atomic import atomic_write
@@ -143,7 +143,7 @@ def build_metadata(
         "graph_fingerprint": fingerprint,
         "n": int(n),
         "m": int(m),
-        "library_version": repro.__version__,
+        "library_version": __version__,
         # Recorded because grow() replays the engine seed's token stream:
         # numpy does not guarantee Generator stream stability across
         # releases (NEP 19), so growth refuses to run under a different

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pathlib
 import re
 import shlex
+import tomllib
 
 import pytest
 
@@ -104,44 +105,62 @@ class TestDesignAndExperiments:
 
 CLI_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
 
+#: The installed console script: a doc line starting with it is a command.
+SCRIPT = next(iter(
+    tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    ["project"]["scripts"]
+))
+
 
 def _cli_commands(markdown: str) -> list[str]:
-    """The arguments of every ``python -m repro.cli`` command line.
+    """The arguments of every documented command line.
 
-    Backslash continuations are joined first; each command is cut at the
-    first shell redirect, pipe, comment or closing backtick.
+    A command is a ``python -m repro.cli`` invocation anywhere in a line, or
+    a line that starts with the console script's name.  Backslash
+    continuations are joined first; each command is cut at the first shell
+    redirect, pipe, comment or closing backtick.
     """
     joined = re.sub(r"\\\n\s*", " ", markdown)
     commands = []
     for line in joined.splitlines():
-        match = re.search(r"python3? -m repro\.cli\b", line)
+        match = re.search(r"python3? -m repro\.cli\b", line) or re.match(
+            rf"\s*{re.escape(SCRIPT)}(?= )", line
+        )
         if match:
             commands.append(re.split(r"[>|#`]", line[match.end():], maxsplit=1)[0])
     return commands
 
 
-DOC_COMMANDS = [
-    (doc, command)
+#: One case per distinct (doc, command), named by the command's own words so
+#: that adding or removing a line renames no other case.
+DOC_COMMANDS = list(dict.fromkeys(
+    (doc, " ".join(command.split()))
     for doc in CLI_DOCS
     for command in _cli_commands((REPO_ROOT / doc).read_text(encoding="utf-8"))
-]
+))
 
 
 def test_docs_show_cli_commands():
     assert DOC_COMMANDS, "no `python -m repro.cli` command lines found in the docs"
 
 
+def test_docs_show_console_script_commands():
+    assert build_parser().prog == SCRIPT
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert any(line.startswith(f"{SCRIPT} ") for line in readme.splitlines()), SCRIPT
+
+
 @pytest.mark.parametrize(
     "doc,command",
     DOC_COMMANDS,
-    ids=[f"{doc}:{index}" for index, (doc, _) in enumerate(DOC_COMMANDS)],
+    ids=[f"{doc}:{command}" for doc, command in DOC_COMMANDS],
 )
 def test_documented_cli_command_parses(doc, command):
     """A flag removed from the CLI fails here instead of lingering in docs."""
     try:
         build_parser().parse_args(shlex.split(command))
     except SystemExit:
-        pytest.fail(f"{doc}: `python -m repro.cli{command.rstrip()}` does not parse")
+        pytest.fail(f"{doc}: `{SCRIPT} {command}` does not parse")
 
 
 @pytest.mark.parametrize("doc", CLI_DOCS)

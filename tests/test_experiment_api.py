@@ -776,7 +776,7 @@ class TestUnifiedCLI:
         assert select_payload["query"] == "select"
         assert evaluate_payload["query"] == "evaluate"
         # The spec that produced the run ships inside the payload, so any
-        # emitted result is replayable with `repro-im run`.
+        # emitted result is replayable with `repro run`.
         replay = ExperimentSpec.from_dict(select_payload["provenance"]["spec"])
         assert replay.algorithm.name == "easyim"
 

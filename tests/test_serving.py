@@ -750,13 +750,10 @@ def test_index_code_cannot_reach_the_service():
         module = frontier.pop()
         if module not in closure:
             closure.add(module)
-            # The root package is the public facade over every layer;
-            # library modules import it only to read ``__version__``.
-            if module != "repro":
-                frontier.extend(_repro_imports(module))
+            frontier.extend(_repro_imports(module))
     assert "repro.sketches.sampler" in closure  # the walk follows imports
     assert "repro.serving.service" not in closure, sorted(closure)
-    for module in sorted(closure - {"repro"}):
+    for module in sorted(closure):
         for node in ast.walk(_parse(module)[1]):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             assert name != "InfluenceService", (module, node.lineno)
