@@ -110,7 +110,6 @@ from repro.api import (
 )
 from repro.telemetry import (
     MetricsRegistry,
-    MetricsServer,
     TraceRecorder,
     default_registry,
     recording,
@@ -199,7 +198,6 @@ __all__ = [
     "ScoreEstimator",
     # telemetry
     "MetricsRegistry",
-    "MetricsServer",
     "TraceRecorder",
     "default_registry",
     "recording",

@@ -10,15 +10,14 @@ Installed as ``repro`` (see ``pyproject.toml``) and also runnable as
 * ``index build``— sample RR sketches once and persist an influence index.
 * ``index query``— answer select/evaluate/sweep queries from a persisted
   index, warm (no resampling).
-* ``serve``      — run an :class:`~repro.serving.service.InfluenceService`
-  over a JSON-lines stdin/stdout protocol.
+* ``telemetry``  — pretty-print the telemetry section of a run result.
 
 ``select``, ``evaluate``, ``index query`` and ``run`` are *shims*: each
 constructs an :class:`~repro.specs.ExperimentSpec` (or an estimator spec)
 from its flags and delegates to :func:`repro.api.run_experiment` /
 :func:`repro.api.build_estimator`.  Under ``--json`` they all emit the one
 ``repro/run-result@1`` payload (see DESIGN.md, "Experiment API"), so
-service clients parse a single schema regardless of which backend answered.
+callers parse a single schema regardless of which backend answered.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.api import (
     RunResult,
     build_estimator,
     def3_spread,
-    jsonable as _jsonable,
     run_experiment,
 )
 from repro.bench.reporting import format_table
@@ -45,7 +43,7 @@ from repro.runtime import BuildCheckpoint, InterruptGuard
 from repro.runtime.interrupt import raise_on_sigterm
 from repro.sketches.sampler import SUPPORTED_MODELS as RIS_MODELS
 from repro.graphs.stats import compute_stats
-from repro.serving import InfluenceIndex, InfluenceService
+from repro.serving import InfluenceIndex
 from repro.specs import (
     AlgorithmSpec,
     EstimatorSpec,
@@ -224,39 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument("--json", action="store_true")
 
-    serve_parser = subparsers.add_parser(
-        "serve", help="serve influence queries over JSON lines on stdin/stdout"
-    )
-    _add_graph_arguments(serve_parser)
-    serve_parser.add_argument(
-        "--model", default="ic", choices=sorted(RIS_MODELS),
-        help="model used when a request does not name one (the last "
-        "preloaded --artifact's model takes precedence over this default)",
-    )
-    serve_parser.add_argument(
-        "--artifact", action="append", default=[],
-        help="preload an index artifact (repeatable)",
-    )
-    serve_parser.add_argument(
-        "--theta", type=int, default=20_000,
-        help="RR sets sampled when an index must be built on demand",
-    )
-    serve_parser.add_argument(
-        "--engine-seed", type=int, default=0,
-        help="sampling seed for on-demand indexes (same default as "
-        "`index build`, distinct from the graph-generation --seed)",
-    )
-    serve_parser.add_argument(
-        "--capacity", type=int, default=8,
-        help="maximum resident indexes before LRU eviction",
-    )
-    serve_parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus text on http://127.0.0.1:PORT/metrics (and "
-        "JSON on /metrics.json) from a background thread; 0 picks a free "
-        "port (announced on stderr)",
-    )
-
     telemetry_parser = subparsers.add_parser(
         "telemetry",
         help="pretty-print the telemetry section of a run-result JSON file",
@@ -374,14 +339,12 @@ def _command_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coerce_seed(token):
+def _coerce_seed(token: str):
     """Convert a seed token to an int label where possible, else keep it."""
-    if isinstance(token, str):
-        try:
-            return int(token)
-        except ValueError:
-            return token
-    return token
+    try:
+        return int(token)
+    except ValueError:
+        return token
 
 
 def _parse_seeds(text: str) -> list:
@@ -631,143 +594,11 @@ def _command_index_query(args: argparse.Namespace) -> int:
         "estimator": estimator.describe(),
         "numpy_version": index.numpy_version,
     }
-    payload = result.to_payload()
-    # Back-compat keys the pre-spec CLI emitted at top level.
-    payload.setdefault("load_seconds", round(load_seconds, 6))
-    payload.setdefault("query_seconds", round(timings["query_seconds"], 6))
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(result.to_payload(), indent=2))
     else:
         _print_result(result, as_json=False)
     return 0
-
-
-def _command_serve(args: argparse.Namespace) -> int:
-    """JSON-lines serving loop: one request object in, one response out.
-
-    Requests: ``{"op": "select", "k": 10}``, ``{"op": "evaluate",
-    "seeds": [..]}``, ``{"op": "sweep", "counts": [..]}``, ``{"op":
-    "stats"}``, ``{"op": "ping"}`` and ``{"op": "shutdown"}``.  Any
-    request may carry ``"model"`` to override the CLI default.  Responses
-    carry ``"ok"`` plus either the result fields or an ``"error"``
-    message, so a client never has to parse log text.
-
-    The wire protocol is intentionally smaller than the ``repro/run-result@1``
-    payload: the service coalesces concurrent evaluates into batched
-    coverage passes, so responses carry only the per-request numbers.
-    """
-    from repro.telemetry.export import MetricsServer, snapshot as _metrics_snapshot
-    from repro.telemetry.registry import default_registry
-
-    # Compile once: the service keys every request by the graph's content
-    # fingerprint, which is cached on the immutable CompiledGraph — passing
-    # the mutable DiGraph would recompile and re-hash per request, costing
-    # more than the warm query itself.
-    graph = _load_graph(args).compile()
-    service = InfluenceService(
-        capacity=args.capacity,
-        default_theta=args.theta,
-        engine_seed=args.engine_seed,
-    )
-    default_model = args.model
-    for artifact in args.artifact:
-        loaded = service.load_artifact(artifact, graph)
-        # A request that names no model should hit the artifact the operator
-        # preloaded, not silently trigger an on-demand build under the CLI's
-        # --model default for a different model.
-        default_model = loaded.model
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = MetricsServer(
-            [service.telemetry, default_registry()], port=args.metrics_port
-        )
-        metrics_server.start()
-        print(
-            f"metrics: http://127.0.0.1:{metrics_server.port}/metrics",
-            file=sys.stderr,
-            flush=True,
-        )
-    try:
-        _serve_loop(graph, service, default_model, _metrics_snapshot)
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
-    return 0
-
-
-def _serve_loop(
-    graph,
-    service: InfluenceService,
-    default_model: str,
-    _metrics_snapshot,
-) -> None:
-    """Body of ``repro serve``: read requests until EOF or shutdown."""
-    from repro.exceptions import ReproError
-    from repro.telemetry.registry import default_registry
-
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ConfigurationError("request must be a JSON object")
-            op = request.get("op")
-            model = request.get("model", default_model)
-            if op == "ping":
-                response = {"ok": True, "op": "ping"}
-            elif op == "stats":
-                response = {
-                    "ok": True,
-                    "op": "stats",
-                    **_jsonable(service.stats()),
-                    "telemetry": _metrics_snapshot(
-                        service.telemetry, default_registry()
-                    ),
-                }
-            elif op == "select":
-                selection = service.select(graph, model, int(request["k"]))
-                response = {
-                    "ok": True,
-                    "op": "select",
-                    "seeds": [str(s) for s in selection.seeds],
-                    "estimated_spread": round(selection.estimated_spread, 3),
-                    "theta": selection.theta,
-                }
-            elif op == "evaluate":
-                seeds = request["seeds"]
-                if isinstance(seeds, str):
-                    seeds = _parse_seeds(seeds)
-                else:
-                    # Our own select responses carry seeds as JSON strings;
-                    # coerce element-wise so they round-trip into evaluate.
-                    seeds = [_coerce_seed(s) for s in seeds]
-                spread = service.evaluate(graph, model, seeds)
-                response = {
-                    "ok": True,
-                    "op": "evaluate",
-                    "estimated_spread": round(spread, 3),
-                }
-            elif op == "sweep":
-                curve = service.sweep(
-                    graph, model, [int(k) for k in request["counts"]]
-                )
-                response = {
-                    "ok": True,
-                    "op": "sweep",
-                    "curve": {str(k): round(v, 3) for k, v in curve.items()},
-                }
-            elif op == "shutdown":
-                print(json.dumps({"ok": True, "op": "shutdown"}), flush=True)
-                break
-            else:
-                raise ConfigurationError(f"unknown op {op!r}")
-        except (ReproError, KeyError, TypeError, ValueError, OverflowError) as error:
-            # A malformed request must never kill the loop — e.g. a JSON
-            # 1e400 becomes float('inf') and int() then raises OverflowError.
-            response = {"ok": False, "error": str(error) or repr(error)}
-        print(json.dumps(response), flush=True)
 
 
 def _command_telemetry(args: argparse.Namespace) -> int:
@@ -831,7 +662,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "evaluate": _command_evaluate,
         "run": _command_run,
         "index": _command_index,
-        "serve": _command_serve,
         "telemetry": _command_telemetry,
     }
     return handlers[args.command](args)

@@ -504,8 +504,7 @@ class NoPrintRule(Rule):
     """Library code never prints; only the CLI and benches talk to stdout.
 
     A ``print`` inside an engine corrupts machine-readable output (the
-    CLI's ``--json`` contract, the serve loop's JSON-lines protocol) and
-    is invisible in production logs.  Use the structured return values,
+    CLI's ``--json`` contract) and is invisible in production logs.  Use the structured return values,
     ``warnings.warn``, or route text through the CLI layer.
     """
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -528,6 +528,11 @@ class CompiledGraph:
     :attr:`labels`).  Both forward (out-edges) and reverse (in-edges) CSR
     structures are materialised because the diffusion models walk out-edges
     while the RIS-based algorithms (TIM+/IMM) and LT simulation walk in-edges.
+
+    The constructor adopts the objects it is given: the ``labels`` list,
+    the ``index_of`` dict and the arrays become the snapshot's own, with no
+    copy (at a million nodes a copy of the two label maps costs tens of
+    MB).  Callers pass objects nothing else holds; the factories below do.
     """
 
     __slots__ = (
@@ -555,8 +560,8 @@ class CompiledGraph:
 
     def __init__(
         self,
-        labels: Sequence[Node],
-        index_of: Mapping[Node, int],
+        labels: List[Node],
+        index_of: Dict[Node, int],
         out_indptr: np.ndarray,
         out_indices: np.ndarray,
         out_probability: np.ndarray,
@@ -570,8 +575,8 @@ class CompiledGraph:
         opinions: np.ndarray,
         thresholds: np.ndarray,
     ) -> None:
-        self.labels = list(labels)
-        self.index_of = dict(index_of)
+        self.labels = labels
+        self.index_of = index_of
         self.out_indptr = out_indptr
         self.out_indices = out_indices
         self.out_probability = out_probability
@@ -694,8 +699,9 @@ class CompiledGraph:
         The in-CSR is the out-CSR permuted by a stable argsort of its
         targets, so each target's in-edges keep ascending out-position order
         (the invariant :attr:`out_to_in_position` relies on).  The
-        permutation is dropped before the snapshot copies its label maps,
-        which bounds peak memory.
+        permutation is dropped before the snapshot is built, and the snapshot
+        adopts ``labels`` and ``index_of`` without copying them, which bounds
+        peak memory.
         """
         n = len(labels)
         out_indptr = np.zeros(n + 1, dtype=np.int64)

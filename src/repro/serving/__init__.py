@@ -12,8 +12,8 @@ collection — and serves many queries over the materialized artifact:
   k-sweep spread curves and seed-set spread estimates over a stored
   collection, plus bit-for-bit deterministic incremental theta growth.
 * :class:`~repro.serving.service.InfluenceService` — a thread-safe
-  front-end keyed by ``(graph fingerprint, model)`` with LRU eviction,
-  build-once on concurrent first requests and request coalescing.
+  front-end over attached indexes, keyed by ``(graph fingerprint, model)``,
+  with LRU eviction and coalescing of concurrent evaluate requests.
 """
 
 from repro.serving.artifact import (
@@ -26,11 +26,7 @@ from repro.serving.artifact import (
     save_index_artifact,
 )
 from repro.serving.index import IndexSelection, InfluenceIndex
-from repro.serving.service import (
-    EvaluateOutcome,
-    InfluenceService,
-    MutableGraphWarning,
-)
+from repro.serving.service import EvaluateOutcome, InfluenceService
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -40,7 +36,6 @@ __all__ = [
     "IndexSelection",
     "InfluenceIndex",
     "InfluenceService",
-    "MutableGraphWarning",
     "build_metadata",
     "load_index_artifact",
     "payload_checksum",

@@ -1,20 +1,19 @@
-"""Concurrent query service over influence indexes.
+"""Concurrent query service over attached influence indexes.
 
-:class:`InfluenceService` is the process-level front-end the CLI's ``serve``
-command (and any embedding application) talks to.  It manages a bounded pool
-of loaded :class:`~repro.serving.index.InfluenceIndex` objects keyed by
-``(graph content fingerprint, model)`` and answers three request kinds:
-``select`` (warm greedy seed selection), ``evaluate`` (RIS spread estimate
-of a given seed set) and ``sweep`` (k-sweep spread curve).
+:class:`InfluenceService` holds a bounded pool of
+:class:`~repro.serving.index.InfluenceIndex` objects keyed by
+``(graph content fingerprint, model)``.  Indexes are built or loaded by the
+caller and handed over with :meth:`~InfluenceService.attach`; the service
+answers two request kinds against them: ``select`` (warm greedy seed
+selection) and ``evaluate`` (RIS spread estimate of a given seed set).  A
+request for a ``(graph, model)`` with no attached index raises
+:class:`~repro.exceptions.ConfigurationError`.
 
 * **LRU eviction** — at most ``capacity`` indexes stay resident; touching an
-  index moves it to the back of the queue and inserting beyond capacity
-  drops the front (its artifact, if persisted, can simply be reopened
-  later, which the memory-mapped loader makes cheap).  Eviction is safe
-  under in-flight requests: they hold a reference to the index object, which
-  stays fully functional after leaving the pool.
-* **Build once** — concurrent first requests for a key build its index
-  once; the other callers wait for that build and share its result.
+  index moves it to the back of the queue and attaching beyond capacity
+  drops the front.  Eviction is safe under in-flight requests: they hold a
+  reference to the index object, which stays fully functional after leaving
+  the pool.
 * **Request coalescing** — concurrent ``evaluate`` calls against the same
   index are drained by a single *leader* thread per index, which batches
   every queued seed set into one
@@ -25,28 +24,23 @@ of a given seed set) and ``sweep`` (k-sweep spread curve).
 
 from __future__ import annotations
 
-import pathlib
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.graphs.digraph import CompiledGraph, DiGraph, Node
+from repro.graphs.digraph import CompiledGraph, Node
 from repro.graphs.fingerprint import graph_fingerprint
-from repro.serving.index import DEFAULT_BLOCK_SIZE, IndexSelection, InfluenceIndex
+from repro.serving.index import IndexSelection, InfluenceIndex
 from repro.telemetry.registry import MetricsRegistry, default_registry
-
-DEFAULT_THETA = 20_000
 
 ServiceKey = Tuple[str, str]
 
 #: The ``stats()`` counter keys, backed by labeled children of
 #: ``repro_serving_events_total`` on the service's registry.
 _STAT_KEYS = (
-    "index_builds",
     "index_hits",
     "index_evictions",
     "evaluate_requests",
@@ -60,18 +54,8 @@ _STAT_KEYS = (
 #: The full (op, outcome) space for the per-request series.  Both axes are
 #: closed sets, which lets the service resolve every labeled child once at
 #: construction instead of paying a ``labels()`` lookup per request.
-_REQUEST_OPS = ("evaluate", "select", "sweep")
+_REQUEST_OPS = ("evaluate", "select")
 _REQUEST_OUTCOMES = ("ok", "error")
-
-
-class MutableGraphWarning(RuntimeWarning):
-    """A mutable ``DiGraph`` was passed to a service hot path.
-
-    The service keys requests by the graph's content fingerprint, cached on
-    the immutable ``CompiledGraph``; a ``DiGraph`` is recompiled and
-    re-fingerprinted on *every* call, which on a 10k-node graph costs more
-    than the warm query itself.  Compile once and pass the snapshot.
-    """
 
 
 class EvaluateOutcome(float):
@@ -95,22 +79,14 @@ class _EvalRequest:
 class InfluenceService:
     """Thread-safe influence-query service with LRU index management.
 
-    **Pass a ``CompiledGraph`` on hot paths.**  Requests are keyed by the
-    graph's content fingerprint, which is cached on the immutable compiled
-    snapshot.  A mutable :class:`DiGraph` is accepted for convenience but is
-    recompiled and re-fingerprinted on *every* call (a
-    :class:`MutableGraphWarning` is emitted once per service).
+    Requests name their graph as a :class:`CompiledGraph` and are keyed by
+    its content fingerprint, which the immutable snapshot caches.
 
     Parameters
     ----------
     capacity:
         Maximum number of resident indexes; least-recently-used eviction
         beyond that.
-    default_theta:
-        RR sets sampled when a request needs an index that was never built
-        or attached.
-    engine_seed / block_size:
-        Build parameters for on-demand indexes.
     registry:
         The :class:`~repro.telemetry.registry.MetricsRegistry` this
         service records into; ``None`` (the default) creates a private
@@ -126,30 +102,18 @@ class InfluenceService:
         self,
         capacity: int = 8,
         *,
-        default_theta: int = DEFAULT_THETA,
-        engine_seed: int = 0,
-        block_size: int = DEFAULT_BLOCK_SIZE,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        if default_theta < 1:
-            raise ConfigurationError(
-                f"default_theta must be >= 1, got {default_theta}"
-            )
         self.capacity = capacity
-        self.default_theta = default_theta
-        self.engine_seed = engine_seed
-        self.block_size = block_size
         self._lock = threading.RLock()
         # Coalescing state shares the service lock through a condition so a
         # retiring leader can wake parked followers to take over the queue.
         self._eval_cond = threading.Condition(self._lock)
         self._indexes: "OrderedDict[ServiceKey, InfluenceIndex]" = OrderedDict()
-        self._builds: Dict[ServiceKey, threading.Event] = {}
         self._pending: Dict[ServiceKey, List[_EvalRequest]] = {}
         self._leaders: Dict[ServiceKey, bool] = {}
-        self._warned_mutable = False
         # Metrics live on the registry; handles are resolved once here so
         # hot paths touch no dicts.  The stats() counters stay a plain
         # labeled counter family, reconstructed as a dict by stats().
@@ -197,171 +161,52 @@ class InfluenceService:
 
     # ------------------------------------------------------------- index pool
 
-    def _key(
-        self, graph: Union[DiGraph, CompiledGraph], model: str
-    ) -> Tuple[ServiceKey, CompiledGraph]:
-        if isinstance(graph, DiGraph):
-            if not self._warned_mutable:
-                self._warned_mutable = True
-                warnings.warn(
-                    "a mutable DiGraph was passed to an InfluenceService hot "
-                    "path; it is recompiled and re-fingerprinted on every "
-                    "call — compile once (graph.compile()) and pass the "
-                    "snapshot instead",
-                    MutableGraphWarning,
-                    stacklevel=3,
-                )
-            compiled = graph.compile()
-        else:
-            compiled = graph
-        return (graph_fingerprint(compiled), model), compiled
-
-    def _touch(self, key: ServiceKey) -> Optional[InfluenceIndex]:
-        index = self._indexes.get(key)
-        if index is not None:
-            self._indexes.move_to_end(key)
-        return index
-
-    def _insert(self, key: ServiceKey, index: InfluenceIndex) -> None:
-        self._indexes[key] = index
-        self._indexes.move_to_end(key)
-        while len(self._indexes) > self.capacity:
-            self._indexes.popitem(last=False)
-            self._bump("index_evictions")
-
     def attach(self, index: InfluenceIndex) -> ServiceKey:
-        """Register an existing index (e.g. loaded from an artifact)."""
+        """Make ``index`` resident under ``(fingerprint, model)``."""
         key = (index.fingerprint, index.model)
         with self._lock:
-            self._insert(key, index)
+            self._indexes[key] = index
+            self._indexes.move_to_end(key)
+            while len(self._indexes) > self.capacity:
+                self._indexes.popitem(last=False)
+                self._bump("index_evictions")
         return key
 
-    def load_artifact(
-        self,
-        path: Union[str, pathlib.Path],
-        graph: Union[DiGraph, CompiledGraph],
-        *,
-        mmap: bool = True,
-    ) -> InfluenceIndex:
-        """Open a persisted artifact against ``graph`` and attach it.
-
-        A payload that fails its sha256 check raises
-        :class:`~repro.exceptions.ArtifactCorruptError`, whose message says
-        how to restore or rebuild the file.
-        """
-        index = InfluenceIndex.load(path, graph, mmap=mmap)
-        self.attach(index)
-        return index
-
-    # ----------------------------------------------------------- index access
-
-    def get_index(
-        self,
-        graph: Union[DiGraph, CompiledGraph],
-        model: str,
-        *,
-        theta: Optional[int] = None,
-    ) -> InfluenceIndex:
-        """Return the resident index for ``(graph, model)``, building if needed.
-
-        Concurrent first requests for the same key build once: the first
-        caller becomes the builder, later callers park on an event and pick
-        up the finished index.  A ``theta`` larger than the resident index
-        grows it in place.
-        """
-        key, compiled = self._key(graph, model)
-        return self._get_index(key, compiled, model, theta=theta)
-
     def _get_index(
-        self,
-        key: ServiceKey,
-        compiled: CompiledGraph,
-        model: str,
-        *,
-        theta: Optional[int],
-    ) -> InfluenceIndex:
-        while True:
-            with self._lock:
-                index = self._touch(key)
-                if index is not None:
-                    self._bump("index_hits")
-                    break
-                build = self._builds.get(key)
-                if build is None:
-                    self._builds[key] = threading.Event()
-                    break
-            build.wait()
-        if index is None:
-            try:
-                index = InfluenceIndex.build(
-                    compiled,
-                    model,
-                    theta if theta is not None else self.default_theta,
-                    engine_seed=self.engine_seed,
-                    block_size=self.block_size,
-                )
-                with self._lock:
-                    self._insert(key, index)
-                    self._bump("index_builds")
-            finally:
-                with self._lock:
-                    event = self._builds.pop(key, None)
-                if event is not None:
-                    event.set()
-        if theta is not None and theta > index.theta:
-            index.grow(theta)
-        return index
+        self, graph: CompiledGraph, model: str
+    ) -> Tuple[ServiceKey, InfluenceIndex]:
+        """The attached index for ``(graph, model)``, touched for LRU."""
+        key = (graph_fingerprint(graph), model)
+        with self._lock:
+            index = self._indexes.get(key)
+            if index is not None:
+                self._indexes.move_to_end(key)
+                self._bump("index_hits")
+                return key, index
+        raise ConfigurationError(
+            f"no index attached for model {model!r} on graph {key[0][:12]}; "
+            "build or load one with InfluenceIndex and pass it to attach()"
+        )
 
     # ---------------------------------------------------------------- queries
 
     def select(
-        self,
-        graph: Union[DiGraph, CompiledGraph],
-        model: str,
-        budget: int,
-        *,
-        theta: Optional[int] = None,
+        self, graph: CompiledGraph, model: str, budget: int
     ) -> IndexSelection:
         """Warm seed selection through the resident index."""
-        key, compiled = self._key(graph, model)
         started = time.monotonic()
         outcome = "error"
         try:
             self._bump("select_requests")
-            index = self._get_index(key, compiled, model, theta=theta)
+            _, index = self._get_index(graph, model)
             selection = index.select(budget)
             outcome = "ok"
             return selection
         finally:
             self._observe_request("select", outcome, started)
 
-    def sweep(
-        self,
-        graph: Union[DiGraph, CompiledGraph],
-        model: str,
-        seed_counts: Sequence[int],
-        *,
-        theta: Optional[int] = None,
-    ) -> Dict[int, float]:
-        """Warm k-sweep spread curve through the resident index."""
-        key, compiled = self._key(graph, model)
-        started = time.monotonic()
-        outcome = "error"
-        try:
-            index = self._get_index(key, compiled, model, theta=theta)
-            curve = index.spread_curve(seed_counts)
-            outcome = "ok"
-            return curve
-        finally:
-            self._observe_request("sweep", outcome, started)
-
     def evaluate(
-        self,
-        graph: Union[DiGraph, CompiledGraph],
-        model: str,
-        seeds: Sequence[Node],
-        *,
-        theta: Optional[int] = None,
+        self, graph: CompiledGraph, model: str, seeds: Sequence[Node]
     ) -> EvaluateOutcome:
         """RIS spread estimate of ``seeds``, coalescing concurrent callers.
 
@@ -373,11 +218,10 @@ class InfluenceService:
         if requests remain queued it wakes a parked follower, which takes
         over leadership for the next batch.
         """
-        key, compiled = self._key(graph, model)
         started = time.monotonic()
         outcome = "error"
         try:
-            index = self._get_index(key, compiled, model, theta=theta)
+            key, index = self._get_index(graph, model)
             indices = tuple(index._indices_for(seeds))
             result = EvaluateOutcome(self._coalesced_evaluate(index, key, indices))
             outcome = "ok"
@@ -450,7 +294,7 @@ class InfluenceService:
     def _serve_batch(index: InfluenceIndex, batch: List[_EvalRequest]) -> None:
         try:
             # Goes through the index so the read holds the lock grow()
-            # mutates the collection under — a concurrent theta-growth must
+            # mutates the collection under — a concurrent ``index.grow`` must
             # never interleave with the batched oracle pass.
             spreads = index._estimate_spreads_indices(
                 [request.seeds for request in batch]

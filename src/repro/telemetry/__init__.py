@@ -9,22 +9,15 @@ Three small modules:
 * :mod:`repro.telemetry.tracing` — :func:`span` context managers with
   monotonic timings, per-thread parent links and deterministic SplitMix64
   span IDs, collected by a :class:`TraceRecorder` ring buffer.
-* :mod:`repro.telemetry.export` — Prometheus text format v0.0.4, JSON
-  snapshots, Chrome ``trace_event`` dumps, and the ``/metrics``
-  background server used by ``repro serve --metrics-port``.
+* :mod:`repro.telemetry.export` — Prometheus text format v0.0.4 and
+  Chrome ``trace_event`` dumps.
 
 Everything is dependency-free (stdlib only) and safe to import from any
 layer; the serving stack and all four engines instrument through the
 module-level hooks, which cost one attribute read when telemetry is off.
 """
 
-from repro.telemetry.export import (
-    MetricsServer,
-    chrome_trace,
-    render_json,
-    render_prometheus,
-    snapshot,
-)
+from repro.telemetry.export import chrome_trace, render_prometheus
 from repro.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     METRIC_NAME_PATTERN,
@@ -53,7 +46,6 @@ __all__ = [
     "Histogram",
     "METRIC_NAME_PATTERN",
     "MetricsRegistry",
-    "MetricsServer",
     "NULL_SPAN",
     "Span",
     "TraceRecorder",
@@ -62,11 +54,9 @@ __all__ = [
     "default_registry",
     "install_recorder",
     "recording",
-    "render_json",
     "render_prometheus",
     "reset_default_registry",
     "set_default_registry",
-    "snapshot",
     "span",
     "uninstall_recorder",
     "use_registry",

@@ -15,6 +15,7 @@ import tomllib
 
 import pytest
 
+import repro
 import repro.api
 from repro.cli import build_parser
 from repro.devtools import RULES
@@ -101,6 +102,24 @@ class TestDesignAndExperiments:
             source = script.read_text(encoding="utf-8")
             assert source.lstrip().startswith(("#!", '"""')), script.name
             assert '"""' in source
+
+
+def test_version_is_declared_only_in_the_version_module():
+    """``pyproject.toml`` takes the version from ``repro._version`` instead
+    of repeating it, so the package metadata and the version recorded in
+    artifacts and run provenance cannot drift apart."""
+    pyproject = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    source = pyproject["tool"]["setuptools"]["dynamic"]["version"]
+    assert source == {"attr": "repro._version.__version__"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+    declared = [
+        path.relative_to(REPO_ROOT).as_posix()
+        for path in (REPO_ROOT / "src").rglob("*.py")
+        if re.search(r"^__version__\s*=", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert declared == ["src/repro/_version.py"]
 
 
 CLI_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]

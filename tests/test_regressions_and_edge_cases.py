@@ -182,21 +182,21 @@ class TestOSIMWeightingVariants:
 # (test_experiment_api.py), InfluenceIndex.build/grow/select and
 # load_index_artifact (test_serving.py), SupervisedPool.run
 # (test_runtime.py).
+def _serving(index):
+    """A service with ``index`` attached."""
+    service = InfluenceService()
+    service.attach(index)
+    return service
+
+
 MALFORMED_CALLS = [
-    ("InfluenceService.get_index",
-     lambda graph, index, tmp: InfluenceService().get_index(graph, "oi-ic")),
     ("InfluenceService.evaluate",
-     lambda graph, index, tmp: InfluenceService(default_theta=200).evaluate(
+     lambda graph, index, tmp: _serving(index).evaluate(
          graph, "ic", ["no-such-node"])),
-    ("InfluenceService.sweep",
-     lambda graph, index, tmp: InfluenceService(default_theta=200).sweep(
-         graph, "ic", [-1])),
     ("InfluenceService.select",
-     lambda graph, index, tmp: InfluenceService(default_theta=200).select(
-         graph, "ic", -1)),
-    ("InfluenceService.load_artifact",
-     lambda graph, index, tmp: InfluenceService().load_artifact(
-         tmp / "missing.npz", graph)),
+     lambda graph, index, tmp: _serving(index).select(graph, "ic", -1)),
+    ("InfluenceService.select-unattached",
+     lambda graph, index, tmp: InfluenceService().select(graph, "ic", 1)),
     ("InfluenceIndex.estimate_spread",
      lambda graph, index, tmp: index.estimate_spread(["no-such-node"])),
     ("InfluenceIndex.estimate_spreads",

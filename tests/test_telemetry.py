@@ -13,7 +13,6 @@ import bisect
 import json
 import math
 import threading
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,18 +24,15 @@ from repro.exceptions import ConfigurationError, LifecycleError
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    MetricsServer,
     NULL_SPAN,
     TraceRecorder,
     chrome_trace,
     current_recorder,
     default_registry,
     recording,
-    render_json,
     render_prometheus,
     reset_default_registry,
     set_default_registry,
-    snapshot,
     span,
     use_registry,
 )
@@ -289,19 +285,10 @@ class TestExporters:
         first.counter("repro_merge_total").inc(1)
         second.counter("repro_merge_total").inc(99)
         second.counter("repro_merge_other_total").inc(7)
-        merged = snapshot(first, None, second)
-        metrics = merged["metrics"]
-        assert metrics["repro_merge_total"]["samples"][0]["value"] == 1.0
-        assert metrics["repro_merge_other_total"]["samples"][0]["value"] == 7.0
-
-    def test_render_json_round_trips(self):
-        reg = _demo_registry()
-        parsed = json.loads(render_json(reg))
-        assert parsed == snapshot(reg)
-        assert parsed["schema"] == "repro/metrics@1"
-        histogram = parsed["metrics"]["repro_demo_seconds"]["samples"][0]
-        assert histogram["count"] == 3
-        assert histogram["buckets"][-1][0] == "+Inf"
+        lines = render_prometheus(first, None, second).splitlines()
+        assert "repro_merge_total 1" in lines
+        assert "repro_merge_other_total 7" in lines
+        assert "repro_merge_total 99" not in lines
 
     def test_snapshot_is_exact_under_concurrent_writers(self):
         reg = MetricsRegistry()
@@ -341,19 +328,6 @@ class TestExporters:
         assert inner["args"]["parent_id"] == outer["args"]["span_id"]
         json.dumps(trace)  # must be serialisable as-is
 
-    def test_metrics_server_serves_text_and_json(self):
-        reg = _demo_registry()
-        with MetricsServer([reg]) as server:
-            base = f"http://127.0.0.1:{server.port}"
-            with urllib.request.urlopen(f"{base}/metrics") as response:
-                text = response.read().decode("utf-8")
-                content_type = response.headers["Content-Type"]
-            with urllib.request.urlopen(f"{base}/metrics.json") as response:
-                parsed = json.loads(response.read().decode("utf-8"))
-        assert text == GOLDEN_PROMETHEUS
-        assert "version=0.0.4" in content_type
-        assert parsed == snapshot(reg)
-
 
 # ----------------------------------------------------- instrumented serving
 
@@ -365,19 +339,26 @@ def small_graph():
     return barabasi_albert_graph(60, 2, seed=3, probability=0.1).compile()
 
 
+def _service_over(graph):
+    """A service with a 500-set IC index over ``graph`` attached."""
+    service = repro.InfluenceService()
+    service.attach(repro.InfluenceIndex.build(graph, "ic", 500))
+    return service
+
+
 class TestInstrumentedService:
     def test_legacy_stats_and_rich_series_agree(self, small_graph):
-        service = repro.InfluenceService(default_theta=500)
         registry = MetricsRegistry()
         recorder = TraceRecorder(seed=0)
         with use_registry(registry), recording(recorder):
+            service = _service_over(small_graph)
             service.evaluate(small_graph, "ic", [0, 1])
             service.select(small_graph, "ic", 3)
 
         stats = service.stats()
         assert stats["evaluate_requests"] == 1
         assert stats["select_requests"] == 1
-        assert stats["index_builds"] == 1
+        assert stats["index_hits"] == 2
 
         # The same traffic is visible as labeled series on the service
         # registry, and engine counters/spans landed in the scoped globals.
@@ -392,7 +373,7 @@ class TestInstrumentedService:
         assert {"index_grow", "index_select", "index_evaluate"} <= names
 
     def test_service_metrics_off_by_default_registry_none(self, small_graph):
-        service = repro.InfluenceService(default_theta=500)
+        service = _service_over(small_graph)
         previous = set_default_registry(None)
         try:
             service.evaluate(small_graph, "ic", [0, 1])
@@ -406,7 +387,7 @@ class TestInstrumentedService:
         assert seconds.labels(op="evaluate").count == 0
 
     def test_stats_snapshot_is_deep_copied(self, small_graph):
-        service = repro.InfluenceService(default_theta=500)
+        service = _service_over(small_graph)
         service.evaluate(small_graph, "ic", [0])
         stats = service.stats()
         stats["resident_indexes"][0]["theta"] = -1
@@ -415,7 +396,7 @@ class TestInstrumentedService:
         assert len(fresh) == 1 and fresh[0]["theta"] == 500
 
     def test_prometheus_endpoint_sees_service_traffic(self, small_graph):
-        service = repro.InfluenceService(default_theta=500)
+        service = _service_over(small_graph)
         service.evaluate(small_graph, "ic", [0, 1])
         text = render_prometheus(service.telemetry)
         assert 'repro_serving_events_total{event="evaluate_requests"} 1' in text
