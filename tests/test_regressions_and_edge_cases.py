@@ -197,6 +197,13 @@ MALFORMED_CALLS = [
      lambda graph, index, tmp: _serving(index).select(graph, "ic", -1)),
     ("InfluenceService.select-unattached",
      lambda graph, index, tmp: InfluenceService().select(graph, "ic", 1)),
+    ("InfluenceService.select-over-budget",
+     lambda graph, index, tmp: _serving(index).select(
+         graph, "ic", graph.number_of_nodes + 1)),
+    ("InfluenceService.evaluate-unattached",
+     lambda graph, index, tmp: InfluenceService().evaluate(graph, "ic", [0])),
+    ("InfluenceService-zero-capacity",
+     lambda graph, index, tmp: InfluenceService(capacity=0)),
     ("InfluenceIndex.estimate_spread",
      lambda graph, index, tmp: index.estimate_spread(["no-such-node"])),
     ("InfluenceIndex.estimate_spreads",

@@ -14,6 +14,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.exceptions import (
     ArtifactCorruptError,
+    BudgetError,
     ConfigurationError,
     IndexArtifactError,
     IndexMismatchError,
@@ -30,6 +31,7 @@ from repro.serving import (
     save_index_artifact,
 )
 from repro.sketches import BatchRRSampler, RRSetCollection
+from repro.telemetry.registry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -1065,6 +1067,111 @@ class TestInfluenceService:
         # Every leader retired and every queue drained.
         assert not service._pending and not service._leaders
 
+    def test_content_equal_graph_is_served_by_the_same_index(
+        self, wc_graph, wc_compiled
+    ):
+        service, index = _attached(wc_compiled, theta=300)
+        twin = wc_graph.copy().compile()
+        assert twin is not wc_compiled
+        assert service.select(twin, "ic", 3).seeds == index.select(3).seeds
+        assert service.stats()["index_hits"] == 1
+
+    def test_edited_graph_is_not_served_by_the_old_index(
+        self, wc_graph, wc_compiled
+    ):
+        service, _ = _attached(wc_compiled, theta=300)
+        edited = wc_graph.copy()
+        edited.add_edge(0, 199, probability=0.5)
+        with pytest.raises(ConfigurationError, match=r"attach\(\)"):
+            service.evaluate(edited.compile(), "ic", [0])
+        assert service.stats()["index_hits"] == 0
+
+    def test_evaluate_touches_the_lru_order(self):
+        service = InfluenceService(capacity=2)
+        graphs = [erdos_renyi_graph(30, 0.1, seed=s).compile() for s in (1, 2)]
+        for graph in graphs:
+            service.attach(InfluenceIndex.build(graph, "ic", 100))
+        service.evaluate(graphs[0], "ic", [0])  # touch: now most recent
+        service.attach(
+            InfluenceIndex.build(erdos_renyi_graph(30, 0.1, seed=3).compile(), "ic", 100)
+        )
+        # graphs[1] was the least recently used, so it is the one evicted.
+        assert service.evaluate(graphs[0], "ic", [0]) > 0
+        with pytest.raises(ConfigurationError):
+            service.evaluate(graphs[1], "ic", [0])
+
+    def test_reattaching_the_same_index_evicts_nothing(self, wc_compiled):
+        service, index = _attached(wc_compiled, theta=200, capacity=1)
+        for _ in range(3):
+            assert service.attach(index) == (index.fingerprint, "ic")
+        assert len(service) == 1
+        assert service.stats()["index_evictions"] == 0
+
+    def test_evaluate_of_the_empty_seed_set_is_zero(self, wc_compiled):
+        service, _ = _attached(wc_compiled, theta=200)
+        assert service.evaluate(wc_compiled, "ic", []) == 0.0
+        assert service.stats()["evaluate_requests"] == 1
+
+    def test_services_keep_private_counters(self, wc_compiled, built_index):
+        first, second = InfluenceService(), InfluenceService()
+        for service in (first, second):
+            service.attach(built_index)
+        first.evaluate(wc_compiled, "ic", [0])
+        first.select(wc_compiled, "ic", 2)
+        assert first.telemetry is not second.telemetry
+        assert first.stats()["index_hits"] == 2
+        assert second.stats()["index_hits"] == 0
+
+    def test_given_registry_receives_the_service_counters(
+        self, wc_compiled, built_index
+    ):
+        registry = MetricsRegistry()
+        service = InfluenceService(registry=registry)
+        service.attach(built_index)
+        service.select(wc_compiled, "ic", 2)
+        assert service.telemetry is registry
+        events = registry.counter(
+            "repro_serving_events_total", labelnames=("event",)
+        )
+        assert events.labels(event="select_requests").value == 1.0
+        assert events.labels(event="index_hits").value == 1.0
+
+    @pytest.mark.parametrize("op", ["select", "evaluate"])
+    def test_unattached_request_is_an_error_outcome(self, wc_compiled, op):
+        service = InfluenceService()
+        call = {
+            "select": lambda: service.select(wc_compiled, "ic", 1),
+            "evaluate": lambda: service.evaluate(wc_compiled, "ic", [0]),
+        }[op]
+        with pytest.raises(ConfigurationError):
+            call()
+        requests = service.telemetry.counter(
+            "repro_serving_requests_total", labelnames=("op", "outcome")
+        )
+        assert requests.labels(op=op, outcome="error").value == 1.0
+        assert requests.labels(op=op, outcome="ok").value == 0.0
+        assert service.stats()["index_hits"] == 0
+
+    @pytest.mark.parametrize(
+        "budget, error",
+        [(-1, ConfigurationError), (201, BudgetError)],
+        ids=["negative", "above-node-count"],
+    )
+    def test_bad_budget_is_an_error_outcome(self, wc_compiled, budget, error):
+        service, _ = _attached(wc_compiled, theta=200)
+        with pytest.raises(error):
+            service.select(wc_compiled, "ic", budget)
+        requests = service.telemetry.counter(
+            "repro_serving_requests_total", labelnames=("op", "outcome")
+        )
+        assert requests.labels(op="select", outcome="error").value == 1.0
+        # The service stays usable after the rejected request.
+        assert len(service.select(wc_compiled, "ic", 2).seeds) == 2
+
+    def test_repr_reports_residency(self, wc_compiled):
+        service, _ = _attached(wc_compiled, theta=200, capacity=3)
+        assert repr(service) == "<InfluenceService 1/3 indexes resident>"
+
 
 # ------------------------------------------------------------------------ CLI
 
@@ -1152,6 +1259,63 @@ class TestServingCLI:
                 "--seed", "2",  # different graph realisation
                 "--artifact", str(artifact), "-k", "3", "--json",
             ])
+
+    def _query(self, artifact, *request):
+        return cli_main([
+            "index", "query", "--dataset", "nethept", "--scale", "0.1",
+            "--seed", "1", "--artifact", str(artifact), *request, "--json",
+        ])
+
+    @pytest.mark.parametrize(
+        "request_args, error, match",
+        [
+            pytest.param(["--seeds", "0,no-such-node"], ConfigurationError,
+                         "not a node", id="unknown-seed"),
+            pytest.param(["--sweep", "1,x"], ConfigurationError,
+                         "integers", id="non-integer-counts"),
+            pytest.param(["--sweep", "1,-2"], ConfigurationError,
+                         "non-negative", id="negative-count"),
+            pytest.param(["-k", "-1"], ConfigurationError,
+                         "non-negative", id="negative-budget"),
+            pytest.param(["-k", "100000"], BudgetError,
+                         "exceeds", id="budget-above-node-count"),
+        ],
+    )
+    def test_index_query_rejects_a_bad_request(
+        self, tmp_path, capsys, request_args, error, match
+    ):
+        artifact, _ = self._build(tmp_path, capsys, theta=500)
+        with pytest.raises(error, match=match):
+            self._query(artifact, *request_args)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kind", ["missing", "not-an-npz"])
+    def test_index_query_names_a_bad_artifact(self, tmp_path, kind):
+        artifact = tmp_path / "index.npz"
+        if kind == "not-an-npz":
+            artifact.write_text("not an artifact")
+        with pytest.raises(IndexArtifactError, match=str(artifact)):
+            self._query(artifact, "-k", "2")
+
+    @pytest.mark.parametrize(
+        "request_args",
+        [[], ["-k", "2", "--seeds", "0"]],
+        ids=["no-query", "two-queries"],
+    )
+    def test_index_query_needs_exactly_one_query(
+        self, tmp_path, capsys, request_args
+    ):
+        artifact, _ = self._build(tmp_path, capsys, theta=500)
+        with pytest.raises(SystemExit) as excinfo:
+            self._query(artifact, *request_args)
+        assert excinfo.value.code == 2
+
+    def test_index_query_never_shrinks_theta(self, tmp_path, capsys):
+        artifact, _ = self._build(tmp_path, capsys, theta=1000)
+        before = artifact.read_bytes()
+        assert self._query(artifact, "--grow-theta", "500", "-k", "2") == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == 1000
+        assert artifact.read_bytes() == before
 
     def test_select_json_carries_selection_metadata(self, capsys):
         code = cli_main([
