@@ -110,10 +110,12 @@ class EaSyIMSelector(ScoreGreedySelector):
     """ScoreGREEDY with EaSyIM score assignment (the paper's EaSyIM algorithm).
 
     By default selection runs on the incremental
-    :class:`~repro.scoring.engine.ScoreEngine`, which recomputes scores only
-    inside the l-hop reverse ball of each activation update; pass
-    ``incremental=False`` for the historical full-recompute driver (identical
-    seed sets, asserted by the test suite).
+    :class:`~repro.scoring.engine.ScoreEngine`, which patches each hop of an
+    activation update inside its l-hop reverse ball until a hop's dirty
+    nodes own more than ``fallback_fraction`` of the ``m`` edges, then
+    recomputes that hop and every later one in full; pass
+    ``incremental=False`` for the historical full-recompute driver
+    (identical seed sets, asserted by the test suite).
     """
 
     name = "easyim"

@@ -95,10 +95,12 @@ class OSIMSelector(ScoreGreedySelector):
     """ScoreGREEDY with OSIM score assignment — the paper's MEO heuristic.
 
     By default selection runs on the incremental
-    :class:`~repro.scoring.engine.ScoreEngine` (which also fuses OSIM's three
-    per-hop scatters into one stacked pass); pass ``incremental=False`` for
-    the historical full-recompute driver (identical seed sets, asserted by
-    the test suite).
+    :class:`~repro.scoring.engine.ScoreEngine`, which patches each hop of an
+    activation update until a hop's dirty nodes own more than
+    ``fallback_fraction`` of the ``m`` edges, then recomputes that hop and
+    every later one in full (fusing OSIM's three per-hop scatters into one
+    stacked pass); pass ``incremental=False`` for the historical
+    full-recompute driver (identical seed sets, asserted by the test suite).
     """
 
     name = "osim"

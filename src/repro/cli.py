@@ -98,8 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     select_parser.add_argument(
         "--fallback-fraction", type=float, default=None,
-        help="incremental edge-work budget per update as a fraction of the "
-        "full l*m score pass before the engine falls back to a rebuild",
+        help="per-hop incremental work budget as a fraction of m: the first "
+        "hop whose dirty nodes own more out-edges is recomputed in full, "
+        "with every later hop",
     )
     select_parser.add_argument(
         "--selection-seed", type=int, default=None,
@@ -349,21 +350,27 @@ def _coerce_seed(token: str):
 
 def _parse_seeds(text: str) -> list:
     """Parse a comma-separated seed list (ints where possible, else labels)."""
-    return [
+    seeds = [
         _coerce_seed(token)
         for token in (t.strip() for t in text.split(","))
         if token
     ]
+    if not seeds:
+        raise ConfigurationError(f"--seeds names no seed, got {text!r}")
+    return seeds
 
 
 def _parse_counts(text: str) -> list:
     """Parse a comma-separated list of seed counts for a k-sweep."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        counts = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise ConfigurationError(
             f"sweep counts must be comma-separated integers, got {text!r}"
         )
+    if not counts:
+        raise ConfigurationError(f"--sweep names no seed count, got {text!r}")
+    return counts
 
 
 def _command_evaluate(args: argparse.Namespace) -> int:

@@ -19,10 +19,10 @@ their in-neighbours, and so on.
   hop by hop via reverse BFS on the in-CSR and recomputes each hop *only*
   over its dirty nodes, with bit-for-bit identical results to a full pass
   (per-node sums accumulate the same edges in the same CSR order).
-* **Fallback** — when the dirty region exceeds ``fallback_fraction`` of the
-  total ``l * m`` edge work, the engine abandons the incremental update and
-  runs one full pass instead, so adversarial cascades never cost more than
-  the historical driver.
+* **Per-hop fallback** — a hop is patched only while its dirty nodes own
+  at most ``fallback_fraction * m`` out-edges; from the first hop over
+  budget, every hop is recomputed in full from the exact arrays of the hop
+  before, so no expansion work is thrown away.
 * **Lazy argmax repair** — only dirty nodes can change rank, so the running
   argmax lives in a lazily maintained *top pool*: every node whose score
   reached the pool threshold ``tau`` (the T-th largest score at the last
@@ -43,7 +43,7 @@ fusion is bit-for-bit identical to the three separate scatters.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,18 +53,10 @@ from repro.graphs.digraph import CompiledGraph
 from repro.telemetry.registry import default_registry
 from repro.telemetry.tracing import span
 
-#: Incremental work budget as a fraction of the full-pass edge work ``l * m``;
-#: beyond it a full rebuild is cheaper than chasing the dirty ball.
-DEFAULT_FALLBACK_FRACTION = 0.25
-
-#: After this many consecutive fallbacks the engine stops attempting
-#: incremental updates (hub-dominated graphs blow the dirty ball every
-#: round) and rebuilds directly ...
-FALLBACK_PATIENCE = 2
-
-#: ... retrying an incremental update this often, in case the growing
-#: activated set has since shrunk the dirty region.
-FALLBACK_RETRY_PERIOD = 8
+#: Per-hop incremental work budget as a fraction of ``m``: a hop whose dirty
+#: nodes own more out-edges is recomputed in full, with every later hop.
+#: Chosen by timing the ``easyim-wc`` and ``osim-oi`` benchmark workloads.
+DEFAULT_FALLBACK_FRACTION = 0.2
 
 #: Argmax pool size target: the pool holds at least this many of the
 #: top-scoring inactive nodes (more when scores tie at the threshold).
@@ -110,8 +102,8 @@ class _EaSyIMState:
 
     #: EaSyIM contributions are non-negative and activation only zeroes
     #: edges, so every node's residual score is non-increasing over the
-    #: ScoreGREEDY run.  Stale argmax-heap entries are then always
-    #: *optimistic* and lazy refresh-on-pop alone keeps the heap correct.
+    #: ScoreGREEDY run.  No node outside the argmax pool can climb past its
+    #: threshold, so the pool needs no re-pooling after an update.
     monotone_decreasing = True
 
     def __init__(
@@ -127,16 +119,24 @@ class _EaSyIMState:
     def scores(self) -> np.ndarray:
         return self.delta[-1]
 
-    def full_rebuild(self, active: np.ndarray) -> None:
+    def recompute_from(self, start: int, active: np.ndarray) -> None:
+        """Recompute hops ``start .. l-1`` over every node from the exact
+        hop ``start - 1`` array.
+
+        The residual mask is applied per node, ``p * ((1 + Delta) *
+        inactive)[targets]``: multiplying by exactly 1.0 or 0.0 gives the
+        same product in either order, so this matches the reference's
+        per-edge ``p * (1 + Delta[targets]) * mask`` bit for bit.
+        """
         graph = self.graph
         n = graph.number_of_nodes
         sources = graph.edge_sources
         targets = graph.out_indices
-        edge_mask = (~active[targets]).astype(np.float64)
-        delta_prev = np.zeros(n, dtype=np.float64)
-        for hop in range(self.hops):
+        inactive = (~active).astype(np.float64)
+        delta_prev = self.delta[start - 1] if start else np.zeros(n)
+        for hop in range(start, self.hops):
             contributions = (
-                self.probabilities * (1.0 + delta_prev[targets]) * edge_mask
+                self.probabilities * ((1.0 + delta_prev) * inactive)[targets]
             )
             delta_prev = np.bincount(sources, weights=contributions, minlength=n)
             self.delta[hop] = delta_prev
@@ -178,7 +178,7 @@ class _OSIMState:
 
     #: OSIM walk contributions are signed (opinions and psi can be
     #: negative), so discounting an activated node can *raise* another
-    #: node's score — those nodes need an eager heap re-push.
+    #: node's score — those nodes are re-pooled eagerly.
     monotone_decreasing = False
 
     def __init__(
@@ -221,38 +221,37 @@ class _OSIMState:
             return self._or0, self._alpha0, self._sc0
         return self.or_[hop - 1], self.alpha[hop - 1], self.sc[hop - 1]
 
-    def full_rebuild(self, active: np.ndarray) -> None:
+    def recompute_from(self, start: int, active: np.ndarray) -> None:
+        """Recompute hops ``start .. l-1`` from the exact hop ``start - 1``
+        aggregates, masked per node as in EaSyIM, then every node's delta
+        (a new array: a held reference keeps the previous scores)."""
         graph = self.graph
         n = graph.number_of_nodes
         targets = graph.out_indices
         opinions = self.opinions
-        edge_mask = (~active[targets]).astype(np.float64)
+        inactive = (~active).astype(np.float64)
         m = graph.number_of_edges
         stacked = self._stacked_weights
         gather = self._gather
-        delta = np.zeros(n, dtype=np.float64)
-        for hop in range(self.hops):
+        for hop in range(start, self.hops):
             or_prev, alpha_prev, sc_prev = self._prev(hop)
-            weighted = self.probabilities * edge_mask
-            np.take(or_prev, targets, out=gather)
-            np.multiply(weighted, gather, out=stacked[:m])
-            np.take(alpha_prev, targets, out=gather)
-            np.multiply(weighted, gather, out=stacked[m:2 * m])
+            np.take(or_prev * inactive, targets, out=gather)
+            np.multiply(self.probabilities, gather, out=stacked[:m])
+            np.take(alpha_prev * inactive, targets, out=gather)
+            np.multiply(self.probabilities, gather, out=stacked[m:2 * m])
             np.multiply(stacked[m:2 * m], self.psi, out=stacked[m:2 * m])
-            np.take(sc_prev, targets, out=gather)
-            np.multiply(weighted, gather, out=stacked[2 * m:])
+            np.take(sc_prev * inactive, targets, out=gather)
+            np.multiply(self.probabilities, gather, out=stacked[2 * m:])
             sums = np.bincount(
                 self._stacked_keys, weights=stacked, minlength=3 * n
             ).reshape(3, n)
             or_cur, alpha_cur, sc_cur = sums[0], sums[1], sums[2]
             sc_cur = sc_cur + opinions * alpha_cur
-            contrib = (or_cur + sc_cur + opinions * alpha_cur) / 2.0
-            delta = delta + contrib
             self.or_[hop] = or_cur
             self.alpha[hop] = alpha_cur
             self.sc[hop] = sc_cur
-            self.contrib[hop] = contrib
-        self.delta = delta
+            self.contrib[hop] = (or_cur + sc_cur + opinions * alpha_cur) / 2.0
+        self.delta = self._accumulate(slice(None))
 
     def recompute_hop(
         self,
@@ -287,12 +286,15 @@ class _OSIMState:
         ) / 2.0
 
     def refresh_scores(self, nodes: np.ndarray) -> None:
-        """Re-accumulate the cumulative delta of ``nodes`` hop by hop, in the
-        same left-to-right order the full pass uses (bit-for-bit)."""
-        acc = np.zeros(nodes.size, dtype=np.float64)
+        self.delta[nodes] = self._accumulate(nodes)
+
+    def _accumulate(self, nodes: Union[np.ndarray, slice]) -> np.ndarray:
+        """The cumulative delta of ``nodes``, summed hop by hop in the same
+        left-to-right order as the reference pass (bit-for-bit)."""
+        acc = np.zeros(self.delta[nodes].size, dtype=np.float64)
         for contrib in self.contrib:
             acc = acc + contrib[nodes]
-        self.delta[nodes] = acc
+        return acc
 
 
 class ScoreEngine:
@@ -313,9 +315,10 @@ class ScoreEngine:
         The diffusion model OSIM's scores approximate; it decides the
         per-edge ``psi`` (:func:`osim_psi`).  EaSyIM ignores it.
     fallback_fraction:
-        Incremental edge-work budget per update, as a fraction of the full
-        pass ``l * m``; exceeding it triggers a full rebuild.  ``0`` forces
-        every update to rebuild, ``1`` (or more) essentially never does.
+        Per-hop incremental work budget, as a fraction of ``m``: the first
+        hop whose dirty nodes own more out-edges than this is recomputed in
+        full, with every later hop.  ``0`` makes every update a full pass,
+        ``1`` (or more) patches every hop.
     """
 
     def __init__(
@@ -357,18 +360,14 @@ class ScoreEngine:
         n = graph.number_of_nodes
         self._active = np.zeros(n, dtype=bool)
         self._scratch = np.empty(n, dtype=np.int64)
-        self._consecutive_fallbacks = 0
-        self._rebuilds_until_retry = 0
         self.stats: Dict[str, int] = {
             "full_rebuilds": 0,
             "incremental_updates": 0,
-            "fallback_rebuilds": 0,
-            "direct_rebuilds": 0,
             "pool_rebuilds": 0,
             "dirty_nodes_total": 0,
             "edges_touched_incremental": 0,
         }
-        self._state.full_rebuild(self._active)
+        self._state.recompute_from(0, self._active)
         self._bump("full_rebuilds")
         self._pool = _EMPTY
         self._tau = -np.inf
@@ -450,12 +449,12 @@ class ScoreEngine:
     def mark_active(self, nodes: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
         """Mark ``nodes`` activated and repair the affected scores.
 
-        Returns the dirty node set whose scores were repaired in place by an
-        incremental update.  When the update instead fell back to a full
-        rebuild, the return value is the changed-node set only where it is
-        needed anyway (OSIM, whose risers must be re-pooled) and an empty
-        array for EaSyIM — after any call, :attr:`scores` is the
-        authoritative state, not the returned set.
+        Returns the dirty node set whose scores were repaired in place when
+        every hop was patched.  When some hop went full, the return value is
+        the changed-node set only where it is needed anyway (OSIM, whose
+        risers must be re-pooled) and an empty array for EaSyIM — after any
+        call, :attr:`scores` is the authoritative state, not the returned
+        set.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size == 0:
@@ -468,67 +467,57 @@ class ScoreEngine:
         fresh = np.unique(nodes[~self._active[nodes]])
         if fresh.size == 0:
             return _EMPTY
-        with span("score_rescore", fresh=int(fresh.size)):
-            return self._mark_active_fresh(fresh)
+        with span("score_rescore", fresh=int(fresh.size)) as rescore:
+            # The residual-graph mask is derived from the active array on
+            # the fly (edges into active nodes contribute nothing), so
+            # activation itself is just this flag flip.
+            self._active[fresh] = True
+            changed, full_from_hop = self._repair(fresh)
+            rescore.annotate(full_from_hop=full_from_hop)
+            return changed
 
-    def _mark_active_fresh(self, fresh: np.ndarray) -> np.ndarray:
-        self._active[fresh] = True
+    def _repair(self, fresh: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
+        """Patch or recompute each hop after ``fresh`` became active.
+
+        Returns the changed-node set (see :meth:`mark_active`) and the first
+        hop that was recomputed in full, ``None`` when every hop was
+        patched.
+        """
         graph = self.graph
-        # The residual-graph mask is derived from the active array on the
-        # fly (edges into active nodes contribute nothing), so activation
-        # itself is just the flag flip above.
         if _degree_sum(graph.in_indptr, fresh) == 0:
             # No edges point at the activated nodes, so the residual graph —
             # and therefore every score — is unchanged.
-            return _EMPTY
+            return _EMPTY, None
 
-        # On hub-dominated graphs the l-hop reverse ball blows the budget on
-        # every single update; after FALLBACK_PATIENCE consecutive fallbacks
-        # stop paying for doomed expansions and rebuild directly, probing an
-        # incremental update again every FALLBACK_RETRY_PERIOD rebuilds.
-        if (
-            self._consecutive_fallbacks >= FALLBACK_PATIENCE
-            and self._rebuilds_until_retry > 0
-        ):
-            self._rebuilds_until_retry -= 1
-            self._bump("direct_rebuilds")
-            return self._rebuild_and_diff()
-
-        hops = self.max_path_length
-        edge_budget = int(self.fallback_fraction * hops * graph.number_of_edges)
+        budget = self.fallback_fraction * graph.number_of_edges
         dirty_mask = np.zeros(graph.number_of_nodes, dtype=bool)
         dirty_nodes = _EMPTY
         frontier = fresh
         edges_touched = 0
-        for hop in range(hops):
-            if frontier.size:
-                # Degree-sum prechecks abort *before* materialising an
-                # explosive expansion, so a fallback never costs much more
-                # than the budget itself.
-                edges_touched += _degree_sum(graph.in_indptr, frontier)
-                if edges_touched > edge_budget:
-                    return self._fallback_rebuild()
+        for hop in range(self.max_path_length):
+            # Every in-edge of the frontier is an out-edge of a node it makes
+            # dirty, so a frontier over budget decides the hop before its
+            # expansion is materialised.
+            expansion = _degree_sum(graph.in_indptr, frontier)
+            if expansion > budget:
+                return self._recompute_from(hop, edges_touched), hop
+            if expansion:
                 positions, _ = _expand_csr(graph.in_indptr, frontier)
                 candidates = graph.in_indices[positions]
                 thinned = candidates[~dirty_mask[candidates]]
                 new = thinned[_first_occurrences(thinned, self._scratch)]
                 dirty_mask[new] = True
+                dirty_nodes = np.concatenate((dirty_nodes, new))
             else:
                 new = _EMPTY
-            if new.size:
-                dirty_nodes = np.concatenate((dirty_nodes, new))
-            if dirty_nodes.size == 0:
-                # No in-neighbours anywhere near the activated set: the dirty
-                # region is empty at every later hop too (it only grows by
-                # reverse expansion), so no score can have changed.
-                return _EMPTY
-            edges_touched += _degree_sum(graph.out_indptr, dirty_nodes)
-            if edges_touched > edge_budget:
-                return self._fallback_rebuild()
+            work = _degree_sum(graph.out_indptr, dirty_nodes)
+            if work > budget:
+                return self._recompute_from(hop, edges_touched), hop
             out_positions, owner = _expand_csr(graph.out_indptr, dirty_nodes)
             self._state.recompute_hop(
                 hop, dirty_nodes, out_positions, owner, self._active
             )
+            edges_touched += expansion + work
             # Changes propagate through a dirty node only while it is
             # inactive — edges into active nodes are masked regardless.
             frontier = new[~self._active[new]]
@@ -539,11 +528,10 @@ class ScoreEngine:
             previous = self._state.scores[dirty_nodes].copy()
             self._state.refresh_scores(dirty_nodes)
             self._push_increased(dirty_nodes, previous)
-        self._consecutive_fallbacks = 0
         self._bump("incremental_updates")
         self._bump("dirty_nodes_total", int(dirty_nodes.size))
         self._bump("edges_touched_incremental", edges_touched)
-        return dirty_nodes
+        return dirty_nodes, None
 
     # ------------------------------------------------------------ internals
 
@@ -576,27 +564,25 @@ class ScoreEngine:
                 ),
                 "edges_touched_incremental": (
                     "repro_score_edges_touched_total",
-                    "Edges traversed by incremental updates.",
+                    "Edges traversed by incremental hop repairs.",
                 ),
             }[key]
             registry.counter(name, help_text).inc(amount)
 
-    def _fallback_rebuild(self) -> np.ndarray:
-        self._consecutive_fallbacks += 1
-        self._rebuilds_until_retry = FALLBACK_RETRY_PERIOD
-        self._bump("fallback_rebuilds")
-        return self._rebuild_and_diff()
-
-    def _rebuild_and_diff(self) -> np.ndarray:
+    def _recompute_from(self, hop: int, edges_touched: int) -> np.ndarray:
+        """Recompute ``hop`` and every later hop in full, after the earlier
+        hops were patched with ``edges_touched`` edges of work; for OSIM,
+        re-pool the risers found by a whole-array diff."""
+        self._bump("edges_touched_incremental", edges_touched)
+        # The full pass installs new arrays for the last hop's scores, so
+        # this reference keeps the previous ones.
+        previous = self._state.scores
+        self._state.recompute_from(hop, self._active)
+        self._bump("full_rebuilds")
         if self._state.monotone_decreasing:
             # Scores can only have decreased — the pool repairs itself — so
             # the old/new diff would be pure overhead.
-            self._state.full_rebuild(self._active)
-            self._bump("full_rebuilds")
             return _EMPTY
-        previous = self._state.scores.copy()
-        self._state.full_rebuild(self._active)
-        self._bump("full_rebuilds")
         changed = np.flatnonzero(self._state.scores != previous)
         self._push_increased(changed, previous[changed])
         return changed

@@ -197,8 +197,8 @@ class InfluenceService:
         started = time.monotonic()
         outcome = "error"
         try:
-            self._bump("select_requests")
             _, index = self._get_index(graph, model)
+            self._bump("select_requests")
             selection = index.select(budget)
             outcome = "ok"
             return selection

@@ -22,7 +22,8 @@ from repro.graphs import DiGraph, random_kout_graph
 from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
 from repro.opinion.annotate import annotate_graph
 from repro.scoring import DEFAULT_FALLBACK_FRACTION, ScoreEngine
-from repro.scoring.engine import FALLBACK_PATIENCE
+from repro.scoring import engine as engine_module
+from repro.telemetry.tracing import TraceRecorder, recording
 
 REFERENCES = {"easyim": easyim_scores, "osim": osim_scores}
 
@@ -87,9 +88,9 @@ class TestBitForBitEquivalence:
     @pytest.mark.parametrize("algorithm", ["easyim", "osim"])
     @pytest.mark.parametrize("fallback_fraction", [0.0, 0.05, 1.0])
     def test_fallback_boundary_preserves_scores(self, algorithm, fallback_fraction):
-        """The incremental/fallback decision must never change a score:
-        fraction 0 forces a rebuild on every update, 1.0 essentially never
-        falls back, and a small fraction exercises the mid-update abort."""
+        """The patch/full decision must never change a score: fraction 0
+        makes every update a full pass, 1.0 patches every hop, and a small
+        fraction switches to a full pass part-way through an update."""
         compiled = make_graph(wc=True)
         engine = ScoreEngine(
             compiled,
@@ -107,14 +108,12 @@ class TestBitForBitEquivalence:
             engine.mark_active(newly)
             assert_engine_matches_reference(engine, compiled, active, "wc")
         if fallback_fraction == 0.0:
+            # The initial pass plus one full pass per update.
             assert engine.stats["incremental_updates"] == 0
-            assert (
-                engine.stats["fallback_rebuilds"]
-                + engine.stats["direct_rebuilds"]
-                > 0
-            )
+            assert engine.stats["full_rebuilds"] == 1 + 8
         if fallback_fraction == 1.0:
-            assert engine.stats["fallback_rebuilds"] == 0
+            assert engine.stats["full_rebuilds"] == 1
+            assert engine.stats["incremental_updates"] == 8
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -211,6 +210,31 @@ class TestLazyArgmax:
         engine.mark_active([neg])
         assert_engine_matches_reference(engine, compiled, active, "ic")
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0], ids=["full", "patched"])
+    def test_osim_riser_outside_the_pool_becomes_the_argmax(
+        self, monkeypatch, fraction
+    ):
+        """A one-node pool holds only ``top`` (score 0.25).  Activating
+        ``neg`` lifts ``riser`` from 0 to 0.5, past the pool threshold, so
+        the update must re-pool it — on the full path by the whole-array
+        diff, on the patched path from the dirty set."""
+        monkeypatch.setattr(engine_module, "POOL_TARGET", 1)
+        graph = DiGraph()
+        for node, opinion in (("top", 0.0), ("pos", 1.0), ("riser", 0.0),
+                              ("neg", -1.0), ("pos2", 1.0)):
+            graph.add_node(node, opinion=opinion)
+        graph.add_edge("top", "pos", probability=0.5, interaction=1.0)
+        graph.add_edge("riser", "neg", probability=1.0, interaction=1.0)
+        graph.add_edge("riser", "pos2", probability=1.0, interaction=1.0)
+        compiled = graph.compile()
+        engine = ScoreEngine(compiled, algorithm="osim", fallback_fraction=fraction)
+        top, riser = compiled.index_of["top"], compiled.index_of["riser"]
+        assert engine.best_inactive() == top
+        assert engine.score_of(riser) == 0.0
+        engine.mark_active([compiled.index_of["neg"]])
+        assert engine.score_of(riser) == 0.5 > engine.score_of(top)
+        assert engine.best_inactive() == riser
+
 
 class TestSelectorParity:
     """EaSyIM/OSIM selection must be unchanged by the engine rewiring."""
@@ -243,20 +267,20 @@ class TestSelectorParity:
         assert incremental.scores == full.scores
 
     @pytest.mark.parametrize(
-        "shape, selector, model, falls_back",
+        "shape, selector, model, goes_full, hub",
         [
             # Subcritical uniform-IC cascades: small dirty balls.
-            ("kout", EaSyIMSelector, "ic", False),
-            ("kout", OSIMSelector, "oi-ic", False),
+            ("kout", EaSyIMSelector, "ic", False, False),
+            ("kout", OSIMSelector, "oi-ic", False, False),
             # WC gives mean branching factor 1: critical cascades.
-            ("kout-wc", EaSyIMSelector, "wc", True),
-            # Hubs blow the edge budget on almost every update, so the
-            # engine lives in its full-rebuild fallback.
-            ("ba-wc", EaSyIMSelector, "wc", True),
+            ("kout-wc", EaSyIMSelector, "wc", True, False),
+            # Hubs blow the per-hop budget on every update: the first hops
+            # are patched, the later ones recomputed in full.
+            ("ba-wc", EaSyIMSelector, "wc", True, True),
         ],
     )
     def test_large_graph_seed_sets_match_full_recompute(
-        self, shape, selector, model, falls_back
+        self, shape, selector, model, goes_full, hub
     ):
         if shape == "ba-wc":
             graph = barabasi_albert_graph(5_000, 3, seed=1)
@@ -273,9 +297,12 @@ class TestSelectorParity:
         assert incremental.seeds == full.seeds
         assert incremental.scores == full.scores
         engine = incremental.metadata["engine"]
-        assert engine["incremental_updates"] > 0
-        if falls_back:
-            assert engine["fallback_rebuilds"] > 0
+        # Some hops are always patched; only on the hub graph does every
+        # update go full at some hop.
+        assert engine["edges_touched_incremental"] > 0
+        assert (engine["incremental_updates"] == 0) == hub
+        if goes_full:
+            assert engine["full_rebuilds"] > 1
 
     def test_regression_fixed_seed_sets_unchanged(self):
         """Pinned seed sets from the pre-engine driver on a fixed graph: both
@@ -309,21 +336,107 @@ class TestSelectorParity:
         assert len(set(incremental.seeds)) == 4
 
 
-class TestFallbackAdaptivity:
-    def test_direct_rebuild_mode_engages_after_repeated_fallbacks(self):
-        compiled = make_graph(n=150, out_degree=5, wc=True)
+def dirty_work(compiled, active, fresh, hops):
+    """Out-edge count of each hop's dirty set when ``fresh`` (inactive)
+    become active — the engine's per-hop work, derived independently:
+    ``D_0 = N_in(fresh)``, ``D_h = D_{h-1} | N_in(new_{h-1} - active)``."""
+    in_indptr, in_indices = compiled.in_indptr, compiled.in_indices
+    out_degree = np.diff(compiled.out_indptr)
+    now_active = active.copy()
+    now_active[fresh] = True
+    dirty, frontier, work = set(), set(int(v) for v in fresh), []
+    for _ in range(hops):
+        new = {
+            int(u)
+            for v in frontier
+            for u in in_indices[in_indptr[v]:in_indptr[v + 1]]
+        } - dirty
+        dirty |= new
+        work.append(int(sum(out_degree[u] for u in dirty)))
+        frontier = {u for u in new if not now_active[u]}
+    return work
+
+
+class TestPerHopSwitch:
+    """Each hop of an update is patched or, from the first hop over budget
+    on, recomputed in full — and scores stay bit-for-bit exact either way.
+
+    The argmax pool is shrunk so that it never holds every inactive node:
+    an OSIM riser left out of the pool then changes ``best_inactive``, so
+    the risers re-pooling is checked on both the patched and full paths.
+    """
+
+    HOPS = 3
+
+    @pytest.fixture(autouse=True)
+    def small_pool(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "POOL_TARGET", 8)
+
+    def _update(self, engine, compiled, active, fresh, weighting):
+        recorder = TraceRecorder(seed=0)
+        with recording(recorder):
+            engine.mark_active(fresh)
+        active[fresh] = True
+        assert_engine_matches_reference(engine, compiled, active, weighting)
+        (rescore,) = [s for s in recorder.finished() if s.name == "score_rescore"]
+        return rescore.attributes["full_from_hop"]
+
+    @pytest.mark.parametrize("algorithm", ["easyim", "osim"])
+    @pytest.mark.parametrize("weighting", ["ic", "wc", "lt"])
+    @pytest.mark.parametrize("switch_hop", [0, 1, 2])
+    def test_switch_at_each_hop_is_exact(self, algorithm, weighting, switch_hop):
+        compiled = make_graph(n=300, out_degree=3, seed=7, wc=True)
+        m = compiled.number_of_edges
         engine = ScoreEngine(
-            compiled, algorithm="easyim", weighting="wc", fallback_fraction=0.0
+            compiled, algorithm=algorithm, max_path_length=self.HOPS,
+            weighting=weighting,
         )
-        rng = np.random.default_rng(1)
+        rng = np.random.default_rng(switch_hop)
         active = np.zeros(compiled.number_of_nodes, dtype=bool)
-        for _ in range(FALLBACK_PATIENCE + 3):
-            newly = rng.choice(compiled.number_of_nodes, size=3, replace=False)
-            active[newly] = True
-            engine.mark_active(newly)
-            assert_engine_matches_reference(engine, compiled, active, "wc")
-        assert engine.stats["fallback_rebuilds"] >= FALLBACK_PATIENCE
-        assert engine.stats["direct_rebuilds"] >= 1
+        switched = 0
+        for _ in range(25):
+            fresh = rng.choice(np.flatnonzero(~active), size=2, replace=False)
+            work = dirty_work(compiled, active, fresh, self.HOPS)
+            if switch_hop == 0:
+                if work[0] == 0:
+                    continue
+                # Anything below hop 0's work sends the whole update full.
+                engine.fallback_fraction = (work[0] - 0.5) / m
+            elif work[switch_hop] > work[switch_hop - 1]:
+                # Within budget up to the previous hop, over it here.
+                engine.fallback_fraction = (work[switch_hop - 1] + 0.5) / m
+            else:
+                continue
+            full_from_hop = self._update(engine, compiled, active, fresh, weighting)
+            assert full_from_hop == switch_hop
+            switched += 1
+        assert switched >= 5
+
+    @pytest.mark.parametrize("algorithm", ["easyim", "osim"])
+    @pytest.mark.parametrize("weighting", ["ic", "wc", "lt"])
+    @pytest.mark.parametrize("fraction, expected_hop", [(0.0, 0), (1.0, None)])
+    def test_edge_fractions(self, algorithm, weighting, fraction, expected_hop):
+        """Fraction 0 makes every update full from hop 0; fraction 1 never
+        goes full (a dirty set owns at most all m out-edges)."""
+        compiled = make_graph(n=300, out_degree=3, seed=7, wc=True)
+        engine = ScoreEngine(
+            compiled, algorithm=algorithm, max_path_length=self.HOPS,
+            weighting=weighting, fallback_fraction=fraction,
+        )
+        rng = np.random.default_rng(3)
+        active = np.zeros(compiled.number_of_nodes, dtype=bool)
+        updates = 0
+        for _ in range(12):
+            fresh = rng.choice(np.flatnonzero(~active), size=5, replace=False)
+            if not any(dirty_work(compiled, active, fresh, self.HOPS)):
+                continue  # no in-edges: nothing to patch or recompute
+            full_from_hop = self._update(engine, compiled, active, fresh, weighting)
+            assert full_from_hop == expected_hop
+            updates += 1
+        assert updates >= 8
+        full_updates = updates if expected_hop == 0 else 0
+        assert engine.stats["full_rebuilds"] == 1 + full_updates
+        assert engine.stats["incremental_updates"] == updates - full_updates
 
 
 class TestEngineValidation:

@@ -1150,7 +1150,10 @@ class TestInfluenceService:
         )
         assert requests.labels(op=op, outcome="error").value == 1.0
         assert requests.labels(op=op, outcome="ok").value == 0.0
-        assert service.stats()["index_hits"] == 0
+        stats = service.stats()
+        assert stats["index_hits"] == 0
+        # A request is counted after its index lookup, so neither moves.
+        assert stats["select_requests"] == stats["evaluate_requests"] == 0
 
     @pytest.mark.parametrize(
         "budget, error",
@@ -1275,6 +1278,14 @@ class TestServingCLI:
                          "integers", id="non-integer-counts"),
             pytest.param(["--sweep", "1,-2"], ConfigurationError,
                          "non-negative", id="negative-count"),
+            pytest.param(["--seeds", ""], ConfigurationError,
+                         "--seeds names no seed", id="empty-seeds"),
+            pytest.param(["--seeds", ","], ConfigurationError,
+                         "--seeds names no seed", id="comma-only-seeds"),
+            pytest.param(["--sweep", ""], ConfigurationError,
+                         "--sweep names no seed count", id="empty-sweep"),
+            pytest.param(["--sweep", ","], ConfigurationError,
+                         "--sweep names no seed count", id="comma-only-sweep"),
             pytest.param(["-k", "-1"], ConfigurationError,
                          "non-negative", id="negative-budget"),
             pytest.param(["-k", "100000"], BudgetError,

@@ -476,11 +476,37 @@ class TestEngineInstrumentation:
         )
         total_mirrored = sum(child.value for _, child in mirrored.children())
         by_kind = sum(
-            engine.stats[key]
-            for key in ("full_rebuilds", "fallback_rebuilds",
-                        "direct_rebuilds", "pool_rebuilds")
+            engine.stats[key] for key in ("full_rebuilds", "pool_rebuilds")
         )
         assert total_mirrored == by_kind > 0
+        assert {labels for labels, _ in mirrored.children()} == {
+            ("full",), ("pool",)
+        }
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_score_series_count_updates_by_outcome(self, fraction):
+        """``kind="full"`` counts the initial pass plus every update that
+        went full at any hop; the incremental series counts the updates
+        whose every hop was patched."""
+        from repro.graphs.generators import path_graph
+        from repro.scoring import ScoreEngine
+
+        compiled = path_graph(30, probability=0.2).compile()
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            engine = ScoreEngine(
+                compiled, algorithm="easyim", max_path_length=2,
+                fallback_fraction=fraction,
+            )
+            for node in (5, 12, 20):
+                engine.mark_active([node])
+        full = registry.counter(
+            "repro_score_rebuilds_total", labelnames=("kind",)
+        ).labels(kind="full").value
+        incremental = registry.counter(
+            "repro_score_incremental_updates_total"
+        ).value
+        assert (full, incremental) == ((4.0, 0.0) if fraction == 0.0 else (1.0, 3.0))
 
 
 class TestRRSetCounters:
