@@ -19,10 +19,11 @@ All RR-set machinery runs on the vectorized sketch subsystem
 (:mod:`repro.sketches`): many reverse BFS frontiers are advanced per
 numpy pass over the in-CSR arrays, sets are stored in a CSR-backed
 :class:`~repro.sketches.collection.RRSetCollection`, and the cover picks
-by ``argmax`` over per-node gain counters.  ``block_size`` bounds the sets
-sampled concurrently; the per-set counter-based randomness guarantees that
-the selected seeds are identical for a fixed engine seed regardless of the
-block size.
+by ``argmax`` over per-node gain counters.  ``block_size`` sets the RR sets
+per sampler call, of which at most
+:data:`~repro.sketches.sampler.MAX_SLOTS` (1024) are in flight; the per-set
+counter-based randomness guarantees that the selected seeds are identical
+for a fixed engine seed regardless of the block size.
 
 The paper's scalability critique of TIM+ is its memory footprint — all
 ``theta`` RR sets are materialised — which this implementation reproduces

@@ -170,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine-seed", type=int, default=0,
         help="sampling seed persisted with the artifact (growth replays it)",
     )
-    build_parser_.add_argument("--block-size", type=int, default=2048)
+    build_parser_.add_argument(
+        "--block-size", type=int, default=2048,
+        help="RR sets per sampler call; at most 1024 are in flight, so the "
+        "visited buffer is min(block-size, 1024) x n bytes; the index does "
+        "not depend on it",
+    )
     build_parser_.add_argument(
         "--output", "-o", required=True, help="artifact path (.npz)"
     )

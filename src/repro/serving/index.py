@@ -55,7 +55,11 @@ from repro.serving.artifact import (
 from repro.sketches.collection import RRSetCollection
 from repro.utils.rng import ensure_rng
 from repro.sketches.coverage import greedy_max_coverage, pad_with_unselected
-from repro.sketches.sampler import SUPPORTED_MODELS, BatchRRSampler
+from repro.sketches.sampler import (
+    SUPPORTED_MODELS,
+    BatchRRSampler,
+    slots_in_flight,
+)
 from repro.telemetry.registry import default_registry
 from repro.telemetry.tracing import span
 
@@ -331,12 +335,12 @@ class InfluenceIndex:
                 if checkpoint is not None:
                     checkpoint.maybe_save(self, theta)
 
-            # One sampler call per block_size tokens, with no slot refill.
-            # sample_into's 4 * block_size calls raised the index-serve
-            # workload's setup RSS from 87.2 to 90.6 MB here (+4% over 4
-            # paired runs on a 2-vCPU VM, against a 5% bound).  Chunking
-            # never changes the sets, since each set's randomness comes
-            # from its own token.
+            # One sampler call per block_size tokens, at most 1024 of them
+            # in flight.  sample_into's 4 * block_size calls, with 2048
+            # slots, raised the index-serve workload's setup RSS from 87.2
+            # to 90.6 MB here (+4% over 4 paired runs on a 2-vCPU VM,
+            # against a 5% bound).  Chunking never changes the sets, since
+            # each set's randomness comes from its own token.
             try:
                 with span(
                     "index_grow",
@@ -344,6 +348,7 @@ class InfluenceIndex:
                     start=int(existing),
                     target=int(theta),
                     workers=int(workers),
+                    slots=slots_in_flight(self.block_size, theta - existing),
                 ):
                     if workers > 1:
                         self._grow_parallel(

@@ -20,9 +20,13 @@ are in flight at a time.  Each set occupies a slot from its root until its
 frontier (or walk) dies out; the next round the slot takes the root of the
 next unstarted token.  Every round therefore stays full until the tokens run
 out, instead of a block of sets starting together and trickling through a
-long tail of near-empty rounds.  :meth:`BatchRRSampler.sample_into` hands the
-sampler ``4 * block_size`` tokens per call with ``block_size`` slots, so
-``block_size`` bounds the concurrent sets, and with them the visited buffer.
+long tail of near-empty rounds.  ``block_size`` sets the RR sets per sampler
+call (:meth:`BatchRRSampler.sample_into` hands the sampler
+``4 * block_size`` tokens per call), and every call keeps at most
+``min(block_size, MAX_SLOTS)`` of them in flight, so the visited buffer is
+at most ``min(block_size, 1024) * n`` bytes.  More slots bought no speed
+while each call still draws ``4 * block_size`` tokens, and at the paper's
+YouTube size (1.13M nodes) 2048 slots would be a 2.3 GB buffer.
 
 **Visited tags.**  The visited state is one ``uint8`` tag per
 ``(slot, node)``, slot-major (``slot * n + node``): each slot owns one
@@ -68,10 +72,15 @@ SUPPORTED_MODELS = ("ic", "wc", "lt")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Tokens per :meth:`BatchRRSampler.sample_into` call, per slot.  Larger
-#: calls spend a smaller share of rounds in the tail where the last sets
-#: finish, but hold more sampled members at once before they are appended.
-_TOKENS_PER_SLOT = 4
+#: Most RR sets one sampler call keeps in flight, whatever its token count;
+#: the visited buffer holds ``slots * n`` one-byte tags.
+MAX_SLOTS = 1024
+
+#: :meth:`BatchRRSampler.sample_into` draws this many times ``block_size``
+#: tokens per sampler call.  Larger calls spend a smaller share of rounds in
+#: the tail where the last sets finish, but hold more sampled members at
+#: once before they are appended.
+_BLOCKS_PER_CALL = 4
 
 # The SplitMix64 finalizer of repro.utils.rng.splitmix64, used as a
 # counter-based generator over (stream, counter) pairs.
@@ -175,6 +184,16 @@ def stable_argsort_bounded(keys: np.ndarray, bound: int) -> np.ndarray:
         high = (keys[order] >> 16).astype(np.uint16)
         return order[np.argsort(high, kind="stable")]
     return np.argsort(keys, kind="stable")
+
+
+def slots_in_flight(block_size: int, count: int) -> int:
+    """Sets kept in flight by a sampler call of ``count`` tokens.
+
+    At most ``block_size``, ``count`` and :data:`MAX_SLOTS`.  Recorded on the
+    ``rr_sample`` and ``index_grow`` spans, since it sizes the visited
+    buffer.
+    """
+    return max(0, min(int(block_size), int(count), MAX_SLOTS))
 
 
 def _first_occurrences(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -408,7 +427,9 @@ class BatchRRSampler:
         ``members``/``indptr`` form a CSR over the sets (members in
         discovery order, root first; int32 node ids, int64 offsets);
         ``widths[j]`` is the number of in-edges examined while growing set
-        ``j`` (the ``EPT`` width used by TIM's KPT estimation).
+        ``j`` (the ``EPT`` width used by TIM's KPT estimation).  At most
+        :data:`MAX_SLOTS` sets are in flight at once; the visited buffer
+        stays allocated across calls until the sampler is dropped.
         """
         count = int(count)
         if count < 0:
@@ -427,7 +448,8 @@ class BatchRRSampler:
         """Sample one RR set per entry of ``tokens`` (see :meth:`sample`).
 
         At most ``slots`` sets are in flight at once (all of them when
-        omitted); the result does not depend on ``slots``.  This is the
+        omitted), and never more than :data:`MAX_SLOTS`; the result does
+        not depend on ``slots``.  This is the
         replay primitive behind the runtime's pool: a token fully
         determines its RR set (root and every uniform), so any process
         sampling the same token block — a worker, or the parent replaying
@@ -456,10 +478,10 @@ class BatchRRSampler:
 
         The single grow loop shared by the selectors, the sketch spread
         oracle and the benchmark.  Each sampler call takes up to
-        ``4 * block_size`` tokens and keeps ``block_size`` sets in flight.
-        The ``block_size * n`` byte tag buffer is freed on return: what
-        follows (a cover, or spread queries) does not sample, and the
-        buffer can outweigh the RR sets it helped draw.
+        ``4 * block_size`` tokens and keeps ``min(block_size, MAX_SLOTS)``
+        sets in flight.  The tag buffer, one byte per slot and node, is
+        freed on return: what follows (a cover, or spread queries) does not
+        sample, and the buffer can outweigh the RR sets it helped draw.
         """
         if block_size < 1:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
@@ -475,11 +497,12 @@ class BatchRRSampler:
             model=self.model,
             start=int(collection.num_sets),
             target=int(target),
+            slots=slots_in_flight(block_size, target - collection.num_sets),
         ):
             try:
                 while collection.num_sets < target:
                     count = min(
-                        _TOKENS_PER_SLOT * block_size, target - collection.num_sets
+                        _BLOCKS_PER_CALL * block_size, target - collection.num_sets
                     )
                     members, indptr, _ = self.sample_tokens(
                         self.draw_tokens(rng, count), slots=block_size
@@ -502,7 +525,7 @@ class BatchRRSampler:
     def _sample(
         self, roots: np.ndarray, streams: np.ndarray, slots: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        slots = max(1, min(int(slots), roots.size))
+        slots = max(1, slots_in_flight(slots, roots.size))
         if self.model == "lt":
             set_chunks, node_chunks = self._walk_lt(roots, streams, slots)
         else:

@@ -360,6 +360,11 @@ class EstimatorSpec(_SpecBase):
         The incremental :class:`~repro.scoring.engine.ScoreEngine` —
         EaSyIM/OSIM residual path scores, a fast *heuristic* proxy that is
         not sigma-comparable with the other backends.
+
+    ``block_size`` sets the RR sets per sampler call of the ``sketch``
+    backend; at most 1024 of them are in flight at once, so the sampler's
+    visited buffer is ``min(block_size, 1024) * n`` bytes.  The sampled
+    sets do not depend on it.
     """
 
     _path = "estimator"

@@ -19,6 +19,7 @@ from repro.exceptions import BudgetError, ConfigurationError, SketchError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import barabasi_albert_graph, erdos_renyi_graph
 import repro.sketches.collection as collection_module
+from repro.serving.index import DEFAULT_BLOCK_SIZE, InfluenceIndex
 from repro.sketches import (
     BatchRRSampler,
     RRSetCollection,
@@ -26,6 +27,8 @@ from repro.sketches import (
     in_edge_probabilities,
     pad_with_unselected,
 )
+from repro.sketches.sampler import MAX_SLOTS
+from repro.telemetry.tracing import TraceRecorder, recording
 from rr_reference import sample_rr_set
 
 
@@ -140,6 +143,22 @@ class TestBatchSampler:
             assert np.array_equal(collection.members, fresh.members)
             assert np.array_equal(collection.indptr, fresh.indptr)
 
+    @pytest.mark.parametrize("model", ["ic", "wc", "lt"])
+    def test_sample_tokens_independent_of_slots_past_the_cap(
+        self, wc_compiled, lt_compiled, mixed_compiled, model
+    ):
+        compiled = {"ic": mixed_compiled, "wc": wc_compiled, "lt": lt_compiled}[model]
+        tokens = BatchRRSampler.draw_tokens(np.random.default_rng(23), 1100)
+        results = [
+            BatchRRSampler(compiled, model).sample_tokens(tokens, slots=slots)
+            for slots in (1, 7, MAX_SLOTS, tokens.size)
+        ]
+        members, indptr, _ = results[0]
+        assert indptr[-1] > tokens.size  # not just the roots
+        for other_members, other_indptr, _ in results[1:]:
+            assert np.array_equal(other_members, members)
+            assert np.array_equal(other_indptr, indptr)
+
     def test_deterministic_chain_rr_set(self):
         graph = DiGraph()
         graph.add_edge(0, 1, probability=1.0)
@@ -207,6 +226,61 @@ class TestBatchSampler:
         members, indptr, widths = sampler.sample(np.random.default_rng(0), 0)
         assert members.size == 0 and widths.size == 0
         assert indptr.tolist() == [0]
+
+
+class TestSlotCap:
+    """Every sampling path keeps at most ``MAX_SLOTS`` sets in flight."""
+
+    @pytest.fixture
+    def frame_sizes(self, monkeypatch):
+        sizes = []
+        slot_frame = BatchRRSampler._slot_frame
+
+        def recording_frame(sampler, slots):
+            frame = slot_frame(sampler, slots)
+            sizes.append(frame[0].size)
+            return frame
+
+        monkeypatch.setattr(BatchRRSampler, "_slot_frame", recording_frame)
+        return sizes
+
+    def test_sample_into_at_default_block_size(self, wc_compiled, frame_sizes):
+        collection = RRSetCollection(wc_compiled.number_of_nodes)
+        BatchRRSampler(wc_compiled, "wc").sample_into(
+            np.random.default_rng(5), collection, 3000, DEFAULT_BLOCK_SIZE
+        )
+        assert collection.num_sets == 3000
+        assert max(frame_sizes) == MAX_SLOTS * wc_compiled.number_of_nodes
+
+    def test_sample_of_2048_tokens(self, wc_compiled):
+        # sample() keeps its frame until the sampler is dropped.
+        sampler = BatchRRSampler(wc_compiled, "ic")
+        sampler.sample(np.random.default_rng(5), 2048)
+        assert sampler._tags.size == MAX_SLOTS * wc_compiled.number_of_nodes
+
+    def test_influence_index_build(self, wc_compiled, frame_sizes):
+        index = InfluenceIndex.build(wc_compiled, "wc", 3000, engine_seed=5)
+        assert index.collection.num_sets == 3000
+        assert max(frame_sizes) == MAX_SLOTS * wc_compiled.number_of_nodes
+
+    def test_spans_record_slots(self, wc_compiled):
+        recorder = TraceRecorder(seed=0)
+        with recording(recorder):
+            for block_size in (DEFAULT_BLOCK_SIZE, 3):
+                BatchRRSampler(wc_compiled, "wc").sample_into(
+                    np.random.default_rng(5),
+                    RRSetCollection(wc_compiled.number_of_nodes),
+                    1500,
+                    block_size,
+                )
+            InfluenceIndex.build(wc_compiled, "wc", 500, engine_seed=5)
+        slots = [
+            (finished.name, finished.attributes["slots"])
+            for finished in recorder.finished()
+        ]
+        assert slots == [
+            ("rr_sample", MAX_SLOTS), ("rr_sample", 3), ("index_grow", 500)
+        ]
 
 
 class TestRRSetCollection:
